@@ -29,7 +29,8 @@ from cylshell.errors import ParameterError
 from cylshell.material import ShellGeometry
 from cylshell.fields import (Scaled, Shifted, SumSurface, SurfaceFunction,
                              from_midsurface, functionals, gradient,
-                             symmetrize, volume_grid, GRAD_KEYS)
+                             symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
+                             STRAIN_WEIGHT)
 from cylshell.scaling import ScalingFit, fit_exponent
 
 
@@ -172,9 +173,7 @@ def _norms(ansatz, geometry, grid=None):
     g = gradient(ansatz.field, grid.R, grid.TH, grid.Z)
     e = symmetrize(g)
     grad_sq = sum(grid.norm_sq(g[k]) for k in GRAD_KEYS)
-    strain_sq = sum(w * grid.norm_sq(e[k]) for k, w in
-                    (("rr", 1.0), ("tt", 1.0), ("zz", 1.0),
-                     ("rt", 2.0), ("rz", 2.0), ("tz", 2.0)))
+    strain_sq = sum(STRAIN_WEIGHT[k] * grid.norm_sq(e[k]) for k in STRAIN_KEYS)
     return g, grad_sq, strain_sq, grid
 
 

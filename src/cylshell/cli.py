@@ -24,6 +24,7 @@ from cylshell.errors import (CheckFailure, NotDestabilizingError, ParameterError
 from cylshell.material import (ShellGeometry, derive_material, hoop_imperfection,
                                perfect_stress, shear_imperfection,
                                solve_trivial_branch)
+from cylshell.scaling import fit_exponent
 
 
 def _parse_h_list(text):
@@ -67,6 +68,13 @@ def _map(args, fn, items):
 
 def _config(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
+
+
+def _fit_payload(rows):
+    """Power-law fit of the (h, value, ...) rows of a sweep."""
+    fit = fit_exponent([(r[0], r[1]) for r in rows])
+    return {"exponent": fit.exponent, "prefactor": fit.prefactor,
+            "max_residual": fit.max_residual}
 
 
 # ---------------------------------------------------------------------------
@@ -163,7 +171,6 @@ def _cmd_koiter_modes(args):
 
 
 def _cmd_korn(args):
-    geometry = ShellGeometry(h=args.h_list[0], L=args.L)
     config = _config(args, ("h_list", "L", "mmax", "nmax", "N"))
 
     def one(h):
@@ -176,10 +183,7 @@ def _cmd_korn(args):
     _write_csv(out, ["h", "K", "m_star", "n_star", "K_over_h15"], rows, config)
     payload = {"config": config, "rows": rows}
     if len(rows) >= 4:
-        from cylshell.scaling import fit_exponent
-        fit = fit_exponent([(r[0], r[1]) for r in rows])
-        payload["fit"] = {"exponent": fit.exponent, "prefactor": fit.prefactor,
-                          "max_residual": fit.max_residual}
+        payload["fit"] = _fit_payload(rows)
         _write_json(os.path.join(args.out or ".", "korn_fit.json"), payload)
     print(json.dumps(payload, indent=2))
     return 0
@@ -203,9 +207,7 @@ def _cmd_components(args):
     payload = {"config": config, "rows": rows,
                "target_exponent": korn.COMPONENT_EXPONENTS[args.which]}
     if len(rows) >= 4:
-        from cylshell.scaling import fit_exponent
-        fit = fit_exponent([(r[0], r[1]) for r in rows])
-        payload["fit"] = {"exponent": fit.exponent, "prefactor": fit.prefactor}
+        payload["fit"] = _fit_payload(rows)
     print(json.dumps(payload, indent=2))
     if args.out:
         _write_json(os.path.join(args.out, f"components_{args.which}_fit.json"), payload)
@@ -300,7 +302,6 @@ def build_parser():
                                      description="Cylindrical-shell buckling studies")
     parser.add_argument("--out", default=None, help="output directory for artifacts")
     parser.add_argument("--jobs", type=int, default=1, help="worker pool size for sweeps")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, **kwargs):

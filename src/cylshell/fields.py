@@ -218,17 +218,6 @@ def simplified_G(field, r, theta, z):
     return g
 
 
-def appendix_A(field, r, theta, z):
-    """The appendix matrix A(u): no 1/r weights at all."""
-    g = gradient(field, r, theta, z)
-    r = np.asarray(r, dtype=float)
-    g = dict(g)
-    g["rt"] = g["rt"] * r
-    g["tt"] = g["tt"] * r
-    g["zt"] = g["zt"] * r
-    return g
-
-
 STRAIN_KEYS = ("rr", "tt", "zz", "rt", "rz", "tz")
 # multiplicity of each strain component in |e|^2
 STRAIN_WEIGHT = {"rr": 1.0, "tt": 1.0, "zz": 1.0, "rt": 2.0, "rz": 2.0, "tz": 2.0}
@@ -291,10 +280,6 @@ class Grid:
     def with_measure(self, measure):
         return Grid(self.r_nodes, self.r_weights, self.th_nodes, self.th_weights,
                     self.z_nodes, self.z_weights, measure)
-
-    def refined(self, factor=2):
-        """Same domain with factor-times the nodes in theta and z (and r if Gauss)."""
-        raise NotImplementedError("use the grid builders to refine")
 
     def integrate(self, values):
         w_r = self.r_weights * self.r_nodes if self.measure == "volume" else self.r_weights

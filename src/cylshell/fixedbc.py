@@ -28,7 +28,7 @@ import numpy as np
 from cylshell.errors import ParameterError
 from cylshell.fields import (SumSurface, TrigSurface, from_midsurface,
                              functional_family, volume_grid)
-from cylshell.koiter import classical_load, max_circle_m, reduced_forms
+from cylshell.koiter import circle_n_real, classical_load, max_circle_m, reduced_forms
 from cylshell.material import ShellGeometry, perfect_stress
 from cylshell.scaling import fit_exponent
 
@@ -40,14 +40,7 @@ def circle_wavenumber(m, geometry, Lambda):
     balances the pair better than rounding down; the rounded-down variant
     systematically overweights the membrane energy of the m+2 mode.
     """
-    m_hat = math.pi * m / geometry.L
-    radicand = 2.0 * m_hat * (3.0 * (Lambda + 1.0)) ** 0.25 \
-        / math.sqrt(geometry.h * (Lambda + 2.0)) - m_hat**2
-    if radicand < 0:
-        raise ParameterError(
-            f"m={m} lies outside the circle of classical modes "
-            f"(m > M(h) = {max_circle_m(geometry, Lambda)})")
-    return int(round(math.sqrt(radicand)))
+    return int(round(circle_n_real(m, geometry, Lambda)))
 
 
 def gamma(m, n, geometry, Lambda):

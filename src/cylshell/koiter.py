@@ -81,8 +81,11 @@ def q0_at_optimum(f_r, m_hat, n, Lambda):
 
 
 def lambda_star(geometry, material, m, n):
-    """The two-term load surface lambda*(h; m, n) (with the mu prefactor)."""
-    if m < 1:
+    """The two-term load surface lambda*(h; m, n) (with the mu prefactor).
+
+    Broadcasts over array-valued m and n.
+    """
+    if np.any(np.asarray(m) < 1):
         raise ParameterError("lambda* requires m >= 1 (B vanishes at m = 0)")
     h, Lam = geometry.h, material.Lambda
     m_hat = math.pi * m / geometry.L
@@ -110,8 +113,8 @@ def max_circle_m(geometry, Lambda):
     return int(math.floor(val))
 
 
-def koiter_circle_n(m, geometry, Lambda):
-    """n(m): circumferential wavenumber on the Koiter circle for axial mode m."""
+def circle_n_real(m, geometry, Lambda):
+    """Real circumferential wavenumber on the Koiter circle for axial mode m."""
     m_hat = math.pi * m / geometry.L
     radicand = 2.0 * m_hat * (3.0 * (Lambda + 1.0)) ** 0.25 \
         / math.sqrt(geometry.h * (Lambda + 2.0)) - m_hat**2
@@ -119,7 +122,12 @@ def koiter_circle_n(m, geometry, Lambda):
         raise ParameterError(
             f"m={m} lies outside the Koiter circle (m > M(h) = "
             f"{max_circle_m(geometry, Lambda)})")
-    return int(math.floor(math.sqrt(radicand)))
+    return math.sqrt(radicand)
+
+
+def koiter_circle_n(m, geometry, Lambda):
+    """n(m): circumferential wavenumber on the Koiter circle for axial mode m."""
+    return int(math.floor(circle_n_real(m, geometry, Lambda)))
 
 
 @dataclass(frozen=True)
@@ -138,7 +146,7 @@ def minimize_load(geometry, material, m_max=None, n_max=None, with_mode=True):
     Ties break toward the smallest m, then the smallest n.  The result always
     sits above the continuum lower bound 2 mu h sqrt((Lambda+1)/3).
     """
-    h, L, Lam = geometry.h, geometry.L, material.Lambda
+    h, Lam = geometry.h, material.Lambda
     M = max_circle_m(geometry, Lam)
     if M < 1:
         raise ParameterError(f"h={h} too large: M(h) = {M} < 1, no circle modes")
@@ -153,10 +161,7 @@ def minimize_load(geometry, material, m_max=None, n_max=None, with_mode=True):
 
     ms = np.arange(1, m_max + 1, dtype=float)[:, None]
     ns = np.arange(0, n_max + 1, dtype=float)[None, :]
-    m_hat = np.pi * ms / L
-    membrane = 4.0 * m_hat**2 * (Lam + 1.0) / ((Lam + 2.0) * (ns**2 + m_hat**2) ** 2)
-    bending = h**2 * (Lam + 2.0) * (m_hat**2 + ns**2) ** 2 / (12.0 * m_hat**2)
-    lam = material.mu * (membrane + bending)
+    lam = lambda_star(geometry, material, ms, ns)
     flat = int(np.argmin(lam))          # first minimum: smallest m, then n
     m_star = flat // (n_max + 1) + 1
     n_star = flat % (n_max + 1)

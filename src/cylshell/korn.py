@@ -20,6 +20,7 @@ import numpy as np
 import scipy.linalg
 
 from cylshell.errors import ParameterError, SolverError
+from cylshell.fields import GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, symmetrize
 
 COMPONENT_GROUPS = {
     "ththzz": ("tt", "zz"),
@@ -100,143 +101,86 @@ def radial_grid(geometry, N=32, kind="cheb"):
 
 @dataclass(frozen=True)
 class QuadraticFormPair:
-    """Numerator/denominator forms, assembled and in factored (rows, weights) form.
+    """Numerator/denominator forms v -> ||C_num v||^2, ||C_den v||^2.
 
-    The factored representation evaluates v -> sum_k W_k (A v)_k^2 directly;
-    for strongly graded operators this avoids the roundoff floor eps*||A' W A||
-    that the assembled matrices carry, which matters when the quotient itself
-    is many orders of magnitude below the matrix norms.
+    Kept as weighted row stacks, never squared into matrices (see
+    ``_solve_pencil`` for why).
     """
 
-    S: np.ndarray
-    M: np.ndarray
-    dof_map: tuple
-    S_factors: tuple = ()
-    M_factors: tuple = ()
-    W: np.ndarray = None
-
-    def eval_S(self, v):
-        return _eval_factored(self.S_factors, self.W, v)
-
-    def eval_M(self, v):
-        return _eval_factored(self.M_factors, self.W, v)
+    C_num: np.ndarray
+    C_den: np.ndarray
 
     def quotient(self, v):
-        return self.eval_S(v) / self.eval_M(v)
+        y_num = self.C_num @ v
+        y_den = self.C_den @ v
+        return float(y_num @ y_num) / float(y_den @ y_den)
 
 
-def _eval_factored(factors, W, v):
-    total = 0.0
-    for A, mult in factors:
-        y = A @ v
-        total += mult * float(W @ (y * y))
-    return total
+def _weighted_operators(m, n, geometry, grid):
+    """Profile operators with sqrt(W) * (component values) = op @ dofs.
 
-
-def _component_operators(m, n, geometry, grid):
-    """Profile operators A_c with (component values) = A_c @ dofs.
-
-    Returns (ops, weight matrix diag, angular-z factor, dof_map).
+    W is the radial quadrature weight times r times the angular-axial mode
+    normalization, so a sum of squared rows integrates over the shell.  The
+    gradient entries are keyed as in ``fields.GRAD_KEYS``; "ur" is u_r.
     """
     N = grid.N
     r = grid.nodes
     D = grid.D
     m_hat = math.pi * m / geometry.L
     ang = math.pi if n >= 1 else 2.0 * math.pi
+    Rinv = 1.0 / r
     if m >= 1:
         Z = np.zeros((N, N))
         I = np.eye(N)
         Fr = np.hstack([I, Z, Z])
         Ft = np.hstack([Z, I, Z])
         Fz = np.hstack([Z, Z, I])
-        DFr = np.hstack([D, Z, Z])
-        DFt = np.hstack([Z, D, Z])
-        DFz = np.hstack([Z, Z, D])
-        Rinv = 1.0 / r
         ops = {
-            "rr": DFr,
+            "rr": np.hstack([D, Z, Z]),
             "rt": Rinv[:, None] * (-n * Fr - Ft),
             "rz": m_hat * Fr,
-            "tr": DFt,
+            "tr": np.hstack([Z, D, Z]),
             "tt": Rinv[:, None] * (n * Ft + Fr),
             "tz": m_hat * Ft,
-            "zr": DFz,
+            "zr": np.hstack([Z, Z, D]),
             "zt": -n * Rinv[:, None] * Fz,
             "zz": -m_hat * Fz,
             "ur": Fr,
         }
         zfac = geometry.L / 2.0
-        dof_map = ("f_r", "f_t", "f_z")
     else:
-        I = np.eye(N)
         Zop = np.zeros((N, N))
-        Rinv = 1.0 / r
         ops = {
             "rr": Zop, "rt": Zop, "rz": Zop, "tr": Zop, "tt": Zop, "tz": Zop,
-            "zr": D.copy(),
-            "zt": -n * Rinv[:, None] * I,
+            "zr": D,
+            "zt": -n * Rinv[:, None] * np.eye(N),
             "zz": Zop,
             "ur": Zop,
         }
         zfac = geometry.L
-        dof_map = ("f_z",)
-    return ops, grid.weights * r, ang * zfac, dof_map
+    sqw = np.sqrt(grid.weights * r * (ang * zfac))
+    return {key: sqw[:, None] * op for key, op in ops.items()}
 
 
-def _strain_ops(ops):
-    return {
-        "rr": (ops["rr"], 1.0),
-        "tt": (ops["tt"], 1.0),
-        "zz": (ops["zz"], 1.0),
-        "rt": (0.5 * (ops["rt"] + ops["tr"]), 2.0),
-        "rz": (0.5 * (ops["rz"] + ops["zr"]), 2.0),
-        "tz": (0.5 * (ops["tz"] + ops["zt"]), 2.0),
-    }
+def _form_rows(kind, ops):
+    """Row stack C of one norm, ||C v||^2 = the norm squared of mode v.
 
-
-def form_factors(kind, m, n, geometry, grid):
-    """Row operators and weights of one norm on mode (m, n).
-
-    kind: 'strain', 'grad', 'ur', 'urz', 'utz', or 'component:<group>' with
-    group in COMPONENT_GROUPS.  Returns (factors, W, dof_map) with
-    factors = ((A, mult), ...) such that the form is sum mult * W-weighted
-    ||A v||^2.
+    kind: 'strain', 'grad', or 'component:<group>' with group in
+    COMPONENT_GROUPS.
     """
-    ops, wr, angz, dof_map = _component_operators(m, n, geometry, grid)
-    W = wr * angz
     if kind == "strain":
-        factors = tuple(_strain_ops(ops).values())
-    elif kind == "grad":
-        factors = tuple((ops[c], 1.0) for c in
-                        ("rr", "rt", "rz", "tr", "tt", "tz", "zr", "zt", "zz"))
-    elif kind == "ur":
-        factors = ((ops["ur"], 1.0),)
-    elif kind == "urz":
-        factors = ((ops["rz"], 1.0),)
-    elif kind == "utz":
-        factors = ((ops["tz"], 1.0),)
+        e = symmetrize(ops)
+        return np.vstack([math.sqrt(STRAIN_WEIGHT[k]) * e[k] for k in STRAIN_KEYS])
+    if kind == "grad":
+        keys = GRAD_KEYS
     elif kind.startswith("component:"):
         group = kind.split(":", 1)[1]
         if group not in COMPONENT_GROUPS:
             raise ParameterError(f"unknown component group {group!r}")
-        factors = tuple((ops[c], 1.0) for c in COMPONENT_GROUPS[group])
+        keys = COMPONENT_GROUPS[group]
     else:
         raise ParameterError(f"unknown form kind {kind!r}")
-    return factors, W, dof_map
-
-
-def _assemble(factors, W):
-    ndof = factors[0][0].shape[1]
-    out = np.zeros((ndof, ndof))
-    for A, mult in factors:
-        out += mult * (A.T * W) @ A
-    return 0.5 * (out + out.T)
-
-
-def form_matrix(kind, m, n, geometry, grid):
-    """Assemble the quadratic-form matrix of one norm on mode (m, n)."""
-    factors, W, dof_map = form_factors(kind, m, n, geometry, grid)
-    return _assemble(factors, W), dof_map
+    return np.vstack([ops[k] for k in keys])
 
 
 def _constraint_basis(m, n, geometry, grid):
@@ -254,15 +198,13 @@ def _constraint_basis(m, n, geometry, grid):
 
 def assemble_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad"):
     """Quadratic-form pair for the Rayleigh quotient numerator/denominator."""
-    S_factors, W, dof_map = form_factors(numerator, m, n, geometry, grid)
-    M_factors, _, _ = form_factors(denominator, m, n, geometry, grid)
+    ops = _weighted_operators(m, n, geometry, grid)
+    C_num = _form_rows(numerator, ops)
+    C_den = _form_rows(denominator, ops)
     B = _constraint_basis(m, n, geometry, grid)
     if B is not None:
-        S_factors = tuple((A @ B, mult) for A, mult in S_factors)
-        M_factors = tuple((A @ B, mult) for A, mult in M_factors)
-    return QuadraticFormPair(S=_assemble(S_factors, W), M=_assemble(M_factors, W),
-                             dof_map=dof_map, S_factors=S_factors,
-                             M_factors=M_factors, W=W)
+        C_num, C_den = C_num @ B, C_den @ B
+    return QuadraticFormPair(C_num=C_num, C_den=C_den)
 
 
 def _solve_pencil(pair, index, check_residual=True):
@@ -281,14 +223,12 @@ def _solve_pencil(pair, index, check_residual=True):
     R-transformed coordinates (S, M) = (B^T B, I) where the problem is
     actually solved.
     """
-    Cs = _stack_factors(pair.S_factors, pair.W)
-    Cm = _stack_factors(pair.M_factors, pair.W)
-    R = np.linalg.qr(Cm, mode="r")
+    R = np.linalg.qr(pair.C_den, mode="r")
     dR = np.abs(np.diag(R))
     if not np.all(dR > 1e-14 * dR.max()):
         raise SolverError("denominator form numerically rank-deficient")
     try:
-        B = scipy.linalg.solve_triangular(R, Cs.T, lower=False, trans="T").T
+        B = scipy.linalg.solve_triangular(R, pair.C_num.T, lower=False, trans="T").T
     except scipy.linalg.LinAlgError as exc:
         raise SolverError(f"denominator reduction failed: {exc}") from exc
     _, s, Vt = np.linalg.svd(B, full_matrices=False)
@@ -302,19 +242,13 @@ def _solve_pencil(pair, index, check_residual=True):
     return float(pair.quotient(v)), v
 
 
-def _stack_factors(factors, W):
-    """Stack weighted operator rows so the form is ||stack @ v||^2."""
-    sqw = np.sqrt(W)
-    return np.vstack([math.sqrt(mult) * (sqw[:, None] * A) for A, mult in factors])
-
-
 def min_rayleigh(pair, check_residual=True):
-    """Smallest generalized eigenvalue of (S, M) with its eigenvector."""
+    """Smallest quotient ||C_num v||^2 / ||C_den v||^2 with its minimizer v."""
     return _solve_pencil(pair, 0, check_residual)
 
 
 def max_rayleigh(pair, check_residual=True):
-    """Largest generalized eigenvalue of (S, M)."""
+    """Largest quotient ||C_num v||^2 / ||C_den v||^2 with its maximizer v."""
     return _solve_pencil(pair, -1, check_residual)
 
 
@@ -369,9 +303,15 @@ def _scan_extremize(eval_fn, m_range, n_range, maximize=False):
                       evaluations=len(cache))
 
 
-def default_scan_caps(geometry):
-    cap = int(math.ceil(3.0 / math.sqrt(geometry.h)))
-    return min(cap, 512), min(cap, 512)
+def _scan_caps(geometry, m_max, n_max):
+    """Scan caps, min(ceil(3/sqrt(h)), 512) unless given; rejects an empty window."""
+    cap = min(int(math.ceil(3.0 / math.sqrt(geometry.h))), 512)
+    m_max = cap if m_max is None else m_max
+    n_max = cap if n_max is None else n_max
+    if m_max < 1 or n_max < 0:
+        raise ParameterError(f"empty scan window: need m_max >= 1 and n_max >= 0, "
+                             f"got m_max={m_max}, n_max={n_max}")
+    return m_max, n_max
 
 
 def korn_constant(geometry, grid=None, m_max=None, n_max=None, N=32):
@@ -381,9 +321,7 @@ def korn_constant(geometry, grid=None, m_max=None, n_max=None, N=32):
     probably too small.
     """
     grid = grid or radial_grid(geometry, N=N)
-    m_cap, n_cap = default_scan_caps(geometry)
-    m_max = m_max or m_cap
-    n_max = n_max or n_cap
+    m_max, n_max = _scan_caps(geometry, m_max, n_max)
 
     def quotient(m, n):
         pair = assemble_mode_forms(m, n, geometry, grid, "strain", "grad")
@@ -398,9 +336,7 @@ def component_bound(geometry, group, grid=None, m_max=None, n_max=None, N=32):
         raise ParameterError(f"unknown component group {group!r}; "
                              f"choose from {sorted(COMPONENT_GROUPS)}")
     grid = grid or radial_grid(geometry, N=N)
-    m_cap, n_cap = default_scan_caps(geometry)
-    m_max = m_max or m_cap
-    n_max = n_max or n_cap
+    m_max, n_max = _scan_caps(geometry, m_max, n_max)
 
     def quotient(m, n):
         pair = assemble_mode_forms(m, n, geometry, grid,

@@ -105,7 +105,7 @@ def solve_trivial_branch(material, load):
     """
     E, nu = material.E, material.nu
     load_max = E / (3.0 * math.sqrt(3.0))
-    if load < 0 or load >= load_max:
+    if not 0 <= load < load_max:
         raise NoTrivialBranchError(
             f"no trivial branch at lambda={load}: admissible range is "
             f"0 <= lambda < E/(3*sqrt(3)) = {load_max:.6g}"

@@ -32,6 +32,12 @@ def test_trivial_branch_inadmissible_load(capsys):
     assert code == 2
 
 
+def test_trivial_branch_nan_load(capsys):
+    code, _ = run(capsys, "trivial-branch", "--E", "1.0", "--nu", "0.3",
+                  "--lambda", "nan")
+    assert code == 2
+
+
 def test_classical_load(capsys):
     code, out = run(capsys, "classical-load", "--h", "1e-3")
     assert code == 0
@@ -85,6 +91,13 @@ def test_components_subcommand(tmp_path, capsys):
     for row in payload["rows"]:
         assert row[1] <= 1.0 + 1e-9
     assert (tmp_path / "components_ththzz.csv").exists()
+
+
+@pytest.mark.parametrize("command", [["korn"], ["components", "--which", "rthr"]])
+@pytest.mark.parametrize("caps", [["--mmax", "0"], ["--mmax", "-3"], ["--nmax", "-1"]])
+def test_empty_scan_window(tmp_path, capsys, command, caps):
+    code, _ = run(capsys, "--out", str(tmp_path), *command, "--h-list", "1e-2", *caps)
+    assert code == 2
 
 
 def test_components_unknown_group(tmp_path, capsys):

@@ -5,8 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from numpy.polynomial import Polynomial
+
 from cylshell import korn
 from cylshell.errors import ParameterError
+from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, Component,
+                             DisplacementField, TrigSurface, gradient, symmetrize,
+                             volume_grid)
 from cylshell.material import ShellGeometry
 
 
@@ -16,7 +21,7 @@ def bisect_min_eigenvalue(pair, tol=1e-10):
     Bisection on the Cholesky feasibility of S - lam M; independent of the
     QR/SVD path used by min_rayleigh.
     """
-    S, M = pair.S, pair.M
+    S, M = pair.C_num.T @ pair.C_num, pair.C_den.T @ pair.C_den
     rng = np.random.default_rng(0)
     hi = min(float(v @ S @ v / (v @ M @ v))
              for v in rng.standard_normal((5, S.shape[0])))
@@ -41,15 +46,12 @@ def bisect_min_eigenvalue(pair, tol=1e-10):
 
 
 def random_form_pair(rng, d):
-    """Small random factored numerator/denominator pair with SPD denominator."""
+    """Small random sqrt(W)-weighted row-stack pair with SPD denominator."""
     A_s = np.vstack([rng.standard_normal((d + 2, d)), np.zeros((1, d))])
     A_m = rng.standard_normal((d + 3, d)) + np.vstack([2.0 * np.eye(d),
                                                        np.zeros((3, d))])
-    W = rng.uniform(0.5, 1.5, d + 3)
-    Sf = ((A_s, 1.0),)
-    Mf = ((A_m, 1.0),)
-    return korn.QuadraticFormPair(S=korn._assemble(Sf, W), M=korn._assemble(Mf, W),
-                                  dof_map=("x",), S_factors=Sf, M_factors=Mf, W=W)
+    sqw = np.sqrt(rng.uniform(0.5, 1.5, d + 3))[:, None]
+    return korn.QuadraticFormPair(C_num=sqw * A_s, C_den=sqw * A_m)
 
 
 def test_cheb_grid_integrates_and_differentiates():
@@ -76,14 +78,29 @@ def test_unknown_grid_kind():
         korn.radial_grid(geo, kind="spline")
 
 
-def test_factored_and_assembled_forms_agree(geo_thick):
-    grid = korn.radial_grid(geo_thick, N=12)
-    pair = korn.assemble_mode_forms(2, 4, geo_thick, grid)
-    rng = np.random.default_rng(3)
-    for _ in range(5):
-        v = rng.standard_normal(pair.S.shape[0])
-        assert pair.eval_S(v) == pytest.approx(float(v @ pair.S @ v), rel=1e-10)
-        assert pair.eval_M(v) == pytest.approx(float(v @ pair.M @ v), rel=1e-10)
+def test_mode_forms_match_field_quadrature(geo_thick):
+    # the operator table (signs, 1/r factors, the pi L / 2 mode normalization)
+    # against fields.gradient and symmetrize on the same Fourier mode, with
+    # quadratic radial profiles that the collocation grid represents exactly
+    m, n = 2, 3
+    grid = korn.radial_grid(geo_thick, N=16)
+    pair = korn.assemble_mode_forms(m, n, geo_thick, grid)
+    m_hat = math.pi * m / geo_thick.L
+    x = Polynomial([-1.0, 1.0]) / geo_thick.h          # (r - 1) / h
+    profiles = [0.3 - 1.2 * x + 0.7 * x**2, 1.1 + 0.4 * x - 0.9 * x**2,
+                -0.5 + 0.8 * x + 1.3 * x**2]
+    angular = [TrigSurface("cos", n, "sin", m_hat), TrigSurface("sin", n, "sin", m_hat),
+               TrigSurface("cos", n, "cos", m_hat)]
+    field = DisplacementField(*(Component(((p, s),)) for p, s in zip(profiles, angular)))
+    quad = volume_grid(geo_thick, n_r=8, n_th=16, n_z=24)
+    g = gradient(field, quad.R, quad.TH, quad.Z)
+    e = symmetrize(g)
+    strain_sq = sum(STRAIN_WEIGHT[k] * quad.norm_sq(e[k]) for k in STRAIN_KEYS)
+    grad_sq = sum(quad.norm_sq(g[k]) for k in GRAD_KEYS)
+    v = np.concatenate([p(grid.nodes) for p in profiles])
+    y_num, y_den = pair.C_num @ v, pair.C_den @ v
+    assert float(y_num @ y_num) == pytest.approx(strain_sq, rel=1e-10)
+    assert float(y_den @ y_den) == pytest.approx(grad_sq, rel=1e-10)
 
 
 def test_min_rayleigh_against_bisection_oracle():
@@ -158,4 +175,4 @@ def test_component_bound_unknown_group(geo_thick):
 def test_unknown_form_kind(geo_thick):
     grid = korn.radial_grid(geo_thick, N=8)
     with pytest.raises(ParameterError):
-        korn.form_factors("curl", 1, 1, geo_thick, grid)
+        korn.assemble_mode_forms(1, 1, geo_thick, grid, "curl")
