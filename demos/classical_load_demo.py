@@ -23,7 +23,7 @@ def main():
           f"{'closed form':>14} {'excess':>10} {'residual':>10}")
     for h in (1e-2, 1e-3, 1e-4):
         geometry = ShellGeometry(h=h, L=L)
-        res = koiter.minimize_load(geometry, material, with_mode=False)
+        res = koiter.minimize_load(geometry, material)
         excess = res.lambda_hat / res.closed_form - 1.0
         print(f"{h:10.1e} {res.m_star:5d} {res.n_star:5d} "
               f"{res.lambda_hat:14.6e} {res.closed_form:14.6e} "

@@ -27,7 +27,7 @@ from numpy.polynomial import Polynomial
 
 from cylshell.errors import ParameterError
 from cylshell.material import ShellGeometry
-from cylshell.fields import (Scaled, Shifted, SumSurface, SurfaceFunction,
+from cylshell.fields import (Scaled, Shifted, SurfaceFunction,
                              from_midsurface, functionals, gradient,
                              symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
                              STRAIN_WEIGHT)

@@ -134,8 +134,7 @@ def _cmd_trivial_branch(args):
 def _cmd_classical_load(args):
     geometry = ShellGeometry(h=args.h, L=args.L)
     material = derive_material(args.E, args.nu)
-    res = koiter.minimize_load(geometry, material, m_max=args.mmax,
-                               n_max=args.nmax, with_mode=False)
+    res = koiter.minimize_load(geometry, material, m_max=args.mmax, n_max=args.nmax)
     _emit(args, "classical_load", {
         "config": _config(args, ("h", "L", "E", "nu", "mmax", "nmax")),
         "lambda_hat": res.lambda_hat, "m": res.m_star, "n": res.n_star,
@@ -274,17 +273,13 @@ def _cmd_fixedbc(args):
 
 
 def _cmd_rect_korn(args):
-    seed = args.seed
-    env = os.environ.get("SHELLSPEC_SEED")
-    if env is not None:
-        seed = int(env)
     violations, min_margin = rect.basic_inequality_trials(
-        args.h, args.L, trials=args.trials, seed=seed)
-    lemma = rect.harmonic_lemma_check(args.h, args.L, seed=seed)
+        args.h, args.L, trials=args.trials, seed=args.seed)
+    lemma = rect.harmonic_lemma_check(args.h, args.L, seed=args.seed)
     pviol, pmargin = rect.periodic_inequality_trials(
-        args.h, trials=args.trials, seed=seed)
+        args.h, trials=args.trials, seed=args.seed)
     payload = {
-        "config": {**_config(args, ("h", "L", "trials")), "seed": seed},
+        "config": _config(args, ("h", "L", "trials", "seed")),
         "violations": violations + lemma.hi_violations + pviol,
         "min_margin": min(min_margin, lemma.hi_min_margin, pmargin),
         "extremal_equality_error": lemma.equality_error,

@@ -14,7 +14,7 @@ from surface profiles f; such fields form the linearized space on which the
 reduced forms Q0, Q1, Q1* and B live.
 """
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 import math
 
 import numpy as np

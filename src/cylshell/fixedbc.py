@@ -23,8 +23,6 @@ quadrature, the per-mode Fourier-algebra oracle, and the h-sweep driver.
 from dataclasses import dataclass
 import math
 
-import numpy as np
-
 from cylshell.errors import ParameterError
 from cylshell.fields import (SumSurface, TrigSurface, from_midsurface,
                              functional_family, volume_grid)

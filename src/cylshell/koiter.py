@@ -113,11 +113,19 @@ def max_circle_m(geometry, Lambda):
     return int(math.floor(val))
 
 
+def _circle_radicand(m, geometry, Lambda):
+    """n^2 on the Koiter circle for axial mode m; negative past M(h).
+
+    Broadcasts over array-valued m.
+    """
+    m_hat = math.pi * m / geometry.L
+    return 2.0 * m_hat * (3.0 * (Lambda + 1.0)) ** 0.25 \
+        / math.sqrt(geometry.h * (Lambda + 2.0)) - m_hat**2
+
+
 def circle_n_real(m, geometry, Lambda):
     """Real circumferential wavenumber on the Koiter circle for axial mode m."""
-    m_hat = math.pi * m / geometry.L
-    radicand = 2.0 * m_hat * (3.0 * (Lambda + 1.0)) ** 0.25 \
-        / math.sqrt(geometry.h * (Lambda + 2.0)) - m_hat**2
+    radicand = _circle_radicand(m, geometry, Lambda)
     if radicand < 0:
         raise ParameterError(
             f"m={m} lies outside the Koiter circle (m > M(h) = "
@@ -137,14 +145,17 @@ class KoiterResult:
     n_star: int
     circle_residual: float
     closed_form: float
-    mode: object = None
 
 
-def minimize_load(geometry, material, m_max=None, n_max=None, with_mode=True):
+def minimize_load(geometry, material, m_max=None, n_max=None):
     """Integer minimization of lambda*(h; m, n) over 1 <= m <= m_max, 0 <= n <= n_max.
 
-    Ties break toward the smallest m, then the smallest n.  The result always
-    sits above the continuum lower bound 2 mu h sqrt((Lambda+1)/3).
+    m_max defaults to 2 M(h); n_max=None means no cap on n.  For fixed m the
+    surface is mu (a/s^2 + b s^2) in s = n^2 + m_hat^2, unimodal in n with its
+    minimum on the Koiter circle n = n_c(m), so only n = 0, floor(n_c) and
+    floor(n_c) + 1 (clipped to n_max) are evaluated.  Ties break toward the
+    smallest m, then the smallest n.  The result always sits above the
+    continuum lower bound 2 mu h sqrt((Lambda+1)/3).
     """
     h, Lam = geometry.h, material.Lambda
     M = max_circle_m(geometry, Lam)
@@ -152,25 +163,23 @@ def minimize_load(geometry, material, m_max=None, n_max=None, with_mode=True):
         raise ParameterError(f"h={h} too large: M(h) = {M} < 1, no circle modes")
     if m_max is None:
         m_max = 2 * M
-    if n_max is None:
-        n_max = int(math.ceil(
-            2.0 * (4.0 * math.sqrt(3.0 * (Lam + 1.0)) / (h * (Lam + 2.0))) ** 0.25
-            * math.sqrt(m_max)))
-    if m_max < 1 or n_max < 0:
+    if m_max < 1 or (n_max is not None and n_max < 0):
         raise ParameterError(f"empty search window: m_max={m_max}, n_max={n_max}")
 
-    ms = np.arange(1, m_max + 1, dtype=float)[:, None]
-    ns = np.arange(0, n_max + 1, dtype=float)[None, :]
-    lam = lambda_star(geometry, material, ms, ns)
-    flat = int(np.argmin(lam))          # first minimum: smallest m, then n
-    m_star = flat // (n_max + 1) + 1
-    n_star = flat % (n_max + 1)
-    lam_hat = float(lam.flat[flat])
-    mode = buckling_mode(m_star, geometry, material, n=n_star) if with_mode else None
+    ms = np.arange(1, m_max + 1, dtype=float)
+    n_c = np.floor(np.sqrt(np.maximum(_circle_radicand(ms, geometry, Lam), 0.0)))
+    # m-major, ascending n within each m: the first argmin keeps the tie-break
+    ns = np.stack([np.zeros_like(n_c), n_c, n_c + 1.0], axis=1)
+    if n_max is not None:
+        ns = np.minimum(ns, n_max)
+    lam = lambda_star(geometry, material, ms[:, None], ns)
+    flat = int(np.argmin(lam))
+    m_star = flat // ns.shape[1] + 1
+    n_star = int(ns.flat[flat])
     return KoiterResult(
-        lambda_hat=lam_hat, m_star=int(m_star), n_star=int(n_star),
+        lambda_hat=float(lam.flat[flat]), m_star=m_star, n_star=n_star,
         circle_residual=circle_residual(geometry, Lam, m_star, n_star),
-        closed_form=classical_load(geometry, material), mode=mode)
+        closed_form=classical_load(geometry, material))
 
 
 def mode_amplitudes(m, n, geometry, material):

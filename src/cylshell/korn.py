@@ -35,8 +35,6 @@ COMPONENT_EXPONENTS = {"ththzz": 0.0, "rthr": -1.5, "urrzzr": -1.0, "thzzth": -0
 
 def _cheb_lobatto(N):
     """Nodes, differentiation matrix, Clenshaw-Curtis weights on [-1, 1]."""
-    if N < 2:
-        raise ParameterError("need at least 2 radial nodes")
     j = np.arange(N + 1)
     x = np.cos(np.pi * j / N)
     c = np.ones(N + 1)
@@ -71,7 +69,6 @@ class RadialGrid:
     nodes: np.ndarray
     D: np.ndarray
     weights: np.ndarray
-    kind: str = "cheb"
 
     @property
     def N(self):
@@ -79,12 +76,14 @@ class RadialGrid:
 
 
 def radial_grid(geometry, N=32, kind="cheb"):
+    if N < 3:
+        raise ParameterError(f"need at least 3 radial nodes, got N={N}")
     a, b = geometry.I_h
     if kind == "cheb":
         x, D, w = _cheb_lobatto(N - 1)
         scale = (b - a) / 2.0
         nodes = a + (x + 1.0) * scale
-        return RadialGrid(nodes=nodes, D=D / scale, weights=w * scale, kind=kind)
+        return RadialGrid(nodes=nodes, D=D / scale, weights=w * scale)
     if kind == "fd":
         nodes = np.linspace(a, b, N)
         dr = nodes[1] - nodes[0]
@@ -95,7 +94,7 @@ def radial_grid(geometry, N=32, kind="cheb"):
         D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / dr
         w = np.full(N, dr)
         w[0] = w[-1] = dr / 2.0
-        return RadialGrid(nodes=nodes, D=D, weights=w, kind=kind)
+        return RadialGrid(nodes=nodes, D=D, weights=w)
     raise ParameterError(f"unknown radial grid kind {kind!r}")
 
 

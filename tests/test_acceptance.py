@@ -25,13 +25,13 @@ H_SWEEP = [1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4]
 
 
 def test_classical_load_benchmark(mat, geo_thin):
-    res = koiter.minimize_load(geo_thin, mat, with_mode=False)
+    res = koiter.minimize_load(geo_thin, mat)
     assert res.closed_form == pytest.approx(7.022e-5, rel=1e-3)
     assert 0.0 <= res.lambda_hat / res.closed_form - 1.0 <= 0.02
 
 
 def test_circle_structure(mat, geo_thin):
-    res = koiter.minimize_load(geo_thin, mat, with_mode=False)
+    res = koiter.minimize_load(geo_thin, mat)
     assert res.circle_residual <= 0.05
     assert koiter.koiter_circle_n(1, geo_thin, mat.Lambda) == 13
     assert koiter.max_circle_m(geo_thin, mat.Lambda) == 176

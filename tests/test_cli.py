@@ -100,6 +100,13 @@ def test_empty_scan_window(tmp_path, capsys, command, caps):
     assert code == 2
 
 
+@pytest.mark.parametrize("command", [["korn"], ["components", "--which", "rthr"]])
+def test_too_few_radial_nodes(tmp_path, capsys, command):
+    code = main(["--out", str(tmp_path), *command, "--h-list", "1e-2", "--N", "2"])
+    assert code == 2
+    assert "N=2" in capsys.readouterr().err
+
+
 def test_components_unknown_group(tmp_path, capsys):
     code, _ = run(capsys, "--out", str(tmp_path), "components",
                   "--h-list", "1e-2", "--which", "bogus")
@@ -148,11 +155,17 @@ def test_rect_korn(capsys):
     assert payload["extremal_equality_error"] <= 1e-8
 
 
-def test_rect_korn_seed_env(capsys, monkeypatch):
-    monkeypatch.setenv("SHELLSPEC_SEED", "777")
-    code, out = run(capsys, "rect-korn", "--trials", "10")
-    assert code == 0
-    assert json.loads(out)["config"]["seed"] == 777
+def test_rect_korn_seed_flag(capsys):
+    first = run(capsys, "rect-korn", "--trials", "10", "--seed", "777")
+    assert first[0] == 0
+    assert json.loads(first[1])["config"]["seed"] == 777
+    assert run(capsys, "rect-korn", "--trials", "10", "--seed", "777") == first
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_rect_korn_rejects_empty_scan(capsys, trials):
+    code, _ = run(capsys, "rect-korn", "--trials", trials)
+    assert code == 2
 
 
 def test_bad_h_list(capsys):

@@ -1,6 +1,7 @@
 """Per-mode buckling algebra: load surface, circle, explicit modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,17 +75,70 @@ def test_lambda_star_matches_reduced_forms(mat, geo_thin):
 
 
 def test_minimize_load_reference(mat, geo_thin):
-    res = koiter.minimize_load(geo_thin, mat, with_mode=False)
+    res = koiter.minimize_load(geo_thin, mat)
     assert (res.m_star, res.n_star) == (124, 81)
     assert res.lambda_hat == pytest.approx(7.022084073031715e-05, rel=1e-12)
     assert 0.0 <= res.lambda_hat / res.closed_form - 1.0 <= 0.02
     assert res.circle_residual <= 0.05
 
 
+def dense_minimize_load(geometry, material, m_max=None, n_max=None):
+    """Exhaustive search of the (m_max, n_max + 1) grid: the oracle.
+
+    The default n_max is at least twice every circle wavenumber n_c(m),
+    m <= m_max (for L = pi), so it never binds the unimodal n-direction.
+    """
+    h, Lam = geometry.h, material.Lambda
+    if m_max is None:
+        m_max = 2 * koiter.max_circle_m(geometry, Lam)
+    if n_max is None:
+        n_max = int(math.ceil(
+            2.0 * (4.0 * math.sqrt(3.0 * (Lam + 1.0)) / (h * (Lam + 2.0))) ** 0.25
+            * math.sqrt(m_max)))
+    ms = np.arange(1, m_max + 1, dtype=float)[:, None]
+    ns = np.arange(0, n_max + 1, dtype=float)[None, :]
+    lam = koiter.lambda_star(geometry, material, ms, ns)
+    flat = int(np.argmin(lam))
+    return flat // (n_max + 1) + 1, flat % (n_max + 1), float(lam.flat[flat])
+
+
+@pytest.mark.parametrize("h, m_max, n_max", [
+    (1e-2, None, None), (10**-2.5, None, None), (1e-3, None, None),
+    (10**-3.5, None, None), (1e-4, None, None), (1e-5, None, None),
+    (1e-4, 100, 60), (1e-4, 30, 200), (1e-4, 1, 10), (1e-4, 500, 5),
+    (1e-3, 7, 0), (1e-3, 200, None),
+])
+def test_minimize_load_matches_dense_grid(mat, h, m_max, n_max):
+    geo = ShellGeometry(h=h, L=math.pi)
+    res = koiter.minimize_load(geo, mat, m_max=m_max, n_max=n_max)
+    m, n, lam = dense_minimize_load(geo, mat, m_max=m_max, n_max=n_max)
+    assert (res.m_star, res.n_star) == (m, n)
+    assert res.lambda_hat == pytest.approx(lam, rel=1e-12)
+
+
+def test_minimize_load_deep_h(mat):
+    # at h <= 1e-8 the excess over the closed form is at rounding level,
+    # of either sign, so the band is absolute
+    geo = ShellGeometry(h=1e-9, L=math.pi)
+    res = koiter.minimize_load(geo, mat)
+    assert abs(res.lambda_hat / res.closed_form - 1.0) <= 1e-12
+
+
+def test_minimize_load_memory(mat):
+    geo = ShellGeometry(h=1e-6, L=math.pi)
+    tracemalloc.start()
+    try:
+        koiter.minimize_load(geo, mat)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
+
+
 def test_minimize_load_rejects_thick_shell(mat):
     geo = ShellGeometry(h=0.9, L=0.05)
     with pytest.raises(ParameterError):
-        koiter.minimize_load(geo, mat, with_mode=False)
+        koiter.minimize_load(geo, mat)
 
 
 @given(m=st.integers(min_value=1, max_value=170),

@@ -72,6 +72,11 @@ def test_basic_inequality_parameter_checks():
     free = rect.PlanarField(u, rect.ZERO, bc_tag=None)
     with pytest.raises(ParameterError):
         rect.check_basic_inequality(free, 0.5, H, L)
+    for trials in (0, -5):
+        with pytest.raises(ParameterError):
+            rect.basic_inequality_trials(H, L, trials=trials)
+        with pytest.raises(ParameterError):
+            rect.periodic_inequality_trials(H, trials=trials)
 
 
 def test_basic_inequality_single_field():
@@ -101,6 +106,9 @@ def test_harmonic_projection_reproduces_harmonic_data():
     sol = rect.harmonic_projection(field, H, L, n_x=24, n_y=48)
     exact = sol.x[:, None] * sol.y[None, :]
     assert float(np.max(np.abs(sol.w - exact))) <= 1e-12
+    for n_x, n_y in ((1, 48), (24, 0)):
+        with pytest.raises(ParameterError):
+            rect.harmonic_projection(field, H, L, n_x=n_x, n_y=n_y)
 
 
 def test_harmonic_projection_second_order_convergence():
