@@ -224,10 +224,10 @@ def verify_limits(bump, h_list, geometry):
     return ScalingReport(tables=tables)
 
 
-# gradient-component groups and their absolute h-powers; the off-diagonal
-# (r, theta) pair carries the full gradient (h^(-1/4)), the diagonal pair
-# matches the strain scaling (h^(5/4)), and ||U_r||^2 = O(h^(1/4))
-COMPONENT_GROUPS = {
+# gradient-component pairs of the ansatz and their absolute h-powers; the
+# off-diagonal (r, theta) pair carries the full gradient (h^(-1/4)), the
+# diagonal pair matches the strain scaling (h^(5/4)), and ||U_r||^2 = O(h^(1/4))
+GRADIENT_PAIRS = {
     "rtheta_pair": ("rt", "tr"),
     "rz_pair": ("rz", "zr"),
     "thetaz_pair": ("tz", "zt"),
@@ -253,7 +253,7 @@ def component_scalings(bump, h_list, geometry):
         ans = build_ansatz(h, bump, geo)
         grid = ansatz_grid(ans, geo)
         g = gradient(ans.field, grid.R, grid.TH, grid.Z)
-        for name, keys in COMPONENT_GROUPS.items():
+        for name, keys in GRADIENT_PAIRS.items():
             values[name].append((h, sum(grid.norm_sq(g[k]) for k in keys)))
         u_r = ans.field.u_r(grid.R, grid.TH, grid.Z)
         values["u_r"].append((h, grid.norm_sq(u_r)))

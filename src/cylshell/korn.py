@@ -19,6 +19,7 @@ import math
 import numpy as np
 import scipy.linalg
 
+from cylshell.blas import single_thread_blas
 from cylshell.errors import ParameterError, SolverError
 from cylshell.fields import GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, symmetrize
 
@@ -251,6 +252,11 @@ def max_rayleigh(pair, check_residual=True):
     return _solve_pencil(pair, -1, check_residual)
 
 
+# radial nodes of the ladder that picks a scan's starting mode; every scan
+# of the acceptance sweeps ends at the same mode as with a ladder at N = 32
+_LADDER_N = 8
+
+
 def _geometric_ladder(lo, hi, ratio=1.35):
     vals = []
     x = float(max(lo, 1))
@@ -263,6 +269,12 @@ def _geometric_ladder(lo, hi, ratio=1.35):
 
 @dataclass(frozen=True)
 class ScanResult:
+    """Extremum of a mode scan at the requested radial N.
+
+    ``evaluations`` counts every per-mode solve of the scan: the coarse-grid
+    ladder plus the requested-N walk.
+    """
+
     value: float
     m: int
     n: int
@@ -270,36 +282,50 @@ class ScanResult:
     evaluations: int
 
 
-def _scan_extremize(eval_fn, m_range, n_range, maximize=False):
-    """Coarse geometric scan then local refinement around the extremum."""
+def _scan_extremize(ladder_fn, walk_fn, m_range, n_range, maximize=False):
+    """Coarse geometric ladder, then a local walk to an extremum of walk_fn.
+
+    The ladder only picks the walk's starting mode, so it may run on a
+    coarser grid (``ladder_fn``); the walk and the returned value use
+    ``walk_fn``.  When the two are one function they share one cache.  All
+    solves run with BLAS on one thread.
+    """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
     cache = {}
+    ladder_cache = cache if ladder_fn is walk_fn else {}
 
-    def get(m, n):
-        key = (m, n)
-        if key not in cache:
-            cache[key] = eval_fn(m, n)
-        return cache[key]
+    def cached(fn, store):
+        def get(m, n):
+            if (m, n) not in store:
+                store[m, n] = fn(m, n)
+            return store[m, n]
+        return get
+
+    get, ladder_get = cached(walk_fn, cache), cached(ladder_fn, ladder_cache)
 
     sign = -1.0 if maximize else 1.0
     ms = _geometric_ladder(max(m_lo, 1), m_hi) + ([0] if m_lo == 0 else [])
     ns = _geometric_ladder(max(n_lo, 1), n_hi) + ([0] if n_lo == 0 else [])
     candidates = [(m, n) for m in ms for n in ns]
-    best = min(candidates, key=lambda mn: sign * get(*mn))
-    # local refinement: walk until the extremum is interior to its neighborhood
-    for _ in range(200):
+    with single_thread_blas():
+        best = min(candidates, key=lambda mn: sign * ladder_get(*mn))
+        # local refinement: walk until the extremum is interior to its neighborhood
+        for _ in range(200):
+            m0, n0 = best
+            neigh = [(m0 + dm, n0 + dn)
+                     for dm in (-2, -1, 0, 1, 2) for dn in (-2, -1, 0, 1, 2)
+                     if m_lo <= m0 + dm <= m_hi and n_lo <= n0 + dn <= n_hi]
+            new_best = min(neigh, key=lambda mn: sign * get(*mn))
+            if new_best == best:
+                break
+            best = new_best
         m0, n0 = best
-        neigh = [(m0 + dm, n0 + dn) for dm in (-2, -1, 0, 1, 2) for dn in (-2, -1, 0, 1, 2)
-                 if m_lo <= m0 + dm <= m_hi and n_lo <= n0 + dn <= n_hi]
-        new_best = min(neigh, key=lambda mn: sign * get(*mn))
-        if new_best == best:
-            break
-        best = new_best
-    m0, n0 = best
+        value = get(m0, n0)
     on_boundary = (m0 in (m_hi,)) or (n0 in (n_hi,))
-    return ScanResult(value=get(m0, n0), m=m0, n=n0, on_boundary=on_boundary,
-                      evaluations=len(cache))
+    evaluations = len(cache) if ladder_cache is cache else len(cache) + len(ladder_cache)
+    return ScanResult(value=value, m=m0, n=n0, on_boundary=on_boundary,
+                      evaluations=evaluations)
 
 
 def _scan_caps(geometry, m_max, n_max):
@@ -313,33 +339,38 @@ def _scan_caps(geometry, m_max, n_max):
     return m_max, n_max
 
 
-def korn_constant(geometry, grid=None, m_max=None, n_max=None, N=32):
+def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
+    """Extremum over modes of the quotient of two forms, ladder on _LADDER_N nodes."""
+    def on(grid):
+        def quotient(m, n):
+            pair = assemble_mode_forms(m, n, geometry, grid, numerator, denominator)
+            return (max_rayleigh if maximize else min_rayleigh)(pair)[0]
+        return quotient
+
+    walk_fn = on(radial_grid(geometry, N=N))
+    ladder_fn = walk_fn if N <= _LADDER_N else on(radial_grid(geometry, N=_LADDER_N))
+    m_max, n_max = _scan_caps(geometry, m_max, n_max)
+    return _scan_extremize(ladder_fn, walk_fn, (1, m_max), (0, n_max), maximize)
+
+
+def korn_constant(geometry, m_max=None, n_max=None, N=32):
     """K(V_h) = min over modes of ||e||^2 / ||grad u||^2, with argmin.
 
-    Returns a ScanResult; ``on_boundary`` warns that the scan caps were
-    probably too small.
+    Returns a ScanResult: a local minimum over the 5x5 mode neighbourhood at
+    N radial nodes; ``on_boundary`` warns that the scan caps were probably
+    too small.
     """
-    grid = grid or radial_grid(geometry, N=N)
-    m_max, n_max = _scan_caps(geometry, m_max, n_max)
-
-    def quotient(m, n):
-        pair = assemble_mode_forms(m, n, geometry, grid, "strain", "grad")
-        return min_rayleigh(pair)[0]
-
-    return _scan_extremize(quotient, (1, m_max), (0, n_max), maximize=False)
+    return _scan_quotient(geometry, "strain", "grad", False, m_max, n_max, N)
 
 
-def component_bound(geometry, group, grid=None, m_max=None, n_max=None, N=32):
-    """sup over modes of (component-group norm^2) / ||e||^2."""
+def component_bound(geometry, group, m_max=None, n_max=None, N=32):
+    """sup over modes of (component-group norm^2) / ||e||^2.
+
+    ``ththzz`` is at most 1 for every mode by definition: G_tt = e_tt and
+    G_zz = e_zz, and both enter ||e||^2 with weight 1.  Many modes reach 1
+    to rounding, so its reported argmin is not unique and moves with N and h.
+    """
     if group not in COMPONENT_GROUPS:
         raise ParameterError(f"unknown component group {group!r}; "
                              f"choose from {sorted(COMPONENT_GROUPS)}")
-    grid = grid or radial_grid(geometry, N=N)
-    m_max, n_max = _scan_caps(geometry, m_max, n_max)
-
-    def quotient(m, n):
-        pair = assemble_mode_forms(m, n, geometry, grid,
-                                   f"component:{group}", "strain")
-        return max_rayleigh(pair)[0]
-
-    return _scan_extremize(quotient, (1, m_max), (0, n_max), maximize=True)
+    return _scan_quotient(geometry, f"component:{group}", "strain", True, m_max, n_max, N)

@@ -37,12 +37,22 @@ def test_circle_structure(mat, geo_thin):
     assert koiter.max_circle_m(geo_thin, mat.Lambda) == 176
 
 
+# argmins of the mode scans over H_SWEEP
+KORN_ARGMINS = [(1, 5), (1, 7), (1, 9), (1, 12), (1, 16)]
+COMPONENT_ARGMINS = {
+    "rthr": KORN_ARGMINS,
+    "urrzzr": [(1, 4), (1, 6), (1, 8), (1, 10), (1, 14)],
+    "thzzth": [(1, 4), (1, 5), (1, 7), (1, 9), (1, 12)],
+}
+
+
 def test_korn_constant_scaling():
     points = []
     argmins = []
-    for h in H_SWEEP:
+    for h, mn in zip(H_SWEEP, KORN_ARGMINS):
         geo = ShellGeometry(h=h, L=L)
         res = korn.korn_constant(geo)
+        assert (res.m, res.n) == mn, h
         points.append((h, res.value))
         argmins.append((geo, res))
     fit = fit_exponent(points)
@@ -57,14 +67,17 @@ def test_korn_constant_scaling():
 
 def test_gradient_component_bounds():
     sweeps = {group: [] for group in korn.COMPONENT_GROUPS}
-    for h in H_SWEEP:
+    for i, h in enumerate(H_SWEEP):
         geo = ShellGeometry(h=h, L=L)
         for group in korn.COMPONENT_GROUPS:
             res = korn.component_bound(geo, group)
             sweeps[group].append((h, res.value))
             if group == "ththzz":
-                # the diagonal tangential pair never exceeds the strain norm
+                # the diagonal tangential pair never exceeds the strain norm;
+                # its argmin is not unique, so it is not pinned
                 assert res.value <= 1.0 + 1e-9
+            else:
+                assert (res.m, res.n) == COMPONENT_ARGMINS[group][i], (group, h)
     for group, pts in sweeps.items():
         fit = fit_exponent(pts)
         target = korn.COMPONENT_EXPONENTS[group]

@@ -69,10 +69,16 @@ def test_koiter_modes_rejects_bad_amplitude(tmp_path, capsys):
 
 
 def test_korn_sweep_artifacts(tmp_path, capsys):
+    h_list = "1e-2,7e-3,5e-3,3e-3"
     code, out = run(capsys, "--out", str(tmp_path), "--jobs", "2", "korn",
-                    "--h-list", "1e-2,7e-3,5e-3,3e-3")
+                    "--h-list", h_list)
     assert code == 0
     payload = json.loads(out)
+    # concurrent scans share the BLAS thread pin and give the serial rows
+    code, serial = run(capsys, "--out", str(tmp_path / "serial"), "--jobs", "1", "korn",
+                       "--h-list", h_list)
+    assert code == 0
+    assert json.loads(serial)["rows"] == payload["rows"]
     assert 1.3 <= payload["fit"]["exponent"] <= 1.7
     with open(tmp_path / "korn.csv") as f:
         rows = list(csv.reader(f))

@@ -1,13 +1,14 @@
 """Korn constants and gradient-component bounds on the thin cylinder."""
 
 import math
+import threading
 
 import numpy as np
 import pytest
 
 from numpy.polynomial import Polynomial
 
-from cylshell import korn
+from cylshell import blas, korn
 from cylshell.errors import ParameterError
 from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, Component,
                              DisplacementField, TrigSurface, gradient, symmetrize,
@@ -176,3 +177,113 @@ def test_unknown_form_kind(geo_thick):
     grid = korn.radial_grid(geo_thick, N=8)
     with pytest.raises(ParameterError):
         korn.assemble_mode_forms(1, 1, geo_thick, grid, "curl")
+
+
+def exhaustive_scan(quotient, m_max, n_max, maximize):
+    """Extremum of quotient(m, n) over the whole window, smallest (m, n) on ties."""
+    sign = -1.0 if maximize else 1.0
+    best = min(((m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)),
+               key=lambda mn: sign * quotient(*mn))
+    return best, quotient(*best)
+
+
+@pytest.mark.parametrize("kind", ["korn", "rthr"])
+def test_scan_matches_exhaustive_grid(geo_thick, kind):
+    # the ladder-then-walk heuristic finds the extremum of the full 30 x 31
+    # window at h = 1e-2, not just a local one
+    N = 16
+    grid = korn.radial_grid(geo_thick, N=N)
+    m_max, n_max = korn._scan_caps(geo_thick, None, None)
+    assert (m_max, n_max) == (30, 30)
+    if kind == "korn":
+        res = korn.korn_constant(geo_thick, N=N)
+        forms, solve, maximize = ("strain", "grad"), korn.min_rayleigh, False
+    else:
+        res = korn.component_bound(geo_thick, kind, N=N)
+        forms, solve, maximize = ("component:rthr", "strain"), korn.max_rayleigh, True
+
+    def quotient(m, n):
+        return solve(korn.assemble_mode_forms(m, n, geo_thick, grid, *forms))[0]
+
+    with blas.single_thread_blas():
+        (m, n), value = exhaustive_scan(quotient, m_max, n_max, maximize)
+    assert (res.m, res.n) == (m, n)
+    assert res.value == pytest.approx(value, rel=1e-12)
+
+
+def fake_openblas(threads):
+    state = {"threads": threads}
+    return blas.OpenBLAS("fake", lambda: state["threads"],
+                         lambda count: state.update(threads=count))
+
+
+def test_single_thread_blas_in_scan(geo_thick, monkeypatch):
+    # every loaded OpenBLAS is on one thread while a scan solves, and back
+    # at its own count afterwards
+    libs = blas.loaded_openblas()
+    before = [lib.get_num_threads() for lib in libs]
+    seen = set()
+    solve = korn.min_rayleigh
+
+    def spy(pair):
+        seen.update(lib.get_num_threads() for lib in libs)
+        return solve(pair)
+
+    monkeypatch.setattr(korn, "min_rayleigh", spy)
+    korn.korn_constant(geo_thick, m_max=3, n_max=3, N=8)
+    assert seen == ({1} if libs else set())
+    assert [lib.get_num_threads() for lib in libs] == before
+
+
+def test_single_thread_blas_restores_after_exception(monkeypatch):
+    libs = (fake_openblas(4), fake_openblas(2))
+    monkeypatch.setattr(blas, "_libraries", libs)
+    with blas.single_thread_blas():
+        assert [lib.get_num_threads() for lib in libs] == [1, 1]
+    assert [lib.get_num_threads() for lib in libs] == [4, 2]
+    with pytest.raises(ZeroDivisionError):
+        with blas.single_thread_blas():
+            assert [lib.get_num_threads() for lib in libs] == [1, 1]
+            1 / 0
+    assert [lib.get_num_threads() for lib in libs] == [4, 2]
+
+
+def test_single_thread_blas_restores_at_last_exit(monkeypatch):
+    lib = fake_openblas(4)
+    monkeypatch.setattr(blas, "_libraries", (lib,))
+    with blas.single_thread_blas():
+        with blas.single_thread_blas():
+            assert lib.get_num_threads() == 1
+        assert lib.get_num_threads() == 1
+    assert lib.get_num_threads() == 4
+
+    entered, release = threading.Event(), threading.Event()
+
+    def scan():
+        with blas.single_thread_blas():
+            entered.set()
+            release.wait(10)
+
+    worker = threading.Thread(target=scan)
+    worker.start()
+    try:
+        assert entered.wait(10)
+        with blas.single_thread_blas():
+            assert lib.get_num_threads() == 1
+        assert lib.get_num_threads() == 1        # the other thread is still inside
+    finally:
+        release.set()
+        worker.join(10)
+    assert not worker.is_alive()
+    assert lib.get_num_threads() == 4
+
+
+def test_single_thread_blas_without_openblas(monkeypatch):
+    real = blas._discover()
+    before = [lib.get_num_threads() for lib in real]
+    monkeypatch.setattr(blas, "_discover", lambda: ())
+    monkeypatch.setattr(blas, "_libraries", None)
+    with blas.single_thread_blas():
+        assert blas.loaded_openblas() == ()
+        assert [lib.get_num_threads() for lib in real] == before
+    assert [lib.get_num_threads() for lib in real] == before
