@@ -8,8 +8,9 @@ threads), and ``OPENBLAS_NUM_THREADS`` only acts before the library loads.
 So the thread count is set through each library's own C API instead.
 
 The thread count is state of the whole process, so the pin is one
-reference-counted object per process: nested or concurrent scans (the CLI's
-``--jobs``) restore the saved counts only when the last one exits.
+reference-counted object per process: nested scans, or scans that a library
+caller runs from several threads at once, restore the saved counts only
+when the last one exits.
 """
 
 import contextlib

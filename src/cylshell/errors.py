@@ -1,7 +1,8 @@
 """Exception types shared across the package.
 
 The CLI maps these onto its exit-code contract: usage/validation problems
-exit 2, numerical solver failures exit 3, violated checks exit 4.
+exit 2, numerical solver failures exit 3.  (Exit 4, a violated inequality,
+is a result that ``rect-korn`` returns, not an exception.)
 """
 
 
@@ -22,8 +23,4 @@ class ShapeError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """An iterative or eigen solver failed to meet its tolerance."""
-
-
-class CheckFailure(AssertionError):
-    """A verified inequality or identity does not hold."""
+    """A linear-algebra solver failed or missed its tolerance."""

@@ -64,20 +64,6 @@ class TrigSurface(SurfaceFunction):
 
 
 @dataclass(frozen=True)
-class PolyZSurface(SurfaceFunction):
-    """amp * trig(n*theta) * q(z) for a polynomial q."""
-
-    q: Polynomial
-    theta_kind: str = "one"
-    n: float = 0.0
-    amp: float = 1.0
-
-    def __call__(self, theta, z, dth=0, dz=0):
-        qd = self.q.deriv(dz) if dz else self.q
-        return self.amp * _trig(self.theta_kind, self.n, theta, dth) * qd(np.asarray(z, dtype=float))
-
-
-@dataclass(frozen=True)
 class Shifted(SurfaceFunction):
     """A surface function pre-differentiated by (dth, dz)."""
 
@@ -154,7 +140,6 @@ ZERO_COMPONENT = Component(())
 
 P_ONE = Polynomial([1.0])
 P_R = Polynomial([0.0, 1.0])
-P_RM1 = Polynomial([-1.0, 1.0])       # r - 1
 P_NEG_RM1 = Polynomial([1.0, -1.0])   # -(r - 1)
 
 
@@ -383,9 +368,9 @@ class FunctionalValue:
 
 
 def stability_integrand(material, e):
-    tr = e["rr"] + e["tt"] + e["zz"]
-    nsq = sum(STRAIN_WEIGHT[k] * e[k] ** 2 for k in STRAIN_KEYS)
-    return material.lambda_lame * tr**2 + 2.0 * material.mu * nsq
+    """(L0 e, e) pointwise from a strain-type dict."""
+    return material.energy_density(e["rr"] + e["tt"] + e["zz"],
+                                   sum(STRAIN_WEIGHT[k] * e[k] ** 2 for k in STRAIN_KEYS))
 
 
 def compressiveness_integrand(stress, g, theta, z):
@@ -492,8 +477,7 @@ def _combine_q(parts, Lambda):
             + 2.0 * parts["axial"] + parts["shear"])
 
 
-def functional_family(field, material, geometry, grid, stress=None,
-                      surface_grid_=None, want_kstar=True):
+def functional_family(field, material, geometry, grid, stress=None, want_kstar=True):
     """The buckling-equivalent functional family {K, K1, K0, K*} on one field.
 
     K  = S / C for the given stress (default perfect axial compression);
@@ -526,8 +510,7 @@ def functional_family(field, material, geometry, grid, stress=None,
     if want_kstar:
         if not _is_xlin(field, geometry):
             raise ShapeError("K* requested for a field not of the U(f) form")
-        sgrid = surface_grid_ or surface_grid(geometry, n_th=grid.th_nodes.size,
-                                              n_z=grid.z_nodes.size)
+        sgrid = surface_grid(geometry, n_th=grid.th_nodes.size, n_z=grid.z_nodes.size)
         q0p, q1p, q1s_core, B = reduced_surface_forms(field, geometry, sgrid)
         Q0 = _combine_q(q0p, material.Lambda)
         Q1star = (material.Lambda + 2.0) * q1s_core

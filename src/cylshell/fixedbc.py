@@ -16,8 +16,9 @@ hold exactly.  On this family
     a = ((m+2)/m)^2,
 
 so any m(h) -> infinity with m(h) sqrt(h) -> 0 attains the classical load in
-the limit.  The module provides the mode constructor, its K0 by full
-quadrature, the per-mode Fourier-algebra oracle, and the h-sweep driver.
+the limit.  The module provides the mode constructor, its K0 by exact
+per-mode Fourier algebra (which the h-sweep uses), and the full functional
+family by volume quadrature, which the tests use as an independent oracle.
 """
 
 from dataclasses import dataclass
@@ -113,22 +114,28 @@ def mode_profiles(m, n, geometry, Lambda):
             SumSurface(tuple(parts_z)))
 
 
+def _admissible_n(m, geometry, Lambda, n):
+    """The family's n for axial mode m (circle wavenumber unless given)."""
+    if m < 1:
+        raise ParameterError("fixedbc mode requires m >= 1")
+    M = max_circle_m(geometry, Lambda)
+    if m + 2 > M:
+        raise ParameterError(
+            f"m + 2 = {m + 2} exceeds the largest circle mode M(h) = {M}")
+    if n is None:
+        n = circle_wavenumber(m, geometry, Lambda)
+    if n < 1:
+        raise ParameterError(f"family requires n >= 1, got n = {n}")
+    return n
+
+
 def fixedbc_mode(m, geometry, material, n=None):
     """Clamped-bottom displacement field for base axial wavenumber m.
 
     The field is of the U(f) form; u_z = 0 at z = 0 for every r because
     phi_z(0) = 0 and phi_r'(0) = 0.
     """
-    if m < 1:
-        raise ParameterError("fixedbc mode requires m >= 1")
-    M = max_circle_m(geometry, material.Lambda)
-    if m + 2 > M:
-        raise ParameterError(
-            f"m + 2 = {m + 2} exceeds the largest circle mode M(h) = {M}")
-    if n is None:
-        n = circle_wavenumber(m, geometry, material.Lambda)
-    if n < 1:
-        raise ParameterError(f"family requires n >= 1, got n = {n}")
+    n = _admissible_n(m, geometry, material.Lambda, n)
     f_r, f_t, f_z = mode_profiles(m, n, geometry, material.Lambda)
     return from_midsurface(f_r, f_t, f_z, bc_tag="fixed_bottom")
 
@@ -149,11 +156,11 @@ def mode_k0_algebraic(m, geometry, material, n=None):
     """K0 of the two-mode family by pure per-mode Fourier algebra.
 
     The z-modes are orthogonal on [0, L], so the quadratic forms are the sums
-    of the per-mode forms at the complex amplitudes.
+    of the per-mode forms at the complex amplitudes.  Exact up to rounding,
+    in O(1) work and memory at any h.
     """
-    if n is None:
-        n = circle_wavenumber(m, geometry, material.Lambda)
     Lam = material.Lambda
+    n = _admissible_n(m, geometry, Lam, n)
     amps = mode_amplitudes(m, n, geometry, Lam)
     Q0 = Q1 = B = 0.0
     for k, (f_r, f_t, f_z) in amps.items():
@@ -178,24 +185,21 @@ def mode_grid(m, n, geometry, n_r=4):
 
 
 def mode_functionals(m, geometry, material, n=None, stress=None, n_r=4):
-    """Full functional family {K, K1, K0, K*} of the mode by quadrature."""
-    if n is None:
-        n = circle_wavenumber(m, geometry, material.Lambda)
+    """Full functional family {K, K1, K0, K*} of the mode by volume quadrature.
+
+    The independent oracle for ``mode_k0_algebraic`` in the tests; its grid
+    grows like n m, so the h-sweep does not use it.
+    """
+    n = _admissible_n(m, geometry, material.Lambda, n)
     field = fixedbc_mode(m, geometry, material, n=n)
     grid = mode_grid(m, n, geometry, n_r=n_r)
     stress = stress or perfect_stress()
     return functional_family(field, material, geometry, grid, stress=stress)
 
 
-def classical_ratio(m, geometry, material, n=None, method="quadrature"):
-    """K0(mode) / (2 mu h sqrt((Lambda+1)/3))."""
-    if method == "algebra":
-        k0 = mode_k0_algebraic(m, geometry, material, n=n)
-    elif method == "quadrature":
-        k0 = mode_functionals(m, geometry, material, n=n)["K0"]
-    else:
-        raise ParameterError(f"unknown method {method!r}")
-    return k0 / classical_load(geometry, material)
+def classical_ratio(m, geometry, material, n=None):
+    """K0(mode) / (2 mu h sqrt((Lambda+1)/3)), K0 by per-mode Fourier algebra."""
+    return mode_k0_algebraic(m, geometry, material, n=n) / classical_load(geometry, material)
 
 
 def limit_expression(m):
@@ -214,10 +218,9 @@ class LimitRow:
 
 @dataclass(frozen=True)
 class LimitReport:
-    """h-sweep of the classical-load ratio for m(h) = round(c h^{-alpha})."""
+    """h-sweep of the classical-load ratio for m(h) = round(h^{-alpha})."""
 
     alpha: float
-    c: float
     rows: tuple
 
     @property
@@ -230,15 +233,15 @@ class LimitReport:
         return fit_exponent(pts, min_points=min(4, len(pts)))
 
 
-def wavenumber(h, alpha, c=1.0):
-    """m(h) = round(c h^{-alpha}), clipped to m >= 1."""
+def wavenumber(h, alpha):
+    """m(h) = round(h^{-alpha}), clipped to m >= 1."""
     if not 0.0 < alpha < 0.5:
         raise ParameterError(
             f"alpha = {alpha} outside (0, 1/2): m(h) must diverge with m sqrt(h) -> 0")
-    return max(1, int(round(c * h**-alpha)))
+    return max(1, int(round(h**-alpha)))
 
 
-def fixedbc_limit(h_list, alpha, geometry, material, c=1.0, method="quadrature"):
+def fixedbc_limit(h_list, alpha, geometry, material):
     """Ratio table K0 / (2 mu h sqrt((Lambda+1)/3)) along an h-sweep.
 
     The table converges to 1 from above as h -> 0 for any alpha in (0, 1/2).
@@ -246,8 +249,7 @@ def fixedbc_limit(h_list, alpha, geometry, material, c=1.0, method="quadrature")
     rows = []
     for h in sorted(h_list, reverse=True):
         geo = ShellGeometry(h=h, L=geometry.L)
-        m = wavenumber(h, alpha, c)
+        m = wavenumber(h, alpha)
         n = circle_wavenumber(m, geo, material.Lambda)
-        ratio = classical_ratio(m, geo, material, n=n, method=method)
-        rows.append(LimitRow(h=h, m=m, n=n, ratio=ratio))
-    return LimitReport(alpha=alpha, c=c, rows=tuple(rows))
+        rows.append(LimitRow(h=h, m=m, n=n, ratio=classical_ratio(m, geo, material, n=n)))
+    return LimitReport(alpha=alpha, rows=tuple(rows))

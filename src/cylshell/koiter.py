@@ -24,17 +24,6 @@ from cylshell.fields import TrigSurface, from_midsurface
 
 
 @dataclass(frozen=True)
-class WaveNumbers:
-    m: int
-    n: int
-    L: float
-
-    @property
-    def m_hat(self):
-        return math.pi * self.m / self.L
-
-
-@dataclass(frozen=True)
 class ReducedForms:
     Q0: float
     Q1: float

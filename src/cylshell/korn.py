@@ -207,7 +207,7 @@ def assemble_mode_forms(m, n, geometry, grid, numerator="strain", denominator="g
     return QuadraticFormPair(C_num=C_num, C_den=C_den)
 
 
-def _solve_pencil(pair, index, check_residual=True):
+def _solve_pencil(pair, index):
     """One extreme eigenpair of the quotient via a one-sided QR/SVD reduction.
 
     The numerator and denominator forms are kept as weighted row stacks
@@ -221,35 +221,35 @@ def _solve_pencil(pair, index, check_residual=True):
 
     The residual ||S y - lam M y|| <= 1e-8 ||M y|| is enforced in the
     R-transformed coordinates (S, M) = (B^T B, I) where the problem is
-    actually solved.
+    actually solved.  A LAPACK failure (e.g. an SVD that does not converge)
+    is a ``SolverError`` too.
     """
-    R = np.linalg.qr(pair.C_den, mode="r")
-    dR = np.abs(np.diag(R))
-    if not np.all(dR > 1e-14 * dR.max()):
-        raise SolverError("denominator form numerically rank-deficient")
     try:
+        R = np.linalg.qr(pair.C_den, mode="r")
+        dR = np.abs(np.diag(R))
+        if not np.all(dR > 1e-14 * dR.max()):
+            raise SolverError("denominator form numerically rank-deficient")
         B = scipy.linalg.solve_triangular(R, pair.C_num.T, lower=False, trans="T").T
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError(f"denominator reduction failed: {exc}") from exc
-    _, s, Vt = np.linalg.svd(B, full_matrices=False)
+        _, s, Vt = np.linalg.svd(B, full_matrices=False)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"pencil reduction failed: {exc}") from exc
     y = Vt[-1 if index == 0 else 0]          # singular values sort descending
     lam = float(s[-1 if index == 0 else 0] ** 2)
-    if check_residual:
-        res = np.linalg.norm(B.T @ (B @ y) - lam * y)
-        if res > 1e-8 * max(1.0, lam):
-            raise SolverError(f"eigen residual {res:.3e} exceeds 1e-8")
+    res = np.linalg.norm(B.T @ (B @ y) - lam * y)
+    if res > 1e-8 * max(1.0, lam):
+        raise SolverError(f"eigen residual {res:.3e} exceeds 1e-8")
     v = scipy.linalg.solve_triangular(R, y, lower=False)
     return float(pair.quotient(v)), v
 
 
-def min_rayleigh(pair, check_residual=True):
+def min_rayleigh(pair):
     """Smallest quotient ||C_num v||^2 / ||C_den v||^2 with its minimizer v."""
-    return _solve_pencil(pair, 0, check_residual)
+    return _solve_pencil(pair, 0)
 
 
-def max_rayleigh(pair, check_residual=True):
+def max_rayleigh(pair):
     """Largest quotient ||C_num v||^2 / ||C_den v||^2 with its maximizer v."""
-    return _solve_pencil(pair, -1, check_residual)
+    return _solve_pencil(pair, -1)
 
 
 # radial nodes of the ladder that picks a scan's starting mode; every scan
@@ -257,14 +257,15 @@ def max_rayleigh(pair, check_residual=True):
 _LADDER_N = 8
 
 
-def _geometric_ladder(lo, hi, ratio=1.35):
+def _geometric_ladder(hi, ratio=1.35):
+    """Roughly geometric integers from 1 to hi (empty when hi < 1)."""
     vals = []
-    x = float(max(lo, 1))
+    x = 1.0
     while x <= hi:
         vals.append(int(round(x)))
         x = max(x * ratio, x + 1.0)
     vals.append(int(hi))
-    return sorted(set(v for v in vals if lo <= v <= hi))
+    return sorted(set(v for v in vals if 1 <= v <= hi))
 
 
 @dataclass(frozen=True)
@@ -282,16 +283,15 @@ class ScanResult:
     evaluations: int
 
 
-def _scan_extremize(ladder_fn, walk_fn, m_range, n_range, maximize=False):
+def _scan_extremize(ladder_fn, walk_fn, m_max, n_max, maximize=False):
     """Coarse geometric ladder, then a local walk to an extremum of walk_fn.
 
-    The ladder only picks the walk's starting mode, so it may run on a
-    coarser grid (``ladder_fn``); the walk and the returned value use
-    ``walk_fn``.  When the two are one function they share one cache.  All
-    solves run with BLAS on one thread.
+    Modes range over 1 <= m <= m_max, 0 <= n <= n_max.  The ladder only
+    picks the walk's starting mode, so it may run on a coarser grid
+    (``ladder_fn``); the walk and the returned value use ``walk_fn``.  When
+    the two are one function they share one cache.  All solves run with
+    BLAS on one thread.
     """
-    m_lo, m_hi = m_range
-    n_lo, n_hi = n_range
     cache = {}
     ladder_cache = cache if ladder_fn is walk_fn else {}
 
@@ -305,9 +305,8 @@ def _scan_extremize(ladder_fn, walk_fn, m_range, n_range, maximize=False):
     get, ladder_get = cached(walk_fn, cache), cached(ladder_fn, ladder_cache)
 
     sign = -1.0 if maximize else 1.0
-    ms = _geometric_ladder(max(m_lo, 1), m_hi) + ([0] if m_lo == 0 else [])
-    ns = _geometric_ladder(max(n_lo, 1), n_hi) + ([0] if n_lo == 0 else [])
-    candidates = [(m, n) for m in ms for n in ns]
+    candidates = [(m, n) for m in _geometric_ladder(m_max)
+                  for n in _geometric_ladder(n_max) + [0]]
     with single_thread_blas():
         best = min(candidates, key=lambda mn: sign * ladder_get(*mn))
         # local refinement: walk until the extremum is interior to its neighborhood
@@ -315,14 +314,14 @@ def _scan_extremize(ladder_fn, walk_fn, m_range, n_range, maximize=False):
             m0, n0 = best
             neigh = [(m0 + dm, n0 + dn)
                      for dm in (-2, -1, 0, 1, 2) for dn in (-2, -1, 0, 1, 2)
-                     if m_lo <= m0 + dm <= m_hi and n_lo <= n0 + dn <= n_hi]
+                     if 1 <= m0 + dm <= m_max and 0 <= n0 + dn <= n_max]
             new_best = min(neigh, key=lambda mn: sign * get(*mn))
             if new_best == best:
                 break
             best = new_best
         m0, n0 = best
         value = get(m0, n0)
-    on_boundary = (m0 in (m_hi,)) or (n0 in (n_hi,))
+    on_boundary = m0 == m_max or n0 == n_max
     evaluations = len(cache) if ladder_cache is cache else len(cache) + len(ladder_cache)
     return ScanResult(value=value, m=m0, n=n0, on_boundary=on_boundary,
                       evaluations=evaluations)
@@ -350,7 +349,7 @@ def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
     walk_fn = on(radial_grid(geometry, N=N))
     ladder_fn = walk_fn if N <= _LADDER_N else on(radial_grid(geometry, N=_LADDER_N))
     m_max, n_max = _scan_caps(geometry, m_max, n_max)
-    return _scan_extremize(ladder_fn, walk_fn, (1, m_max), (0, n_max), maximize)
+    return _scan_extremize(ladder_fn, walk_fn, m_max, n_max, maximize)
 
 
 def korn_constant(geometry, m_max=None, n_max=None, N=32):

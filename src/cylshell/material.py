@@ -143,7 +143,6 @@ class StressWeight:
     contraction twice.
     """
 
-    kind: str
     components: dict = field(default_factory=dict)
 
     def tensor(self, theta, z):
@@ -164,8 +163,7 @@ class StressWeight:
 
 def perfect_stress():
     """Perfect axial compression: sigma = e_z (x) e_z."""
-    return StressWeight(kind="perfect",
-                        components={"zz": lambda theta, z: np.ones_like(theta + z)})
+    return StressWeight(components={"zz": lambda theta, z: np.ones_like(theta + z)})
 
 
 def shear_imperfection(s, t=None, ds=None):
@@ -190,7 +188,7 @@ def shear_imperfection(s, t=None, ds=None):
         tv = 0.0 if t is None else np.asarray(t(theta))
         return tv - np.asarray(z, dtype=float) * np.asarray(ds(theta))
 
-    return StressWeight(kind="shear", components={"tz": sigma_tz, "zz": sigma_zz})
+    return StressWeight(components={"tz": sigma_tz, "zz": sigma_zz})
 
 
 def hoop_imperfection(sigma_tt=None):
@@ -200,4 +198,4 @@ def hoop_imperfection(sigma_tt=None):
     else:
         _check_periodic(sigma_tt, "sigma_tt")
         f = lambda theta, z: np.asarray(sigma_tt(theta)) + np.zeros_like(np.asarray(z, dtype=float))
-    return StressWeight(kind="hoop", components={"tt": f})
+    return StressWeight(components={"tt": f})

@@ -379,10 +379,6 @@ class HarmonicSolution:
     y: np.ndarray
     residual: float
 
-    @property
-    def shape(self):
-        return self.w.shape
-
 
 def harmonic_projection(field, h, L, n_x=48, n_y=96):
     """Solve Delta w = 0 on [0,h]x[0,L] with w = u on the boundary.

@@ -15,9 +15,6 @@ class ScalingFit:
     prefactor: float
     max_residual: float
 
-    def predict(self, h):
-        return self.prefactor * np.asarray(h, dtype=float) ** self.exponent
-
 
 def fit_exponent(points, min_points=4):
     """Fit a power law to (h, value) pairs by least squares in log-log space.

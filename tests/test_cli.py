@@ -5,6 +5,7 @@ import json
 import math
 import os
 
+import numpy as np
 import pytest
 
 from cylshell.cli import main
@@ -70,15 +71,9 @@ def test_koiter_modes_rejects_bad_amplitude(tmp_path, capsys):
 
 def test_korn_sweep_artifacts(tmp_path, capsys):
     h_list = "1e-2,7e-3,5e-3,3e-3"
-    code, out = run(capsys, "--out", str(tmp_path), "--jobs", "2", "korn",
-                    "--h-list", h_list)
+    code, out = run(capsys, "--out", str(tmp_path), "korn", "--h-list", h_list)
     assert code == 0
     payload = json.loads(out)
-    # concurrent scans share the BLAS thread pin and give the serial rows
-    code, serial = run(capsys, "--out", str(tmp_path / "serial"), "--jobs", "1", "korn",
-                       "--h-list", h_list)
-    assert code == 0
-    assert json.loads(serial)["rows"] == payload["rows"]
     assert 1.3 <= payload["fit"]["exponent"] <= 1.7
     with open(tmp_path / "korn.csv") as f:
         rows = list(csv.reader(f))
@@ -86,6 +81,21 @@ def test_korn_sweep_artifacts(tmp_path, capsys):
     assert rows[1] == ["h", "K", "m_star", "n_star", "K_over_h15"]
     assert len(rows) == 6
     assert (tmp_path / "korn_fit.json").exists()
+
+
+def test_no_jobs_option(capsys):
+    code, _ = run(capsys, "--jobs", "2", "korn", "--h-list", "1e-2")
+    assert code == 2
+
+
+def test_korn_lapack_failure_exits_3(capsys, monkeypatch):
+    def no_convergence(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    code = main(["korn", "--h-list", "1e-2", "--mmax", "3", "--nmax", "3", "--N", "8"])
+    assert code == 3
+    assert "SVD did not converge" in capsys.readouterr().err
 
 
 def test_components_subcommand(tmp_path, capsys):

@@ -1,12 +1,14 @@
 """Clamped-bottom two-mode family and its classical-load limit."""
 
 import math
+import tracemalloc
 
 import pytest
 
 from cylshell import fixedbc
 from cylshell.errors import ParameterError
 from cylshell.fields import verify_bc
+from cylshell.koiter import classical_load
 from cylshell.material import ShellGeometry
 
 L = math.pi
@@ -44,6 +46,8 @@ def test_mode_rejects_out_of_circle(mat):
     geo = ShellGeometry(h=1e-2, L=L)  # M(h) = 17 here
     with pytest.raises(ParameterError):
         fixedbc.fixedbc_mode(17, geo, mat)
+    with pytest.raises(ParameterError):
+        fixedbc.classical_ratio(17, geo, mat)
 
 
 def test_simplified_amplitudes_are_leading_order(mat, geo_thin):
@@ -62,12 +66,12 @@ def test_t_coefficient_limit(mat, geo_thin):
     assert T == pytest.approx(1.0 / 41**2, rel=0.15)
 
 
-def test_quadrature_matches_fourier_algebra(mat, geo_thin):
-    rq = fixedbc.classical_ratio(10, geo_thin, mat, n=41, method="quadrature")
-    ra = fixedbc.classical_ratio(10, geo_thin, mat, n=41, method="algebra")
-    assert rq == pytest.approx(ra, rel=1e-10)
-    with pytest.raises(ParameterError):
-        fixedbc.classical_ratio(10, geo_thin, mat, n=41, method="montecarlo")
+def test_quadrature_matches_fourier_algebra(mat):
+    # the volume-quadrature K0 is an independent oracle for the algebra
+    for h, m, n, rel in ((1e-4, 10, 41, 1e-10), (1e-6, 32, 236, 1e-9)):
+        geo = ShellGeometry(h=h, L=L)
+        rq = fixedbc.mode_functionals(m, geo, mat, n=n)["K0"] / classical_load(geo, mat)
+        assert rq == pytest.approx(fixedbc.classical_ratio(m, geo, mat, n=n), rel=rel)
 
 
 def test_limit_expression():
@@ -86,12 +90,25 @@ def test_ratio_reference_values(mat, geo_thin):
 
 def test_ratio_near_finite_m_limit(mat, geo_thin):
     # at h = 1e-4 the m = 10 ratio sits close to its finite-m limit value
-    ratio = fixedbc.classical_ratio(10, geo_thin, mat, method="algebra")
+    ratio = fixedbc.classical_ratio(10, geo_thin, mat)
     assert ratio == pytest.approx(fixedbc.limit_expression(10), abs=0.01)
 
 
 def test_excess_decays_like_h_to_two_alpha(mat, geo_thin):
-    report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], 0.25, geo_thin, mat,
-                                   method="algebra")
+    report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], 0.25, geo_thin, mat)
     fit = report.excess_fit()
     assert fit.exponent == pytest.approx(0.5, abs=0.1)
+
+
+def test_limit_memory(mat, geo_thin):
+    # the algebra needs O(1) memory per h; the volume quadrature allocated
+    # about 178 MB at h = 1e-7
+    tracemalloc.start()
+    try:
+        report = fixedbc.fixedbc_limit([1e-7], 0.25, geo_thin, mat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (report.rows[0].m, report.rows[0].n) == (56, 557)
+    assert peak < 5 * 2**20
+

@@ -9,7 +9,7 @@ import pytest
 from numpy.polynomial import Polynomial
 
 from cylshell import blas, korn
-from cylshell.errors import ParameterError
+from cylshell.errors import ParameterError, SolverError
 from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, Component,
                              DisplacementField, TrigSurface, gradient, symmetrize,
                              volume_grid)
@@ -120,6 +120,20 @@ def test_max_rayleigh_dominates_min():
     lo, _ = korn.min_rayleigh(pair)
     hi, _ = korn.max_rayleigh(pair)
     assert hi >= lo
+
+
+def test_lapack_failure_is_solver_error():
+    # LAPACK gesdd does not converge on this Korn pencil (numpy 2.4.6 with
+    # OpenBLAS 0.3.31); whatever the build, the solve either passes its
+    # residual gate or raises SolverError, never LinAlgError
+    geo = ShellGeometry(h=0.00032834327807543967, L=math.pi)
+    pair = korn.assemble_mode_forms(33, 13, geo, korn.radial_grid(geo, N=32))
+    try:
+        value, v = korn.min_rayleigh(pair)
+    except SolverError:
+        return
+    assert value == pytest.approx(3.034035756e-4, rel=1e-6)
+    assert value == pair.quotient(v)
 
 
 def test_korn_constant_reference(geo_thick):
