@@ -193,14 +193,9 @@ def gradient(field, r, theta, z):
     }
 
 
-def simplified_G(field, r, theta, z):
-    """The simplified gradient G(u): no 1/r weight on the (tt) and (zt) entries."""
-    g = gradient(field, r, theta, z)
-    r = np.asarray(r, dtype=float)
-    g = dict(g)
-    g["tt"] = g["tt"] * r
-    g["zt"] = g["zt"] * r
-    return g
+def simplified_G(g, r):
+    """The simplified gradient G(u) from grad u at radii r: (tt) and (zt) times r."""
+    return {**g, "tt": g["tt"] * r, "zt": g["zt"] * r}
 
 
 STRAIN_KEYS = ("rr", "tt", "zz", "rt", "rz", "tz")
@@ -388,15 +383,19 @@ def compressiveness_integrand(stress, g, theta, z):
     return out
 
 
+def _stability_compressiveness(g, stress, material, grid):
+    """S and C of a variation from its gradient on the grid's nodes."""
+    S = grid.integrate(stability_integrand(material, symmetrize(g)))
+    C = grid.integrate(compressiveness_integrand(stress, g, grid.TH, grid.Z))
+    return FunctionalValue(S=S, C=C)
+
+
 def functionals(field, stress, material, grid):
     """Stability and compressiveness of a variation under a stress weight."""
     if grid.measure != "volume":
         raise ParameterError("functionals require a volume-measure grid")
-    g = gradient(field, grid.R, grid.TH, grid.Z)
-    e = symmetrize(g)
-    S = grid.integrate(stability_integrand(material, e))
-    C = grid.integrate(compressiveness_integrand(stress, g, grid.TH, grid.Z))
-    return FunctionalValue(S=S, C=C)
+    return _stability_compressiveness(gradient(field, grid.R, grid.TH, grid.Z),
+                                      stress, material, grid)
 
 
 def linearize_radial(field, geometry):
@@ -488,24 +487,21 @@ def functional_family(field, material, geometry, grid, stress=None, want_kstar=T
     """
     stress = stress or perfect_stress()
     g = gradient(field, grid.R, grid.TH, grid.Z)
-    e = symmetrize(g)
-    S = grid.integrate(stability_integrand(material, e))
-    C = grid.integrate(compressiveness_integrand(stress, g, grid.TH, grid.Z))
+    sc = _stability_compressiveness(g, stress, material, grid)
     urz_sq = grid.norm_sq(g["rz"])
     if urz_sq <= 0.0:
         raise NotDestabilizingError("||u_r,z||^2 = 0: K1/K0 undefined")
 
-    G = simplified_G(field, grid.R, grid.TH, grid.Z)
-    E = symmetrize(G)
+    E = symmetrize(simplified_G(g, grid.R))
     flat = grid.with_measure("flat")
     K0_num = flat.integrate(stability_integrand(material, E))
 
     out = {
-        "K": S / C if C > 0 else np.inf,
-        "K1": S / urz_sq,
+        "K": sc.S / sc.C if sc.C > 0 else np.inf,
+        "K1": sc.S / urz_sq,
         "K0": K0_num / urz_sq,
-        "S": S,
-        "C": C,
+        "S": sc.S,
+        "C": sc.C,
     }
     if want_kstar:
         if not _is_xlin(field, geometry):

@@ -221,8 +221,10 @@ def _solve_pencil(pair, index):
 
     The residual ||S y - lam M y|| <= 1e-8 ||M y|| is enforced in the
     R-transformed coordinates (S, M) = (B^T B, I) where the problem is
-    actually solved.  A LAPACK failure (e.g. an SVD that does not converge)
-    is a ``SolverError`` too.
+    actually solved.  When LAPACK's divide-and-conquer SVD (gesdd) does not
+    converge, the SVD is retried once with the QR-iteration driver (gesvd),
+    and the residual gate applies to its answer alike.  A LAPACK failure that
+    remains is a ``SolverError`` too.
     """
     try:
         R = np.linalg.qr(pair.C_den, mode="r")
@@ -230,7 +232,10 @@ def _solve_pencil(pair, index):
         if not np.all(dR > 1e-14 * dR.max()):
             raise SolverError("denominator form numerically rank-deficient")
         B = scipy.linalg.solve_triangular(R, pair.C_num.T, lower=False, trans="T").T
-        _, s, Vt = np.linalg.svd(B, full_matrices=False)
+        try:
+            _, s, Vt = np.linalg.svd(B, full_matrices=False)
+        except np.linalg.LinAlgError:
+            _, s, Vt = scipy.linalg.svd(B, full_matrices=False, lapack_driver="gesvd")
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pencil reduction failed: {exc}") from exc
     y = Vt[-1 if index == 0 else 0]          # singular values sort descending

@@ -158,24 +158,20 @@ def planar_grid(h, L, n_x=24, n_y=64):
 # modified gradients
 
 
-def modified_gradient(field, alpha, x, y):
+def planar_partials(field, x, y):
+    """u and the first partials of (u, v) at (x, y), each component evaluated once."""
+    return {"u": field.u(x, y), "ux": field.u(x, y, 1, 0), "uy": field.u(x, y, 0, 1),
+            "vx": field.v(x, y, 1, 0), "vy": field.v(x, y, 0, 1)}
+
+
+def modified_gradient(d, alpha):
     """G_alpha entries {xx, xy, yx, yy} = [[u_x, u_y], [v_x, v_y + alpha u]]."""
-    return {
-        "xx": field.u(x, y, 1, 0),
-        "xy": field.u(x, y, 0, 1),
-        "yx": field.v(x, y, 1, 0),
-        "yy": field.v(x, y, 0, 1) + alpha * field.u(x, y),
-    }
+    return {"xx": d["ux"], "xy": d["uy"], "yx": d["vx"], "yy": d["vy"] + alpha * d["u"]}
 
 
-def starred_gradient(field, x, y):
+def starred_gradient(d, v):
     """G_* entries: [[u_x, u_y - v], [v_x, v_y + u]]."""
-    return {
-        "xx": field.u(x, y, 1, 0),
-        "xy": field.u(x, y, 0, 1) - field.v(x, y),
-        "yx": field.v(x, y, 1, 0),
-        "yy": field.v(x, y, 0, 1) + field.u(x, y),
-    }
+    return {"xx": d["ux"], "xy": d["uy"] - v, "yx": d["vx"], "yy": d["vy"] + d["u"]}
 
 
 def gradient_norms(g, grid):
@@ -226,10 +222,10 @@ def check_basic_inequality(field, alpha, h, L, grid=None):
         raise ParameterError("basic inequality requires u = 0 on the horizontal edges")
     verify_planar_bc(field, h, L)
     grid = grid or planar_grid(h, L)
-    g = modified_gradient(field, alpha, grid.X, grid.Y)
-    g_sq, e_sq = gradient_norms(g, grid)
+    d = planar_partials(field, grid.X, grid.Y)
+    g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
     e = math.sqrt(e_sq)
-    u_norm = math.sqrt(grid.norm_sq(field.u(grid.X, grid.Y)))
+    u_norm = math.sqrt(grid.norm_sq(d["u"]))
     return InequalityReport(
         lhs=g_sq,
         rhs=100.0 * e * (u_norm / h + e),
@@ -281,15 +277,6 @@ def basic_inequality_trials(h, L, trials=200, seed=1234, alphas=(-1.0, -0.5, 0.0
 
 # ---------------------------------------------------------------------------
 # the harmonic-function lemma
-
-
-def psi(x):
-    """sinh(x)/x with a series branch at the removable singularity."""
-    x = np.asarray(x, dtype=float)
-    small = np.abs(x) < 1e-4
-    xs = np.where(small, 1.0, x)
-    out = np.where(small, 1.0 + x**2 / 6.0 + x**4 / 120.0, np.sinh(xs) / xs)
-    return out if out.ndim else float(out)
 
 
 def phi_factor(tau):
@@ -459,7 +446,7 @@ def projection_estimates(field, alpha, h, L, n_x=48, n_y=96, allowance=0.05):
     grad_diff = math.sqrt(float(np.sum(hx * hy * ((ux - wc_x) ** 2 + (uy - wc_y) ** 2))))
 
     grid = planar_grid(h, L)
-    g = modified_gradient(field, alpha, grid.X, grid.Y)
+    g = modified_gradient(planar_partials(field, grid.X, grid.Y), alpha)
     _, e_sq = gradient_norms(g, grid)
     factor = math.sqrt(2.0) + 1.0 / math.pi
     bound = factor * math.sqrt(e_sq) * (1.0 + allowance)
@@ -497,16 +484,16 @@ def check_periodic_inequalities(field, h, alpha=1.0, C0=PERIODIC_C0,
         raise ParameterError("periodic inequalities require a periodic-in-y field")
     verify_planar_bc(field, h, 2.0 * np.pi)
     grid = grid or planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
-    u_norm = math.sqrt(grid.norm_sq(field.u(grid.X, grid.Y)))
-    v_norm_sq = grid.norm_sq(field.v(grid.X, grid.Y))
+    d = planar_partials(field, grid.X, grid.Y)
+    v = field.v(grid.X, grid.Y)
+    u_norm = math.sqrt(grid.norm_sq(d["u"]))
+    v_norm_sq = grid.norm_sq(v)
 
-    g = modified_gradient(field, alpha, grid.X, grid.Y)
-    g_sq, e_sq = gradient_norms(g, grid)
+    g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
     e = math.sqrt(e_sq)
     rep_alpha = InequalityReport(lhs=g_sq, rhs=C0 * e * (u_norm / h + e))
 
-    gs = starred_gradient(field, grid.X, grid.Y)
-    gs_sq, es_sq = gradient_norms(gs, grid)
+    gs_sq, es_sq = gradient_norms(starred_gradient(d, v), grid)
     es = math.sqrt(es_sq)
     rep_star = InequalityReport(
         lhs=gs_sq, rhs=C0 * (es_sq + es * u_norm / h + v_norm_sq))

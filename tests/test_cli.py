@@ -7,6 +7,7 @@ import os
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cylshell.cli import main
 
@@ -69,6 +70,15 @@ def test_koiter_modes_rejects_bad_amplitude(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mesh", [["--ntheta", "0"], ["--ntheta", "2"], ["--nz", "1"]])
+def test_export_rejects_degenerate_mesh(tmp_path, capsys, mesh):
+    obj = tmp_path / "m.obj"
+    code, _ = run(capsys, "koiter-modes", "--h", "1e-3", "--m", "1",
+                  "--export", str(obj), *mesh)
+    assert code == 2
+    assert not obj.exists()
+
+
 def test_korn_sweep_artifacts(tmp_path, capsys):
     h_list = "1e-2,7e-3,5e-3,3e-3"
     code, out = run(capsys, "--out", str(tmp_path), "korn", "--h-list", h_list)
@@ -80,7 +90,7 @@ def test_korn_sweep_artifacts(tmp_path, capsys):
     assert rows[0][0].startswith("# config:")
     assert rows[1] == ["h", "K", "m_star", "n_star", "K_over_h15"]
     assert len(rows) == 6
-    assert (tmp_path / "korn_fit.json").exists()
+    assert json.loads((tmp_path / "korn.json").read_text()) == payload
 
 
 def test_no_jobs_option(capsys):
@@ -93,6 +103,7 @@ def test_korn_lapack_failure_exits_3(capsys, monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
+    monkeypatch.setattr(scipy.linalg, "svd", no_convergence)
     code = main(["korn", "--h-list", "1e-2", "--mmax", "3", "--nmax", "3", "--N", "8"])
     assert code == 3
     assert "SVD did not converge" in capsys.readouterr().err
@@ -184,10 +195,61 @@ def test_rect_korn_rejects_empty_scan(capsys, trials):
     assert code == 2
 
 
-def test_bad_h_list(capsys):
-    code, _ = run(capsys, "korn", "--h-list", "1e-2,abc")
+@pytest.mark.parametrize("argv", [
+    ["korn", "--h-list", "1e-2,abc"],
+    ["korn", "--h-list", ","],
+    ["koiter-modes", "--h", "1e-3", "--m", "1,abc"],
+    ["koiter-modes", "--h", "1e-3", "--m", "1.5"],
+], ids=["h-list-abc", "h-list-empty", "m-abc", "m-float"])
+def test_bad_h_list(capsys, argv):
+    code, _ = run(capsys, *argv)
     assert code == 2
 
 
 def test_missing_subcommand(capsys):
     assert main([]) == 2
+
+
+ARTIFACT_RUNS = {
+    "trivial_branch": ["trivial-branch", "--E", "1", "--nu", "0.3", "--lambda", "0.05"],
+    "classical_load": ["classical-load", "--h", "1e-3"],
+    "koiter_modes": ["koiter-modes", "--h", "1e-3", "--m", "1,2"],
+    "korn": ["korn", "--h-list", "1e-2", "--mmax", "3", "--nmax", "3", "--N", "8"],
+    "components_rthr": ["components", "--which", "rthr", "--h-list", "1e-2",
+                        "--mmax", "3", "--nmax", "3", "--N", "8"],
+    "ansatz_limits": ["ansatz", "--h-list", "0.0016,0.0001"],
+    "fixedbc": ["fixedbc", "--h-list", "1e-3,1e-4"],
+    "rect_korn": ["rect-korn", "--trials", "5"],
+}
+SWEEPS = ("koiter_modes", "korn", "components_rthr", "ansatz_limits", "fixedbc")
+
+
+def test_every_subcommand_writes_its_artifacts(tmp_path, capsys):
+    for name, argv in ARTIFACT_RUNS.items():
+        out = tmp_path / name
+        code, text = run(capsys, "--out", str(out), *argv)
+        assert code == 0, name
+        expected = {f"{name}.json"} | ({f"{name}.csv"} if name in SWEEPS else set())
+        assert set(os.listdir(out)) == expected
+        assert (out / f"{name}.json").read_text() == text
+        if name in SWEEPS:
+            with open(out / f"{name}.csv") as f:
+                first = next(csv.reader(f))[0]
+            assert json.loads(first.removeprefix("# config: ")) == json.loads(text)["config"]
+
+
+def test_ansatz_modes_share_one_out(tmp_path, capsys):
+    assert run(capsys, "--out", str(tmp_path), "ansatz", "--h-list", "0.0016,0.0001")[0] == 0
+    assert run(capsys, "--out", str(tmp_path), "ansatz", "--h-list", "1e-2,3e-3",
+               "--stress", "hoop")[0] == 0
+    assert "gradient" in json.loads((tmp_path / "ansatz_limits.json").read_text())
+    assert "ratio" in json.loads((tmp_path / "ansatz_hoop.json").read_text())
+
+
+@pytest.mark.parametrize("name", SWEEPS)
+def test_no_files_without_out(tmp_path, capsys, monkeypatch, name):
+    monkeypatch.chdir(tmp_path)
+    code, out = run(capsys, *ARTIFACT_RUNS[name])
+    assert code == 0
+    assert json.loads(out)["config"]
+    assert list(tmp_path.iterdir()) == []

@@ -27,12 +27,6 @@ class _Bilinear:
         return np.zeros(shape)
 
 
-def test_psi_series_and_value():
-    assert rect.psi(0.0) == 1.0
-    assert rect.psi(1e-5) == pytest.approx(1.0 + 1e-10 / 6.0, rel=1e-12)
-    assert rect.psi(2.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-14)
-
-
 def test_phi_factor_limit_and_continuity():
     assert rect.phi_factor(0.0) == pytest.approx(3.0, rel=1e-12)
     # series and direct branches agree across the switch point
