@@ -157,24 +157,15 @@ def build_ansatz(h, bump, geometry):
     return AnsatzField(h=h, n_h=n_h, bump=bump, phi=phi, field=field)
 
 
-def ansatz_grid(ansatz, geometry, n_r=8, n_th=64, n_z=64):
+def ansatz_grid(ansatz, geometry):
     """Volume quadrature restricted to the bump's theta support.
 
-    Gauss nodes on the support interval integrate the (piecewise-polynomial)
-    ansatz integrands exactly; 64 nodes on the compressed support exceed the
-    resolution of 64 n_h uniform nodes on the full circle.
+    8 radial, 64 theta and 64 axial Gauss nodes.  Gauss nodes on the
+    support interval integrate the (piecewise-polynomial) ansatz integrands
+    exactly; 64 nodes on the compressed support exceed the resolution of
+    64 n_h uniform nodes on the full circle.
     """
-    return volume_grid(geometry, n_r=n_r, n_th=n_th, n_z=n_z,
-                       theta_interval=ansatz.support)
-
-
-def _norms(ansatz, geometry, grid=None):
-    grid = grid or ansatz_grid(ansatz, geometry)
-    g = gradient(ansatz.field, grid.R, grid.TH, grid.Z)
-    e = symmetrize(g)
-    grad_sq = sum(grid.norm_sq(g[k]) for k in GRAD_KEYS)
-    strain_sq = sum(STRAIN_WEIGHT[k] * grid.norm_sq(e[k]) for k in STRAIN_KEYS)
-    return g, grad_sq, strain_sq, grid
+    return volume_grid(geometry, n_r=8, n_th=64, n_z=64, theta_interval=ansatz.support)
 
 
 @dataclass(frozen=True)
@@ -188,12 +179,16 @@ class QuantityTable:
     target: float = None
 
 
-@dataclass(frozen=True)
-class ScalingReport:
-    tables: dict
-
-    def __getitem__(self, name):
-        return self.tables[name]
+def _sweep(bump, h_list, geometry, quantity):
+    """(h, quantity(ansatz, grid)) for each h, largest h first, on ansatz_grid."""
+    if len(h_list) == 0:
+        raise ParameterError("h_list must be non-empty")
+    rows = []
+    for h in sorted(h_list, reverse=True):
+        geo = ShellGeometry(h=h, L=geometry.L)
+        ans = build_ansatz(h, bump, geo)
+        rows.append((h, quantity(ans, ansatz_grid(ans, geo))))
+    return rows
 
 
 def verify_limits(bump, h_list, geometry):
@@ -202,26 +197,20 @@ def verify_limits(bump, h_list, geometry):
     Reports h^(1/4) ||grad U^h||^2 normalized by 2 ||phi_,eta eta eta||^2 and
     h^(-5/4) ||e(U^h)||^2 normalized by ||phi_,zz||^2 + ||phi_,eeee||^2 / 12.
     """
-    if len(h_list) == 0:
-        raise ParameterError("h_list must be non-empty")
-    grad_target = bump.gradient_limit()
-    strain_target = bump.strain_limit()
-    grad_pts, grad_norm, strain_pts, strain_norm = [], [], [], []
-    for h in sorted(h_list, reverse=True):
-        geo = ShellGeometry(h=h, L=geometry.L)
-        ans = build_ansatz(h, bump, geo)
-        _, grad_sq, strain_sq, _ = _norms(ans, geo)
-        grad_pts.append((h, grad_sq))
-        grad_norm.append(h**0.25 * grad_sq / grad_target)
-        strain_pts.append((h, strain_sq))
-        strain_norm.append(h**-1.25 * strain_sq / strain_target)
-    tables = {
-        "gradient": QuantityTable("gradient", tuple(grad_pts), tuple(grad_norm),
-                                  target=grad_target),
-        "strain": QuantityTable("strain", tuple(strain_pts), tuple(strain_norm),
-                                target=strain_target),
-    }
-    return ScalingReport(tables=tables)
+    def norms(ans, grid):
+        g = gradient(ans.field, grid.R, grid.TH, grid.Z)
+        e = symmetrize(g)
+        return {"gradient": sum(grid.norm_sq(g[k]) for k in GRAD_KEYS),
+                "strain": sum(STRAIN_WEIGHT[k] * grid.norm_sq(e[k]) for k in STRAIN_KEYS)}
+
+    rows = _sweep(bump, h_list, geometry, norms)
+    tables = {}
+    for name, target, power in (("gradient", bump.gradient_limit(), 0.25),
+                                ("strain", bump.strain_limit(), -1.25)):
+        pts = tuple((h, vals[name]) for h, vals in rows)
+        tables[name] = QuantityTable(name, pts, tuple(h**power * v / target for h, v in pts),
+                                     target=target)
+    return tables
 
 
 # gradient-component pairs of the ansatz and their absolute h-powers; the
@@ -245,24 +234,20 @@ COMPONENT_EXPONENTS = {
 
 def component_scalings(bump, h_list, geometry):
     """Fitted h-exponents of the squared gradient-component group norms."""
-    if len(h_list) == 0:
-        raise ParameterError("h_list must be non-empty")
-    values = {name: [] for name in COMPONENT_EXPONENTS}
-    for h in sorted(h_list, reverse=True):
-        geo = ShellGeometry(h=h, L=geometry.L)
-        ans = build_ansatz(h, bump, geo)
-        grid = ansatz_grid(ans, geo)
+    def groups(ans, grid):
         g = gradient(ans.field, grid.R, grid.TH, grid.Z)
-        for name, keys in GRADIENT_PAIRS.items():
-            values[name].append((h, sum(grid.norm_sq(g[k]) for k in keys)))
-        u_r = ans.field.u_r(grid.R, grid.TH, grid.Z)
-        values["u_r"].append((h, grid.norm_sq(u_r)))
+        vals = {name: sum(grid.norm_sq(g[k]) for k in keys)
+                for name, keys in GRADIENT_PAIRS.items()}
+        vals["u_r"] = grid.norm_sq(ans.field.u_r(grid.R, grid.TH, grid.Z))
+        return vals
+
+    rows = _sweep(bump, h_list, geometry, groups)
     tables = {}
-    for name, pts in values.items():
+    for name, target in COMPONENT_EXPONENTS.items():
+        pts = tuple((h, vals[name]) for h, vals in rows)
         fit = fit_exponent(pts, min_points=min(3, len(pts)))
-        tables[name] = QuantityTable(name, tuple(pts), fit=fit,
-                                     target=COMPONENT_EXPONENTS[name])
-    return ScalingReport(tables=tables)
+        tables[name] = QuantityTable(name, pts, fit=fit, target=target)
+    return tables
 
 
 def compressiveness_scaling(bump, h_list, geometry, material, stress):
@@ -271,21 +256,10 @@ def compressiveness_scaling(bump, h_list, geometry, material, stress):
     Points with non-positive compressiveness are reported in the ``excluded``
     table instead of entering the fit.
     """
-    if len(h_list) == 0:
-        raise ParameterError("h_list must be non-empty")
-    pts, excluded = [], []
-    for h in sorted(h_list, reverse=True):
-        geo = ShellGeometry(h=h, L=geometry.L)
-        ans = build_ansatz(h, bump, geo)
-        grid = ansatz_grid(ans, geo)
-        val = functionals(ans.field, stress, material, grid)
-        if val.C <= 0.0:
-            excluded.append((h, val.C))
-        else:
-            pts.append((h, val.S / val.C))
-    fit = fit_exponent(pts, min_points=min(3, len(pts))) if len(pts) >= 3 else None
-    tables = {
-        "ratio": QuantityTable("ratio", tuple(pts), fit=fit),
-        "excluded": QuantityTable("excluded", tuple(excluded)),
-    }
-    return ScalingReport(tables=tables)
+    rows = _sweep(bump, h_list, geometry,
+                  lambda ans, grid: functionals(ans.field, stress, material, grid))
+    pts = tuple((h, val.S / val.C) for h, val in rows if val.C > 0.0)
+    excluded = tuple((h, val.C) for h, val in rows if val.C <= 0.0)
+    fit = fit_exponent(pts, min_points=3) if len(pts) >= 3 else None
+    return {"ratio": QuantityTable("ratio", pts, fit=fit),
+            "excluded": QuantityTable("excluded", excluded)}

@@ -41,6 +41,25 @@ def _comma_list(kind):
     return parse
 
 
+def _out_dir(path):
+    """argparse type: a directory that exists or can be created."""
+    parent = os.path.abspath(path)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise argparse.ArgumentTypeError(
+            f"cannot create directory {path!r}: {parent!r} is not a directory")
+    return path
+
+
+def _export_path(path):
+    """argparse type: a file path whose directory exists."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        raise argparse.ArgumentTypeError(f"directory {folder!r} does not exist")
+    return path
+
+
 def _config(args, keys):
     return {k: getattr(args, k) for k in keys if getattr(args, k, None) is not None}
 
@@ -264,7 +283,8 @@ def _options(*specs):
 def build_parser():
     parser = argparse.ArgumentParser(prog="cylshell",
                                      description="Cylindrical-shell buckling studies")
-    parser.add_argument("--out", default=None, help="output directory for artifacts")
+    parser.add_argument("--out", type=_out_dir, default=None,
+                        help="output directory for artifacts")
     sub = parser.add_subparsers(dest="command", required=True)
 
     one_h = _options(("--h", dict(type=float, required=True)))
@@ -277,7 +297,7 @@ def build_parser():
                       ("--nmax", dict(type=int, default=None)))
     radial = _options(("--N", dict(type=int, default=32)))
     export = _options(("--amplitude", dict(type=float, default=0.05)),
-                      ("--export", dict(default=None)),
+                      ("--export", dict(type=_export_path, default=None)),
                       ("--ntheta", dict(type=int, default=96)),
                       ("--nz", dict(type=int, default=48)))
 

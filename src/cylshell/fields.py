@@ -14,8 +14,7 @@ from surface profiles f; such fields form the linearized space on which the
 reduced forms Q0, Q1, Q1* and B live.
 """
 
-from dataclasses import dataclass
-import math
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy.polynomial import Polynomial
@@ -230,12 +229,7 @@ def _gauss(a, b, n):
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor-product quadrature grid on I_h x [0, 2pi) x [0, L].
-
-    measure: 'volume' (r dr dtheta dz), 'flat' (dr dtheta dz) or
-    'surface' (dtheta dz on the mid-surface; the r direction is a single
-    node at r = 1 with unit weight).
-    """
+    """Tensor-product quadrature grid on I_h x [0, 2pi) x [0, L], measure r dr dtheta dz."""
 
     r_nodes: np.ndarray
     r_weights: np.ndarray
@@ -243,7 +237,6 @@ class Grid:
     th_weights: np.ndarray
     z_nodes: np.ndarray
     z_weights: np.ndarray
-    measure: str = "volume"
 
     @property
     def R(self):
@@ -257,13 +250,9 @@ class Grid:
     def Z(self):
         return self.z_nodes[None, None, :]
 
-    def with_measure(self, measure):
-        return Grid(self.r_nodes, self.r_weights, self.th_nodes, self.th_weights,
-                    self.z_nodes, self.z_weights, measure)
-
     def integrate(self, values):
-        w_r = self.r_weights * self.r_nodes if self.measure == "volume" else self.r_weights
-        w = w_r[:, None, None] * self.th_weights[None, :, None] * self.z_weights[None, None, :]
+        w = ((self.r_weights * self.r_nodes)[:, None, None]
+             * self.th_weights[None, :, None] * self.z_weights[None, None, :])
         vals = np.broadcast_to(values, w.shape)
         return float(np.sum(w * vals))
 
@@ -271,7 +260,7 @@ class Grid:
         return self.integrate(np.asarray(values) ** 2)
 
 
-def volume_grid(geometry, n_r=6, n_th=16, n_z=16, theta_interval=None, measure="volume"):
+def volume_grid(geometry, n_r=6, n_th=16, n_z=16, theta_interval=None):
     """Quadrature grid over C_h.
 
     theta is a uniform periodic-trapezoid rule on [0, 2pi) unless
@@ -286,34 +275,27 @@ def volume_grid(geometry, n_r=6, n_th=16, n_z=16, theta_interval=None, measure="
     else:
         tn, tw = _gauss(theta_interval[0], theta_interval[1], n_th)
     zn, zw = _gauss(0.0, geometry.L, n_z)
-    return Grid(rn, rw, tn, tw, zn, zw, measure)
-
-
-def surface_grid(geometry, n_th=16, n_z=16, theta_interval=None):
-    """Mid-surface grid (r = 1), measure dtheta dz."""
-    if theta_interval is None:
-        tn = np.arange(n_th) * (2.0 * np.pi / n_th)
-        tw = np.full(n_th, 2.0 * np.pi / n_th)
-    else:
-        tn, tw = _gauss(theta_interval[0], theta_interval[1], n_th)
-    zn, zw = _gauss(0.0, geometry.L, n_z)
-    return Grid(np.array([1.0]), np.array([1.0]), tn, tw, zn, zw, "surface")
+    return Grid(rn, rw, tn, tw, zn, zw)
 
 
 # ---------------------------------------------------------------------------
 # boundary-condition verification
 
 
-def verify_bc(field, geometry, tag=None, n_samples=64, tol=1e-10):
-    """Check the field's boundary tag by sampling; returns True or raises."""
-    tag = tag or field.bc_tag
+def verify_bc(field, geometry):
+    """Check the field's boundary tag by sampling; returns True or raises.
+
+    Each edge is sampled on 8 x 8 (r, theta) points; the tolerance is 1e-10
+    relative to the field's largest sampled value.
+    """
+    tag = field.bc_tag
     if tag is None:
         return True
     a, b = geometry.I_h
     L = geometry.L
-    k = int(math.ceil(math.sqrt(n_samples)))
-    rs = np.linspace(a, b, k)
-    ths = np.linspace(0.0, 2.0 * np.pi, k, endpoint=False)
+    tol = 1e-10
+    rs = np.linspace(a, b, 8)
+    ths = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     R, TH = np.meshgrid(rs, ths, indexing="ij")
     # field scale for a relative tolerance
     zs = np.linspace(0.0, L, 9)
@@ -392,8 +374,6 @@ def _stability_compressiveness(g, stress, material, grid):
 
 def functionals(field, stress, material, grid):
     """Stability and compressiveness of a variation under a stress weight."""
-    if grid.measure != "volume":
-        raise ParameterError("functionals require a volume-measure grid")
     return _stability_compressiveness(gradient(field, grid.R, grid.TH, grid.Z),
                                       stress, material, grid)
 
@@ -415,8 +395,8 @@ def linearize_radial(field, geometry):
     )
 
 
-def _is_xlin(field, geometry, tol=1e-9):
-    """Sampled check that linearize_radial fixes the field."""
+def _is_xlin(field, geometry):
+    """Sampled check, to relative 1e-9, that linearize_radial fixes the field."""
     lin = linearize_radial(field, geometry)
     a, b = geometry.I_h
     rs = np.linspace(a, b, 5)[:, None, None]
@@ -426,19 +406,19 @@ def _is_xlin(field, geometry, tol=1e-9):
         v1 = c1(rs, ths, zs)
         v2 = c2(rs, ths, zs)
         scale = max(float(np.max(np.abs(v1))), 1e-300)
-        if float(np.max(np.abs(v1 - v2))) > tol * scale:
+        if float(np.max(np.abs(v1 - v2))) > 1e-9 * scale:
             return False
     return True
 
 
-def reduced_surface_forms(field, geometry, grid):
+def reduced_surface_forms(field, grid):
     """Q0, Q1, Q1*, B of a U(f)-form field by mid-surface quadrature.
 
-    The grid must have measure 'surface'.  Derivative inputs are read off the
-    field's mid-surface traces.
+    The integrals run over the grid's own theta and z rules at the single
+    radius r = 1 with unit weight, i.e. with the measure dtheta dz.
+    Derivative inputs are read off the field's mid-surface traces.
     """
-    if grid.measure != "surface":
-        raise ParameterError("reduced forms require a surface-measure grid")
+    grid = replace(grid, r_nodes=np.ones(1), r_weights=np.ones(1))
     th, z = grid.TH, grid.Z
     f_r = field.u_r.at_midsurface()
     f_t = field.u_t.at_midsurface()
@@ -476,25 +456,27 @@ def _combine_q(parts, Lambda):
             + 2.0 * parts["axial"] + parts["shear"])
 
 
-def functional_family(field, material, geometry, grid, stress=None, want_kstar=True):
+def functional_family(field, material, geometry, grid, want_kstar=True):
     """The buckling-equivalent functional family {K, K1, K0, K*} on one field.
 
-    K  = S / C for the given stress (default perfect axial compression);
+    K  = S / C under perfect axial compression;
     K1 = S / ||u_r,z||^2;
     K0 = (flat-measure integral of (L0 E(u), E(u))) / ||u_r,z||^2, where E is
          the symmetrized simplified gradient;
     K* = mu (Q0 + h^2/12 Q1*) / B, defined only for U(f)-form fields.
+
+    Every integral uses ``grid``'s own rules: the flat measure dr dtheta dz
+    as the volume measure of the density divided by r, and K*'s reduced
+    forms on its theta and z rules at r = 1.
     """
-    stress = stress or perfect_stress()
     g = gradient(field, grid.R, grid.TH, grid.Z)
-    sc = _stability_compressiveness(g, stress, material, grid)
+    sc = _stability_compressiveness(g, perfect_stress(), material, grid)
     urz_sq = grid.norm_sq(g["rz"])
     if urz_sq <= 0.0:
         raise NotDestabilizingError("||u_r,z||^2 = 0: K1/K0 undefined")
 
     E = symmetrize(simplified_G(g, grid.R))
-    flat = grid.with_measure("flat")
-    K0_num = flat.integrate(stability_integrand(material, E))
+    K0_num = grid.integrate(stability_integrand(material, E) / grid.R)
 
     out = {
         "K": sc.S / sc.C if sc.C > 0 else np.inf,
@@ -506,8 +488,7 @@ def functional_family(field, material, geometry, grid, stress=None, want_kstar=T
     if want_kstar:
         if not _is_xlin(field, geometry):
             raise ShapeError("K* requested for a field not of the U(f) form")
-        sgrid = surface_grid(geometry, n_th=grid.th_nodes.size, n_z=grid.z_nodes.size)
-        q0p, q1p, q1s_core, B = reduced_surface_forms(field, geometry, sgrid)
+        q0p, q1p, q1s_core, B = reduced_surface_forms(field, grid)
         Q0 = _combine_q(q0p, material.Lambda)
         Q1star = (material.Lambda + 2.0) * q1s_core
         out["Kstar"] = material.mu * (Q0 + geometry.h**2 / 12.0 * Q1star) / B

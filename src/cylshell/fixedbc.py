@@ -25,10 +25,10 @@ from dataclasses import dataclass
 import math
 
 from cylshell.errors import ParameterError
-from cylshell.fields import (SumSurface, TrigSurface, from_midsurface,
-                             functional_family, volume_grid)
-from cylshell.koiter import circle_n_real, classical_load, max_circle_m, reduced_forms
-from cylshell.material import ShellGeometry, perfect_stress
+from cylshell.fields import SumSurface, from_midsurface, functional_family, volume_grid
+from cylshell.koiter import (circle_n_real, classical_load, max_circle_m, real_profiles,
+                             reduced_forms)
+from cylshell.material import ShellGeometry
 from cylshell.scaling import fit_exponent
 
 
@@ -102,16 +102,9 @@ def simplified_amplitudes(m, n, geometry, Lambda):
 
 def mode_profiles(m, n, geometry, Lambda):
     """Real mid-surface profiles (f_r, f_theta, f_z) of the two-mode family."""
-    amps = mode_amplitudes(m, n, geometry, Lambda)
-    parts_r, parts_t, parts_z = [], [], []
-    for k, (f_r, f_t, f_z) in amps.items():
-        k_hat = math.pi * k / geometry.L
-        # u = Re(f e^{i n theta}): real parts pair with cos, Im(f_t) with -sin
-        parts_r.append(TrigSurface("cos", n, "sin", k_hat, amp=f_r.real if isinstance(f_r, complex) else f_r))
-        parts_t.append(TrigSurface("sin", n, "sin", k_hat, amp=-f_t.imag))
-        parts_z.append(TrigSurface("cos", n, "cos", k_hat, amp=f_z.real if isinstance(f_z, complex) else f_z))
-    return (SumSurface(tuple(parts_r)), SumSurface(tuple(parts_t)),
-            SumSurface(tuple(parts_z)))
+    parts = [real_profiles(n, math.pi * k / geometry.L, *amps)
+             for k, amps in mode_amplitudes(m, n, geometry, Lambda).items()]
+    return tuple(SumSurface(p) for p in zip(*parts))
 
 
 def _admissible_n(m, geometry, Lambda, n):
@@ -172,19 +165,19 @@ def mode_k0_algebraic(m, geometry, material, n=None):
     return material.mu * (Q0 + geometry.h**2 / 12.0 * Q1) / B
 
 
-def mode_grid(m, n, geometry, n_r=4):
+def mode_grid(m, n, geometry):
     """Quadrature grid sized to integrate the (m+2)-mode products exactly.
 
     theta products have frequency <= 2n (uniform rule exact below the node
     count); z products reach frequency 2 pi (m+2)/L, handled by an oversized
-    Gauss rule.
+    Gauss rule.  The radial rule has 4 Gauss nodes.
     """
     n_th = 2 * n + 5
     n_z = 3 * (m + 2) + 12
-    return volume_grid(geometry, n_r=n_r, n_th=n_th, n_z=n_z)
+    return volume_grid(geometry, n_r=4, n_th=n_th, n_z=n_z)
 
 
-def mode_functionals(m, geometry, material, n=None, stress=None, n_r=4):
+def mode_functionals(m, geometry, material, n=None):
     """Full functional family {K, K1, K0, K*} of the mode by volume quadrature.
 
     The independent oracle for ``mode_k0_algebraic`` in the tests; its grid
@@ -192,9 +185,7 @@ def mode_functionals(m, geometry, material, n=None, stress=None, n_r=4):
     """
     n = _admissible_n(m, geometry, material.Lambda, n)
     field = fixedbc_mode(m, geometry, material, n=n)
-    grid = mode_grid(m, n, geometry, n_r=n_r)
-    stress = stress or perfect_stress()
-    return functional_family(field, material, geometry, grid, stress=stress)
+    return functional_family(field, material, geometry, mode_grid(m, n, geometry))
 
 
 def classical_ratio(m, geometry, material, n=None):

@@ -199,25 +199,29 @@ def display_amplitudes(m, n, geometry, material):
     return 1.0 + 0.0j, f_t, f_z
 
 
+def real_profiles(n, k_hat, f_r, f_t, f_z):
+    """Real mid-surface profiles of u = Re(f e^{i n theta}) at axial wavenumber k_hat.
+
+    The real parts of f_r and f_z pair with cos(n theta), Im(f_theta) with
+    -sin(n theta); f_r and f_theta carry sin(k_hat z), f_z carries cos(k_hat z).
+    """
+    return (TrigSurface("cos", n, "sin", k_hat, amp=complex(f_r).real),
+            TrigSurface("sin", n, "sin", k_hat, amp=-complex(f_t).imag),
+            TrigSurface("cos", n, "cos", k_hat, amp=complex(f_z).real))
+
+
 def buckling_mode(m, geometry, material, n=None):
     """Explicit buckling-mode displacement field for axial wavenumber m.
 
     Real form of the mode amplitudes: f_r = sin(m_hat z) cos(n theta) with the
     closed-form tangential coefficients; returned as the U(f) field.
     """
-    Lam = material.Lambda
     if n is None:
-        n = koiter_circle_n(m, geometry, Lam)
+        n = koiter_circle_n(m, geometry, material.Lambda)
     if m < 1:
         raise ParameterError("buckling mode requires m >= 1")
-    m_hat = math.pi * m / geometry.L
-    _, f_t_c, f_z_c = mode_amplitudes(m, n, geometry, material)
-    # Re(f e^{i n theta}): real part -> cos(n theta), imaginary part -> -sin
-    c_t = -float(f_t_c.imag)
-    c_z = float(f_z_c.real)
-    f_r = TrigSurface("cos", n, "sin", m_hat)
-    f_t = TrigSurface("sin", n, "sin", m_hat, amp=c_t)
-    f_z = TrigSurface("cos", n, "cos", m_hat, amp=c_z)
+    f_r, f_t, f_z = real_profiles(n, math.pi * m / geometry.L,
+                                  *mode_amplitudes(m, n, geometry, material))
     return from_midsurface(f_r, f_t, f_z, bc_tag="average_top")
 
 

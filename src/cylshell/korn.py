@@ -262,13 +262,13 @@ def max_rayleigh(pair):
 _LADDER_N = 8
 
 
-def _geometric_ladder(hi, ratio=1.35):
-    """Roughly geometric integers from 1 to hi (empty when hi < 1)."""
+def _geometric_ladder(hi):
+    """Integers from 1 to hi in steps of about 1.35x (empty when hi < 1)."""
     vals = []
     x = 1.0
     while x <= hi:
         vals.append(int(round(x)))
-        x = max(x * ratio, x + 1.0)
+        x = max(x * 1.35, x + 1.0)
     vals.append(int(hi))
     return sorted(set(v for v in vals if 1 <= v <= hi))
 
@@ -288,48 +288,43 @@ class ScanResult:
     evaluations: int
 
 
-def _scan_extremize(ladder_fn, walk_fn, m_max, n_max, maximize=False):
-    """Coarse geometric ladder, then a local walk to an extremum of walk_fn.
+def _scan_extremize(quotient, N, m_max, n_max, maximize):
+    """Coarse geometric ladder, then a local walk to an extremum of quotient.
 
+    ``quotient(n_r, m, n)`` is the per-mode quotient on n_r radial nodes.
     Modes range over 1 <= m <= m_max, 0 <= n <= n_max.  The ladder only
-    picks the walk's starting mode, so it may run on a coarser grid
-    (``ladder_fn``); the walk and the returned value use ``walk_fn``.  When
-    the two are one function they share one cache.  All solves run with
-    BLAS on one thread.
+    picks the walk's starting mode, so it runs on min(N, _LADDER_N) nodes;
+    the walk and the returned value use N.  One cache keyed by (n_r, m, n)
+    holds every solve.  All solves run with BLAS on one thread.
     """
     cache = {}
-    ladder_cache = cache if ladder_fn is walk_fn else {}
 
-    def cached(fn, store):
-        def get(m, n):
-            if (m, n) not in store:
-                store[m, n] = fn(m, n)
-            return store[m, n]
-        return get
-
-    get, ladder_get = cached(walk_fn, cache), cached(ladder_fn, ladder_cache)
+    def get(n_r, m, n):
+        if (n_r, m, n) not in cache:
+            cache[n_r, m, n] = quotient(n_r, m, n)
+        return cache[n_r, m, n]
 
     sign = -1.0 if maximize else 1.0
+    ladder_N = min(N, _LADDER_N)
     candidates = [(m, n) for m in _geometric_ladder(m_max)
                   for n in _geometric_ladder(n_max) + [0]]
     with single_thread_blas():
-        best = min(candidates, key=lambda mn: sign * ladder_get(*mn))
+        best = min(candidates, key=lambda mn: sign * get(ladder_N, *mn))
         # local refinement: walk until the extremum is interior to its neighborhood
         for _ in range(200):
             m0, n0 = best
             neigh = [(m0 + dm, n0 + dn)
                      for dm in (-2, -1, 0, 1, 2) for dn in (-2, -1, 0, 1, 2)
                      if 1 <= m0 + dm <= m_max and 0 <= n0 + dn <= n_max]
-            new_best = min(neigh, key=lambda mn: sign * get(*mn))
+            new_best = min(neigh, key=lambda mn: sign * get(N, *mn))
             if new_best == best:
                 break
             best = new_best
         m0, n0 = best
-        value = get(m0, n0)
+        value = get(N, m0, n0)
     on_boundary = m0 == m_max or n0 == n_max
-    evaluations = len(cache) if ladder_cache is cache else len(cache) + len(ladder_cache)
     return ScanResult(value=value, m=m0, n=n0, on_boundary=on_boundary,
-                      evaluations=evaluations)
+                      evaluations=len(cache))
 
 
 def _scan_caps(geometry, m_max, n_max):
@@ -345,16 +340,14 @@ def _scan_caps(geometry, m_max, n_max):
 
 def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
     """Extremum over modes of the quotient of two forms, ladder on _LADDER_N nodes."""
-    def on(grid):
-        def quotient(m, n):
-            pair = assemble_mode_forms(m, n, geometry, grid, numerator, denominator)
-            return (max_rayleigh if maximize else min_rayleigh)(pair)[0]
-        return quotient
+    grids = {n_r: radial_grid(geometry, N=n_r) for n_r in {N, min(N, _LADDER_N)}}
 
-    walk_fn = on(radial_grid(geometry, N=N))
-    ladder_fn = walk_fn if N <= _LADDER_N else on(radial_grid(geometry, N=_LADDER_N))
+    def quotient(n_r, m, n):
+        pair = assemble_mode_forms(m, n, geometry, grids[n_r], numerator, denominator)
+        return (max_rayleigh if maximize else min_rayleigh)(pair)[0]
+
     m_max, n_max = _scan_caps(geometry, m_max, n_max)
-    return _scan_extremize(ladder_fn, walk_fn, m_max, n_max, maximize)
+    return _scan_extremize(quotient, N, m_max, n_max, maximize)
 
 
 def korn_constant(geometry, m_max=None, n_max=None, N=32):

@@ -166,20 +166,20 @@ def perfect_stress():
     return StressWeight(components={"zz": lambda theta, z: np.ones_like(theta + z)})
 
 
-def shear_imperfection(s, t=None, ds=None):
+def shear_imperfection(s, t=None):
     """Shear-imperfection stress: sigma_tz = s(theta), sigma_zz = t(theta) - z s'(theta).
 
-    s and t are 2*pi-periodic; s' may be supplied as ``ds`` or is computed by
-    a high-order central difference.
+    s and t are 2*pi-periodic; s' is computed by a fourth-order central
+    difference with step 1e-6.
     """
     _check_periodic(s, "s")
     if t is not None:
         _check_periodic(t, "t")
-    if ds is None:
-        def ds(theta, _s=s, _eps=1e-6):
-            th = np.asarray(theta, dtype=float)
-            return (8 * (_s(th + _eps) - _s(th - _eps))
-                    - (_s(th + 2 * _eps) - _s(th - 2 * _eps))) / (12 * _eps)
+
+    def ds(theta):
+        th, eps = np.asarray(theta, dtype=float), 1e-6
+        return (8 * (s(th + eps) - s(th - eps))
+                - (s(th + 2 * eps) - s(th - 2 * eps))) / (12 * eps)
 
     def sigma_tz(theta, z):
         return np.asarray(s(theta)) + np.zeros_like(np.asarray(z, dtype=float))

@@ -39,6 +39,9 @@ from cylshell.fields import _gauss, _trig
 PERIODIC_C0 = 2.0
 PERIODIC_SIGMA = 0.2
 
+# the alpha values the randomized scans cycle through
+TRIAL_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+
 
 # ---------------------------------------------------------------------------
 # planar fields
@@ -96,12 +99,13 @@ class PlanarField:
     bc_tag: str = None
 
 
-def verify_planar_bc(field, h, L, n_samples=33, tol=1e-9):
-    """Sampled check of the field's boundary tag; returns True or raises."""
+def verify_planar_bc(field, h, L):
+    """Check the boundary tag on 33 samples per edge, to relative 1e-9; True or raises."""
     if field.bc_tag is None:
         return True
-    xs = np.linspace(0.0, h, n_samples)
-    ys = np.linspace(0.0, L, n_samples)
+    tol = 1e-9
+    xs = np.linspace(0.0, h, 33)
+    ys = np.linspace(0.0, L, 33)
     scale = max(float(np.max(np.abs(field.u(xs[:, None], ys[None, :])))),
                 float(np.max(np.abs(field.v(xs[:, None], ys[None, :])))), 1e-300)
     if field.bc_tag in ("zero_horizontal", "zero_both"):
@@ -233,18 +237,18 @@ def check_basic_inequality(field, alpha, h, L, grid=None):
     )
 
 
-def random_zero_horizontal(rng, h, L, n_terms=6, max_xdeg=3, max_freq=8):
+def random_zero_horizontal(rng, h, L):
     """Seeded random field vanishing on the horizontal edges.
 
     u is a sine series in y with random x-polynomial coefficients; v is an
-    unconstrained trig series of the same type.
+    unconstrained trig series of the same type; 6 cubic-in-x terms each.
     """
     u_parts, v_parts = [], []
-    for _ in range(n_terms):
-        pu = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, max_xdeg + 1))
-        pv = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, max_xdeg + 1))
-        k_u = int(rng.integers(1, max_freq + 1))
-        k_v = int(rng.integers(0, max_freq + 1))
+    for _ in range(6):
+        pu = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 4))
+        pv = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 4))
+        k_u = int(rng.integers(1, 9))
+        k_v = int(rng.integers(0, 9))
         u_parts.append(PolyTrigTerm(pu, "sin", math.pi * k_u / L))
         v_parts.append(PolyTrigTerm(
             pv, "cos" if rng.random() < 0.5 else "sin", math.pi * k_v / L))
@@ -258,7 +262,7 @@ def _check_trials(trials):
         raise ParameterError(f"need at least 1 trial, got trials={trials}")
 
 
-def basic_inequality_trials(h, L, trials=200, seed=1234, alphas=(-1.0, -0.5, 0.0, 0.5, 1.0)):
+def basic_inequality_trials(h, L, trials=200, seed=1234):
     """Randomized scan of check_basic_inequality; returns (violations, min margin)."""
     _check_trials(trials)
     rng = np.random.default_rng(seed)
@@ -267,7 +271,7 @@ def basic_inequality_trials(h, L, trials=200, seed=1234, alphas=(-1.0, -0.5, 0.0
     min_margin = math.inf
     for t in range(trials):
         field = random_zero_horizontal(rng, h, L)
-        alpha = alphas[t % len(alphas)]
+        alpha = TRIAL_ALPHAS[t % len(TRIAL_ALPHAS)]
         rep = check_basic_inequality(field, alpha, h, L, grid=grid)
         if not rep.holds:
             violations += 1
@@ -298,10 +302,10 @@ def extremal_harmonic(h, L):
     ))
 
 
-def random_harmonic(rng, h, L, max_freq=8):
-    """Random harmonic function vanishing on the horizontal edges."""
+def random_harmonic(rng, h, L):
+    """Random harmonic function vanishing on the horizontal edges (modes 1..8)."""
     parts = []
-    for n_ in range(1, max_freq + 1):
+    for n_ in range(1, 9):
         a = math.pi * n_ / L
         A, B = rng.uniform(-1.0, 1.0, 2)
         # keep the growing exponential O(1) on [0, h]
@@ -317,7 +321,7 @@ class HarmonicLemmaReport:
     hi_min_margin: float
 
 
-def harmonic_lemma_check(h, L, trials=20, seed=1234, n_x=24, n_y=64):
+def harmonic_lemma_check(h, L, trials=20, seed=1234):
     """Sharp-inequality check on the extremal plus randomized spot checks.
 
     The extremal achieves ||w_y||^2 - ||w_x||^2 = (2 sqrt(Phi(pi h/L))/h)
@@ -326,7 +330,7 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234, n_x=24, n_y=64):
     """
     if not 0.0 < h < 1.0:
         raise ParameterError(f"h = {h} outside (0, 1)")
-    grid = planar_grid(h, L, n_x=n_x, n_y=n_y)
+    grid = planar_grid(h, L)
 
     def norms(w):
         n0 = math.sqrt(grid.norm_sq(w(grid.X, grid.Y)))
@@ -414,7 +418,7 @@ class ProjectionReport:
         return self.grad_diff <= self.grad_bound and self.value_diff <= self.value_bound
 
 
-def projection_estimates(field, alpha, h, L, n_x=48, n_y=96, allowance=0.05):
+def projection_estimates(field, alpha, h, L, allowance=0.05):
     """Both Helmholtz-projection bounds with a grid-error allowance.
 
     ||grad u - grad w|| <= (sqrt(2) + 1/pi) ||e_alpha|| and
@@ -422,7 +426,7 @@ def projection_estimates(field, alpha, h, L, n_x=48, n_y=96, allowance=0.05):
     """
     if field.bc_tag not in ("zero_horizontal", "zero_both"):
         raise ParameterError("projection estimates require u = 0 on the horizontal edges")
-    sol = harmonic_projection(field, h, L, n_x=n_x, n_y=n_y)
+    sol = harmonic_projection(field, h, L)
     x, y, w = sol.x, sol.y, sol.w
     hx, hy = x[1] - x[0], y[1] - y[0]
     X, Y = x[:, None], y[None, :]
@@ -458,28 +462,27 @@ def projection_estimates(field, alpha, h, L, n_x=48, n_y=96, allowance=0.05):
 # periodic variants
 
 
-def random_periodic(rng, h, n_terms=6, max_xdeg=3, max_freq=8):
-    """Seeded random field with period 2 pi in y (both components)."""
+def random_periodic(rng, h):
+    """Seeded random field with period 2 pi in y: 6 cubic-in-x terms per component."""
     comps = []
     for _ in range(2):
         parts = []
-        for _ in range(n_terms):
-            p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, max_xdeg + 1))
-            k = int(rng.integers(0, max_freq + 1))
+        for _ in range(6):
+            p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 4))
+            k = int(rng.integers(0, 9))
             parts.append(PolyTrigTerm(p, "cos" if rng.random() < 0.5 else "sin", float(k)))
         comps.append(PlanarSum(tuple(parts)))
     return PlanarField(comps[0], comps[1], bc_tag="periodic_y")
 
 
-def check_periodic_inequalities(field, h, alpha=1.0, C0=PERIODIC_C0,
-                                sigma=PERIODIC_SIGMA, grid=None):
-    """Both periodic-in-y bounds with the frozen constant C0.
+def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
+    """Both periodic-in-y bounds with the frozen constants C0 and sigma.
 
     Returns (alpha-form report, starred-form report); the starred form is
     ||G_*||^2 <= C0 (||e_*||^2 + ||e_*|| ||u||/h + ||v||^2).
     """
-    if not 0.0 < h < sigma:
-        raise ParameterError(f"h = {h} outside (0, sigma = {sigma})")
+    if not 0.0 < h < PERIODIC_SIGMA:
+        raise ParameterError(f"h = {h} outside (0, sigma = {PERIODIC_SIGMA})")
     if field.bc_tag != "periodic_y":
         raise ParameterError("periodic inequalities require a periodic-in-y field")
     verify_planar_bc(field, h, 2.0 * np.pi)
@@ -491,18 +494,16 @@ def check_periodic_inequalities(field, h, alpha=1.0, C0=PERIODIC_C0,
 
     g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
     e = math.sqrt(e_sq)
-    rep_alpha = InequalityReport(lhs=g_sq, rhs=C0 * e * (u_norm / h + e))
+    rep_alpha = InequalityReport(lhs=g_sq, rhs=PERIODIC_C0 * e * (u_norm / h + e))
 
     gs_sq, es_sq = gradient_norms(starred_gradient(d, v), grid)
     es = math.sqrt(es_sq)
     rep_star = InequalityReport(
-        lhs=gs_sq, rhs=C0 * (es_sq + es * u_norm / h + v_norm_sq))
+        lhs=gs_sq, rhs=PERIODIC_C0 * (es_sq + es * u_norm / h + v_norm_sq))
     return rep_alpha, rep_star
 
 
-def periodic_inequality_trials(h, trials=200, seed=1234,
-                               alphas=(-1.0, -0.5, 0.0, 0.5, 1.0),
-                               C0=PERIODIC_C0):
+def periodic_inequality_trials(h, trials=200, seed=1234):
     """Randomized scan of both periodic bounds; returns (violations, min margin)."""
     _check_trials(trials)
     rng = np.random.default_rng(seed)
@@ -512,7 +513,7 @@ def periodic_inequality_trials(h, trials=200, seed=1234,
     for t in range(trials):
         field = random_periodic(rng, h)
         rep_a, rep_s = check_periodic_inequalities(
-            field, h, alpha=alphas[t % len(alphas)], C0=C0, grid=grid)
+            field, h, alpha=TRIAL_ALPHAS[t % len(TRIAL_ALPHAS)], grid=grid)
         for rep in (rep_a, rep_s):
             if not rep.holds:
                 violations += 1

@@ -79,6 +79,21 @@ def test_export_rejects_degenerate_mesh(tmp_path, capsys, mesh):
     assert not obj.exists()
 
 
+@pytest.mark.parametrize("flag", ["--out", "--export"])
+def test_bad_artifact_path(tmp_path, capsys, flag):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    missing = tmp_path / "missing"
+    argv = (["--out", str(taken), "classical-load", "--h", "1e-4"] if flag == "--out" else
+            ["koiter-modes", "--h", "1e-4", "--m", "1", "--export", str(missing / "m.obj")])
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "error:" in captured.err and flag in captured.err
+    assert captured.out == ""  # rejected before any computation
+    assert taken.read_text() == "keep\n" and not missing.exists()
+
+
 def test_korn_sweep_artifacts(tmp_path, capsys):
     h_list = "1e-2,7e-3,5e-3,3e-3"
     code, out = run(capsys, "--out", str(tmp_path), "korn", "--h-list", h_list)

@@ -5,11 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from cylshell.errors import NotDestabilizingError, ParameterError, ShapeError
+from cylshell.ansatz import BumpProfile, ansatz_grid, build_ansatz
+from cylshell.errors import NotDestabilizingError, ShapeError
 from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, TrigSurface,
                              from_midsurface, functional_family, functionals,
-                             gradient, linearize_radial, strain, surface_grid,
-                             symmetrize, verify_bc, volume_grid)
+                             gradient, linearize_radial, strain, verify_bc,
+                             volume_grid)
 from cylshell.material import ShellGeometry, perfect_stress
 
 
@@ -49,12 +50,9 @@ def test_volume_quadrature_exact():
     # int r dr = h over the unit-centered annulus, so both measures give 2 pi L h
     assert grid.integrate(np.ones((1, 1, 1))) == pytest.approx(
         2.0 * math.pi * geo.L * geo.h, rel=1e-13)
-    flat = grid.with_measure("flat")
-    assert flat.integrate(np.ones((1, 1, 1))) == pytest.approx(
+    # the flat measure dr dtheta dz is the volume measure of 1/r
+    assert grid.integrate(1.0 / grid.R) == pytest.approx(
         2.0 * math.pi * geo.L * geo.h, rel=1e-13)
-    # weighting the flat measure by r reproduces the volume measure
-    assert flat.integrate(grid.R * np.ones_like(grid.TH) * np.ones_like(grid.Z)) == \
-        pytest.approx(grid.integrate(np.ones((1, 1, 1))), rel=1e-13)
 
 
 def test_trig_mode_norm():
@@ -102,14 +100,6 @@ def test_linearize_radial_fixes_midsurface_fields(geo_thick):
         assert np.allclose(c1(rs, ths, zs), c2(rs, ths, zs), atol=1e-13)
 
 
-def test_functionals_require_volume_measure(mat, geo_thick):
-    f_r = TrigSurface("cos", 2, "sin", 1.0)
-    field = from_midsurface(f_r)
-    grid = surface_grid(geo_thick)
-    with pytest.raises(ParameterError):
-        functionals(field, perfect_stress(), mat, grid)
-
-
 def test_ratio_raises_on_noncompressive(mat, geo_thick):
     # a field with no z-dependence has C = 0 under perfect axial compression
     f_r = TrigSurface("cos", 2, "one", 0.0)
@@ -142,6 +132,17 @@ def test_functional_family_axisymmetric_degenerate(mat):
     grid = volume_grid(geo, n_r=4, n_th=8, n_z=24)
     fam = functional_family(field, mat, geo, grid)
     assert fam["Kstar"] == pytest.approx(fam["K0"], rel=1e-10)
+
+
+def test_kstar_uses_the_grid_rule(mat):
+    # the bending ansatz lives on a compressed theta support; K* on its
+    # Gauss rule there must match K* on a fine uniform full-circle rule
+    geo = ShellGeometry(h=1e-4, L=math.pi)
+    ans = build_ansatz(1e-4, BumpProfile(1.0, math.pi), geo)
+    kstar = functional_family(ans.field, mat, geo, ansatz_grid(ans, geo))["Kstar"]
+    uniform = volume_grid(geo, n_r=8, n_th=2560, n_z=64)
+    ref = functional_family(ans.field, mat, geo, uniform)["Kstar"]
+    assert kstar == pytest.approx(ref, rel=1e-3)
 
 
 def test_functional_family_rejects_non_xlin(mat, geo_thick):
