@@ -1,11 +1,16 @@
 """Pin the loaded OpenBLAS libraries to one thread around a mode scan.
 
-numpy and scipy each ship their own OpenBLAS (``libscipy_openblas64_`` for
-``np.linalg``, ``libscipy_openblas`` for ``scipy.linalg``), and a scan's
-solves use both.  On the 192 x 96 matrices of a Korn solve, handing work to a
-second BLAS thread costs more than it saves (about 3.5x slower at two
-threads), and ``OPENBLAS_NUM_THREADS`` only acts before the library loads.
-So the thread count is set through each library's own C API instead.
+A scan's solves all go through ``np.linalg``, served by numpy's own OpenBLAS
+(``libscipy_openblas64_``).  On the 192 x 96 matrices of a Korn solve,
+handing work to a second BLAS thread costs more than it saves (about 3.5x
+slower at two threads), and ``OPENBLAS_NUM_THREADS`` only acts before the
+library loads.  So the thread count is set through each library's own C API
+instead.
+
+The libraries are found once, on the first scan, and every OpenBLAS mapped
+by then is pinned.  One loaded later is not: scipy's ``libscipy_openblas``
+is such a case when the first import of scipy is the SVD retry of
+``korn._solve_pencil``, which then runs at that library's own thread count.
 
 The thread count is state of the whole process, so the pin is one
 reference-counted object per process: nested scans, or scans that a library

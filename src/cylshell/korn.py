@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.linalg
 
 from cylshell.blas import single_thread_blas
 from cylshell.errors import ParameterError, SolverError
@@ -213,7 +212,8 @@ def _solve_pencil(pair, index):
     The numerator and denominator forms are kept as weighted row stacks
     C_num, C_den (never squared into matrices), the denominator is reduced by
     a QR factorization C_den = Q R, and the extreme quotients are the squared
-    extreme singular values of B = C_num R^{-1}.  This is backward stable:
+    extreme singular values of B = C_num R^{-1}, formed by a linear solve
+    with R^T (numpy has no triangular solver).  This is backward stable:
     the tiny Korn quotients at small thickness come out with relative
     accuracy ~ eps * cond(B), where cond(B)^2 is the quotient spread itself,
     whereas any formulation squaring the operators hits an absolute noise
@@ -231,10 +231,11 @@ def _solve_pencil(pair, index):
         dR = np.abs(np.diag(R))
         if not np.all(dR > 1e-14 * dR.max()):
             raise SolverError("denominator form numerically rank-deficient")
-        B = scipy.linalg.solve_triangular(R, pair.C_num.T, lower=False, trans="T").T
+        B = np.linalg.solve(R.T, pair.C_num.T).T
         try:
             _, s, Vt = np.linalg.svd(B, full_matrices=False)
         except np.linalg.LinAlgError:
+            import scipy.linalg      # only here: numpy has no gesvd driver
             _, s, Vt = scipy.linalg.svd(B, full_matrices=False, lapack_driver="gesvd")
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pencil reduction failed: {exc}") from exc
@@ -243,7 +244,7 @@ def _solve_pencil(pair, index):
     res = np.linalg.norm(B.T @ (B @ y) - lam * y)
     if res > 1e-8 * max(1.0, lam):
         raise SolverError(f"eigen residual {res:.3e} exceeds 1e-8")
-    v = scipy.linalg.solve_triangular(R, y, lower=False)
+    v = np.linalg.solve(R, y)
     return float(pair.quotient(v)), v
 
 

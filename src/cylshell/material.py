@@ -12,7 +12,6 @@ from dataclasses import dataclass, field
 import math
 
 import numpy as np
-from scipy.optimize import brentq
 
 from cylshell.errors import NoTrivialBranchError, ParameterError
 
@@ -102,6 +101,10 @@ def solve_trivial_branch(material, load):
 
     b is the unique root of E b(1-b)(2-b) = 2 lambda in [0, 1 - 1/sqrt(3));
     a = sqrt(1 + nu(2b - b^2)) - 1.  Admissible loads: 0 <= lambda < E/(3 sqrt 3).
+
+    With c = 1 - b the cubic is c - c^3 = q, q = 2 lambda / E, and c is its
+    largest root, (2/sqrt 3) cos(arccos(-(3 sqrt 3 / 2) q) / 3).  b is taken
+    as q / (c (1 + c)), which has no cancellation at small loads.
     """
     E, nu = material.E, material.nu
     load_max = E / (3.0 * math.sqrt(3.0))
@@ -110,10 +113,10 @@ def solve_trivial_branch(material, load):
             f"no trivial branch at lambda={load}: admissible range is "
             f"0 <= lambda < E/(3*sqrt(3)) = {load_max:.6g}"
         )
-    if load == 0.0:
-        b = 0.0
-    else:
-        b = brentq(trivial_branch_cubic, 0.0, B_MAX, args=(E, load), xtol=1e-14)
+    q = 2.0 * load / E
+    arg = max(-1.0, -1.5 * math.sqrt(3.0) * q)      # rounding can pass -1 next to load_max
+    c = 2.0 / math.sqrt(3.0) * math.cos(math.acos(arg) / 3.0)
+    b = q / (c * (1.0 + c))
     a = math.sqrt(1.0 + nu * (2.0 * b - b * b)) - 1.0
     residual = abs(trivial_branch_cubic(b, E, load))
     if residual > 1e-12 * E:

@@ -28,7 +28,6 @@ from dataclasses import dataclass
 import math
 
 import numpy as np
-import scipy.fft
 
 from cylshell.errors import ParameterError, ShapeError, SolverError
 from cylshell.fields import _gauss, _trig
@@ -371,13 +370,26 @@ class HarmonicSolution:
     residual: float
 
 
+def _sine_matrix(n):
+    """The n x n type-I sine matrix sin(pi j k / (n+1)), j, k = 1..n.
+
+    Its square is (n+1)/2 times the identity.  The angle index j k is
+    reduced mod 2 (n+1) before the table lookup, so every entry is correct to
+    rounding also where pi j k / (n+1) is large.
+    """
+    k = np.arange(1, n + 1)
+    table = np.sin(np.pi * np.arange(2 * n + 2) / (n + 1))
+    return table[np.outer(k, k) % (2 * n + 2)]
+
+
 def harmonic_projection(field, h, L, n_x=48, n_y=96):
     """Solve Delta w = 0 on [0,h]x[0,L] with w = u on the boundary.
 
     Second-order 5-point stencil, solved directly: the type-I sine transform
     diagonalizes the Dirichlet difference Laplacian (Buzbee, Golub & Nielson
-    1970).  The interior Laplacian residual must come out below
-    1e-10 ||w||_inf.
+    1970), applied as dense sine-matrix products, which at the default
+    48 x 96 cells cost no more than an FFT-based DST-I.  The interior
+    Laplacian residual must come out below 1e-10 ||w||_inf.
     """
     if n_x < 2 or n_y < 2:
         raise ParameterError(f"need n_x, n_y >= 2 cells, got n_x={n_x}, n_y={n_y}")
@@ -395,7 +407,8 @@ def harmonic_projection(field, h, L, n_x=48, n_y=96):
     b[:, -1] += cy * w[1:-1, -1]
     eig = (2.0 * cx * (1.0 - np.cos(np.pi * np.arange(1, n_x) / n_x))[:, None]
            + 2.0 * cy * (1.0 - np.cos(np.pi * np.arange(1, n_y) / n_y))[None, :])
-    w[1:-1, 1:-1] = scipy.fft.idstn(scipy.fft.dstn(b, type=1) / eig, type=1)
+    s_x, s_y = _sine_matrix(n_x - 1), _sine_matrix(n_y - 1)
+    w[1:-1, 1:-1] = s_x @ ((s_x @ b @ s_y) / eig) @ s_y * (4.0 / (n_x * n_y))
 
     lap = ((w[2:, 1:-1] - 2.0 * w[1:-1, 1:-1] + w[:-2, 1:-1]) / hx**2
            + (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / hy**2)

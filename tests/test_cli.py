@@ -4,11 +4,14 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import cylshell
 from cylshell.cli import main
 
 
@@ -268,3 +271,15 @@ def test_no_files_without_out(tmp_path, capsys, monkeypatch, name):
     assert code == 0
     assert json.loads(out)["config"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_import_loads_no_scipy():
+    # a fresh process: the test modules themselves import scipy
+    code = ("import sys, cylshell, cylshell.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = os.path.dirname(os.path.dirname(cylshell.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -5,6 +5,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from numpy.polynomial import Polynomial
 
@@ -123,13 +124,36 @@ def test_max_rayleigh_dominates_min():
 
 
 def test_lapack_failure_is_solver_error():
-    # LAPACK gesdd does not converge on this Korn pencil (numpy 2.4.6 with
-    # OpenBLAS 0.3.31); the gesvd retry solves it and passes the residual gate
+    # gesdd did not converge on this Korn pencil when B came from a
+    # triangular solve (numpy 2.4.6 with OpenBLAS 0.3.31); with B from
+    # np.linalg.solve it converges.  The test now pins the pencil's minimum
+    # quotient and checks that the returned vector attains it; the gesvd
+    # retry is covered by test_svd_retries_with_gesvd and
+    # tests/test_cli.py::test_korn_lapack_failure_exits_3
     geo = ShellGeometry(h=0.00032834327807543967, L=math.pi)
     pair = korn.assemble_mode_forms(33, 13, geo, korn.radial_grid(geo, N=32))
     value, v = korn.min_rayleigh(pair)
     assert value == pytest.approx(3.03403575603e-4, rel=1e-9)
     assert value == pair.quotient(v)
+
+
+def triangular_reduction(pair, index):
+    """Oracle: the QR/SVD reduction with scipy's triangular solves."""
+    R = np.linalg.qr(pair.C_den, mode="r")
+    B = scipy.linalg.solve_triangular(R, pair.C_num.T, lower=False, trans="T").T
+    _, _, Vt = np.linalg.svd(B, full_matrices=False)
+    v = scipy.linalg.solve_triangular(R, Vt[-1 if index == 0 else 0], lower=False)
+    return pair.quotient(v)
+
+
+def test_solve_pencil_matches_triangular_reduction():
+    rng = np.random.default_rng(17)
+    for _ in range(20):
+        pair = random_form_pair(rng, int(rng.integers(3, 8)))
+        assert korn.min_rayleigh(pair)[0] == pytest.approx(
+            triangular_reduction(pair, 0), rel=1e-12)
+        assert korn.max_rayleigh(pair)[0] == pytest.approx(
+            triangular_reduction(pair, -1), rel=1e-12)
 
 
 def test_svd_retries_with_gesvd(monkeypatch):

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -58,6 +59,17 @@ def test_trivial_branch_small_load_asymptotics(mat):
     assert branch.b == pytest.approx(lam, rel=1e-4)
     assert branch.a == pytest.approx(mat.nu * branch.b, rel=1e-4)
     assert branch.residual <= 1e-12
+
+
+def test_trivial_branch_against_mpmath_root(mat):
+    # the root of b (1-b)(2-b) = 2 lambda in [0, 1 - 1/sqrt(3)) to 50 digits
+    with mpmath.workdps(50):
+        for load in np.geomspace(1e-12, 0.19, 25):
+            exact = mpmath.findroot(
+                lambda b: b * (1 - b) * (2 - b) - 2 * mpmath.mpf(load),
+                (mpmath.mpf(0), 1 - 1 / mpmath.sqrt(3)), solver="anderson")
+            b = solve_trivial_branch(mat, float(load)).b
+            assert abs(b - exact) <= 1e-14 * exact, load
 
 
 @pytest.mark.parametrize("load", [-1e-9, 1.0 / (3.0 * math.sqrt(3.0)), 1.0])

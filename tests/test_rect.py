@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from cylshell import rect
 from cylshell.errors import ParameterError, ShapeError
@@ -115,6 +116,29 @@ def test_harmonic_projection_second_order_convergence():
         exact = w(sol.x[:, None], sol.y[None, :])
         errs.append(float(np.max(np.abs(sol.w - exact))))
     assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.15)
+
+
+def dstn_interior(w, hx, hy):
+    """Oracle: the 5-point Dirichlet solve with boundary data w by scipy's DST-I."""
+    n_x, n_y = w.shape[0] - 1, w.shape[1] - 1
+    cx, cy = 1.0 / hx**2, 1.0 / hy**2
+    b = np.zeros((n_x - 1, n_y - 1))
+    b[0, :] += cx * w[0, 1:-1]
+    b[-1, :] += cx * w[-1, 1:-1]
+    b[:, 0] += cy * w[1:-1, 0]
+    b[:, -1] += cy * w[1:-1, -1]
+    eig = (2.0 * cx * (1.0 - np.cos(np.pi * np.arange(1, n_x) / n_x))[:, None]
+           + 2.0 * cy * (1.0 - np.cos(np.pi * np.arange(1, n_y) / n_y))[None, :])
+    return scipy.fft.idstn(scipy.fft.dstn(b, type=1) / eig, type=1)
+
+
+@pytest.mark.parametrize("n_x,n_y", [(16, 32), (48, 96)])
+def test_harmonic_projection_matches_scipy_dst(n_x, n_y):
+    field = rect.random_periodic(np.random.default_rng(8), H)
+    sol = rect.harmonic_projection(field, H, L, n_x=n_x, n_y=n_y)
+    ref = dstn_interior(sol.w, sol.x[1] - sol.x[0], sol.y[1] - sol.y[0])
+    scale = float(np.max(np.abs(sol.w)))
+    assert float(np.max(np.abs(sol.w[1:-1, 1:-1] - ref))) <= 1e-13 * scale
 
 
 def test_projection_estimates_hold_on_random_fields():
