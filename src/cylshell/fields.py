@@ -355,13 +355,12 @@ def compressiveness_integrand(stress, g, theta, z):
     sig = stress.tensor(theta, z)
     cols = {i: [g[a + i] for a in "rtz"] for i in "rtz"}
     out = 0.0
-    pairs = (("r", "r", "rr", 1.0), ("t", "t", "tt", 1.0), ("z", "z", "zz", 1.0),
-             ("r", "t", "rt", 2.0), ("r", "z", "rz", 2.0), ("t", "z", "tz", 2.0))
-    for i, j, key, mult in pairs:
+    for key in STRAIN_KEYS:
         s = sig[key]
         if np.any(s != 0.0):
+            i, j = key
             m = sum(ci * cj for ci, cj in zip(cols[i], cols[j]))
-            out = out + mult * s * m
+            out = out + STRAIN_WEIGHT[key] * s * m
     return out
 
 
@@ -384,15 +383,8 @@ def linearize_radial(field, geometry):
     v_r is the radial average of u_r; the tangential and axial components are
     rebuilt from their mid-surface traces and v_r's surface derivatives.
     """
-    v_r = field.u_r.radial_average(geometry)
-    f_t = field.u_t.at_midsurface()
-    f_z = field.u_z.at_midsurface()
-    return DisplacementField(
-        u_r=Component(((P_ONE, v_r),)),
-        u_t=Component(((P_R, f_t), (P_NEG_RM1, Shifted(v_r, 1, 0)))),
-        u_z=Component(((P_ONE, f_z), (P_NEG_RM1, Shifted(v_r, 0, 1)))),
-        bc_tag=field.bc_tag,
-    )
+    return from_midsurface(field.u_r.radial_average(geometry), field.u_t.at_midsurface(),
+                           field.u_z.at_midsurface(), bc_tag=field.bc_tag)
 
 
 def _is_xlin(field, geometry):

@@ -9,8 +9,8 @@ quotient ||e(u)||^2 / ||grad u||^2 decouples over modes
 
 so the infimum is a minimum over (m, n) of small radial generalized
 eigenproblems.  The radial profiles are discretized by Chebyshev-Gauss-Lobatto
-collocation (spectral differentiation + Clenshaw-Curtis weights); a uniform
-first-order nodal scheme is kept as a cross-check.
+collocation (spectral differentiation + Clenshaw-Curtis weights).  The tests
+keep a uniform first-order nodal grid as an oracle for it.
 """
 
 from dataclasses import dataclass
@@ -75,27 +75,15 @@ class RadialGrid:
         return self.nodes.size
 
 
-def radial_grid(geometry, N=32, kind="cheb"):
+def radial_grid(geometry, N=32):
+    """Chebyshev-Gauss-Lobatto grid with N nodes on I_h."""
     if N < 3:
         raise ParameterError(f"need at least 3 radial nodes, got N={N}")
     a, b = geometry.I_h
-    if kind == "cheb":
-        x, D, w = _cheb_lobatto(N - 1)
-        scale = (b - a) / 2.0
-        nodes = a + (x + 1.0) * scale
-        return RadialGrid(nodes=nodes, D=D / scale, weights=w * scale)
-    if kind == "fd":
-        nodes = np.linspace(a, b, N)
-        dr = nodes[1] - nodes[0]
-        D = np.zeros((N, N))
-        for i in range(1, N - 1):
-            D[i, i - 1], D[i, i + 1] = -0.5 / dr, 0.5 / dr
-        D[0, 0:3] = np.array([-1.5, 2.0, -0.5]) / dr
-        D[-1, -3:] = np.array([0.5, -2.0, 1.5]) / dr
-        w = np.full(N, dr)
-        w[0] = w[-1] = dr / 2.0
-        return RadialGrid(nodes=nodes, D=D, weights=w)
-    raise ParameterError(f"unknown radial grid kind {kind!r}")
+    x, D, w = _cheb_lobatto(N - 1)
+    scale = (b - a) / 2.0
+    nodes = a + (x + 1.0) * scale
+    return RadialGrid(nodes=nodes, D=D / scale, weights=w * scale)
 
 
 @dataclass(frozen=True)
@@ -120,7 +108,9 @@ def _weighted_operators(m, n, geometry, grid):
 
     W is the radial quadrature weight times r times the angular-axial mode
     normalization, so a sum of squared rows integrates over the shell.  The
-    gradient entries are keyed as in ``fields.GRAD_KEYS``; "ur" is u_r.
+    gradient entries are keyed as in ``fields.GRAD_KEYS``; "ur" is u_r.  The
+    dofs are (f_r, f_t, f_z); at m = 0, sin(0 z) = 0 removes u_r and u_t, so
+    only the f_z columns are kept and the axial factor is L instead of L/2.
     """
     N = grid.N
     r = grid.nodes
@@ -128,35 +118,26 @@ def _weighted_operators(m, n, geometry, grid):
     m_hat = math.pi * m / geometry.L
     ang = math.pi if n >= 1 else 2.0 * math.pi
     Rinv = 1.0 / r
-    if m >= 1:
-        Z = np.zeros((N, N))
-        I = np.eye(N)
-        Fr = np.hstack([I, Z, Z])
-        Ft = np.hstack([Z, I, Z])
-        Fz = np.hstack([Z, Z, I])
-        ops = {
-            "rr": np.hstack([D, Z, Z]),
-            "rt": Rinv[:, None] * (-n * Fr - Ft),
-            "rz": m_hat * Fr,
-            "tr": np.hstack([Z, D, Z]),
-            "tt": Rinv[:, None] * (n * Ft + Fr),
-            "tz": m_hat * Ft,
-            "zr": np.hstack([Z, Z, D]),
-            "zt": -n * Rinv[:, None] * Fz,
-            "zz": -m_hat * Fz,
-            "ur": Fr,
-        }
-        zfac = geometry.L / 2.0
-    else:
-        Zop = np.zeros((N, N))
-        ops = {
-            "rr": Zop, "rt": Zop, "rz": Zop, "tr": Zop, "tt": Zop, "tz": Zop,
-            "zr": D,
-            "zt": -n * Rinv[:, None] * np.eye(N),
-            "zz": Zop,
-            "ur": Zop,
-        }
-        zfac = geometry.L
+    Z = np.zeros((N, N))
+    I = np.eye(N)
+    Fr = np.hstack([I, Z, Z])
+    Ft = np.hstack([Z, I, Z])
+    Fz = np.hstack([Z, Z, I])
+    ops = {
+        "rr": np.hstack([D, Z, Z]),
+        "rt": Rinv[:, None] * (-n * Fr - Ft),
+        "rz": m_hat * Fr,
+        "tr": np.hstack([Z, D, Z]),
+        "tt": Rinv[:, None] * (n * Ft + Fr),
+        "tz": m_hat * Ft,
+        "zr": np.hstack([Z, Z, D]),
+        "zt": -n * Rinv[:, None] * Fz,
+        "zz": -m_hat * Fz,
+        "ur": Fr,
+    }
+    if m == 0:
+        ops = {key: op[:, 2 * N:] for key, op in ops.items()}
+    zfac = geometry.L if m == 0 else geometry.L / 2.0
     sqw = np.sqrt(grid.weights * r * (ang * zfac))
     return {key: sqw[:, None] * op for key, op in ops.items()}
 
@@ -295,8 +276,12 @@ def _scan_extremize(quotient, N, m_max, n_max, maximize):
     ``quotient(n_r, m, n)`` is the per-mode quotient on n_r radial nodes.
     Modes range over 1 <= m <= m_max, 0 <= n <= n_max.  The ladder only
     picks the walk's starting mode, so it runs on min(N, _LADDER_N) nodes;
-    the walk and the returned value use N.  One cache keyed by (n_r, m, n)
-    holds every solve.  All solves run with BLAS on one thread.
+    the walk and the returned value use N.  Each walk step solves the 5x5
+    neighbourhood of the current mode and moves to its best mode only when
+    that beats the current value by more than 1e-12 relative; otherwise the
+    walk stops, so it does not wander across modes that tie to rounding.
+    One cache keyed by (n_r, m, n) holds every solve.  All solves run with
+    BLAS on one thread.
     """
     cache = {}
 
@@ -311,14 +296,15 @@ def _scan_extremize(quotient, N, m_max, n_max, maximize):
                   for n in _geometric_ladder(n_max) + [0]]
     with single_thread_blas():
         best = min(candidates, key=lambda mn: sign * get(ladder_N, *mn))
-        # local refinement: walk until the extremum is interior to its neighborhood
+        # local refinement: walk while a neighbour beats the current mode
         for _ in range(200):
             m0, n0 = best
             neigh = [(m0 + dm, n0 + dn)
                      for dm in (-2, -1, 0, 1, 2) for dn in (-2, -1, 0, 1, 2)
                      if 1 <= m0 + dm <= m_max and 0 <= n0 + dn <= n_max]
             new_best = min(neigh, key=lambda mn: sign * get(N, *mn))
-            if new_best == best:
+            current = get(N, m0, n0)
+            if sign * (get(N, *new_best) - current) >= -1e-12 * abs(current):
                 break
             best = new_best
         m0, n0 = best
@@ -366,7 +352,9 @@ def component_bound(geometry, group, m_max=None, n_max=None, N=32):
 
     ``ththzz`` is at most 1 for every mode by definition: G_tt = e_tt and
     G_zz = e_zz, and both enter ||e||^2 with weight 1.  Many modes reach 1
-    to rounding, so its reported argmin is not unique and moves with N and h.
+    to rounding, so its reported argmin is not unique and moves with N and h;
+    the scan's walk stops at the first mode that no neighbour beats by more
+    than 1e-12 relative.
     """
     if group not in COMPONENT_GROUPS:
         raise ParameterError(f"unknown component group {group!r}; "

@@ -104,7 +104,8 @@ def solve_trivial_branch(material, load):
 
     With c = 1 - b the cubic is c - c^3 = q, q = 2 lambda / E, and c is its
     largest root, (2/sqrt 3) cos(arccos(-(3 sqrt 3 / 2) q) / 3).  b is taken
-    as q / (c (1 + c)), which has no cancellation at small loads.
+    as q / (c (1 + c)) and a as x / (sqrt(1 + x) + 1) with x = nu(2b - b^2);
+    neither cancels at small loads.
     """
     E, nu = material.E, material.nu
     load_max = E / (3.0 * math.sqrt(3.0))
@@ -117,7 +118,8 @@ def solve_trivial_branch(material, load):
     arg = max(-1.0, -1.5 * math.sqrt(3.0) * q)      # rounding can pass -1 next to load_max
     c = 2.0 / math.sqrt(3.0) * math.cos(math.acos(arg) / 3.0)
     b = q / (c * (1.0 + c))
-    a = math.sqrt(1.0 + nu * (2.0 * b - b * b)) - 1.0
+    x = nu * (2.0 * b - b * b)
+    a = x / (math.sqrt(1.0 + x) + 1.0)
     residual = abs(trivial_branch_cubic(b, E, load))
     if residual > 1e-12 * E:
         raise NoTrivialBranchError(

@@ -89,8 +89,8 @@ ZERO = PolyTrigTerm(np.polynomial.Polynomial([0.0]))
 class PlanarField:
     """Vector field (u, v) on [0, h] x [0, L].
 
-    bc_tag: 'zero_horizontal' (u = 0 at y in {0, L}), 'zero_both'
-    (u = v = 0 there), or 'periodic_y' (period 2 pi in y).
+    bc_tag: 'zero_horizontal' (u = 0 at y in {0, L}) or 'periodic_y'
+    (period 2 pi in y).
     """
 
     u: object
@@ -107,13 +107,11 @@ def verify_planar_bc(field, h, L):
     ys = np.linspace(0.0, L, 33)
     scale = max(float(np.max(np.abs(field.u(xs[:, None], ys[None, :])))),
                 float(np.max(np.abs(field.v(xs[:, None], ys[None, :])))), 1e-300)
-    if field.bc_tag in ("zero_horizontal", "zero_both"):
-        comps = (field.u,) if field.bc_tag == "zero_horizontal" else (field.u, field.v)
-        for comp in comps:
-            for y0 in (0.0, L):
-                err = float(np.max(np.abs(comp(xs, y0))))
-                if err > tol * scale:
-                    raise ShapeError(f"horizontal-edge value {err:.3e} at y={y0}")
+    if field.bc_tag == "zero_horizontal":
+        for y0 in (0.0, L):
+            err = float(np.max(np.abs(field.u(xs, y0))))
+            if err > tol * scale:
+                raise ShapeError(f"horizontal-edge value {err:.3e} at y={y0}")
     elif field.bc_tag == "periodic_y":
         for comp in (field.u, field.v):
             err = float(np.max(np.abs(comp(xs, 0.0) - comp(xs, 2.0 * np.pi))))
@@ -221,7 +219,7 @@ def check_basic_inequality(field, alpha, h, L, grid=None):
         raise ParameterError(f"alpha = {alpha} outside [-1, 1]")
     if not 0.0 < h < 1.0:
         raise ParameterError(f"h = {h} outside (0, 1)")
-    if field.bc_tag not in ("zero_horizontal", "zero_both"):
+    if field.bc_tag != "zero_horizontal":
         raise ParameterError("basic inequality requires u = 0 on the horizontal edges")
     verify_planar_bc(field, h, L)
     grid = grid or planar_grid(h, L)
@@ -437,7 +435,7 @@ def projection_estimates(field, alpha, h, L, allowance=0.05):
     ||grad u - grad w|| <= (sqrt(2) + 1/pi) ||e_alpha|| and
     ||u - w|| <= (h/pi)(sqrt(2) + 1/pi) ||e_alpha||.
     """
-    if field.bc_tag not in ("zero_horizontal", "zero_both"):
+    if field.bc_tag != "zero_horizontal":
         raise ParameterError("projection estimates require u = 0 on the horizontal edges")
     sol = harmonic_projection(field, h, L)
     x, y, w = sol.x, sol.y, sol.w

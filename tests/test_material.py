@@ -72,6 +72,17 @@ def test_trivial_branch_against_mpmath_root(mat):
             assert abs(b - exact) <= 1e-14 * exact, load
 
 
+def test_trivial_branch_a_against_mpmath(mat):
+    # a = sqrt(1 + nu(2b - b^2)) - 1 to 50 digits at the returned b
+    with mpmath.workdps(50):
+        nu = mpmath.mpf(mat.nu)
+        for load in np.geomspace(1e-12, 0.19, 25):
+            branch = solve_trivial_branch(mat, float(load))
+            b = mpmath.mpf(branch.b)
+            exact = mpmath.sqrt(1 + nu * (2 * b - b * b)) - 1
+            assert abs(branch.a - exact) <= 1e-14 * exact, load
+
+
 @pytest.mark.parametrize("load", [-1e-9, 1.0 / (3.0 * math.sqrt(3.0)), 1.0])
 def test_trivial_branch_inadmissible_loads(mat, load):
     with pytest.raises(NoTrivialBranchError):
