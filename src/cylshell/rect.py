@@ -22,6 +22,10 @@ sharp on w = cosh(pi(x - h/2)/L) sin(pi y/L), together with the Laplace
 (Helmholtz) projection estimate ||grad u - grad w|| <= (sqrt(2) + 1/pi) ||e_a||.
 The module checks all of these by quadrature on seeded random fields and
 solves the projection problem by a 5-point finite-difference scheme.
+
+A field component is any callable c(x, y, dx=0, dy=0) giving its (dx, dy)
+partial derivative.  Every field the module builds is one PlanarSeries: a
+coefficient array of polynomial-or-exponential-in-x, trig-in-y rows.
 """
 
 from dataclasses import dataclass
@@ -35,6 +39,8 @@ from cylshell.fields import _gauss, _trig
 # Frozen regression constants for the periodic-in-y variants: the theorems
 # only assert existence of C0 and sigma, so these are pinned from the first
 # randomized scan (seed 1234, 200 trials) rather than taken from a display.
+# C0 = 2.0 is too small: a field of the trial span breaks both periodic forms
+# (tests/test_rect.py::test_periodic_constant_violated_in_trial_span).
 PERIODIC_C0 = 2.0
 PERIODIC_SIGMA = 0.2
 
@@ -46,51 +52,62 @@ TRIAL_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 # planar fields
 
 
-@dataclass(frozen=True)
-class PolyTrigTerm:
-    """amp * p(x) * trig(freq * y); x-polynomial times a trig factor."""
+@dataclass(frozen=True, eq=False)
+class PlanarSeries:
+    """sum_i p_i(x) e^{rate_i x} trig_i(freq_i y), one row per term.
 
-    px: np.polynomial.Polynomial
-    y_kind: str = "one"
-    y_freq: float = 0.0
-    amp: float = 1.0
+    coef[i] holds the x-coefficients of p_i in ascending powers; freq[i],
+    kind[i] ('cos', 'sin' or 'one', as in fields._trig) and rate[i] (a scalar
+    applies to every row) give its y-factor and exponential rate.  Polynomial
+    rows have rate 0, harmonic rows degree 0.  Each x-derivative maps a row's
+    coefficients c to c' + rate c.
+    """
 
-    def __call__(self, x, y, dx=0, dy=0):
-        p = self.px.deriv(dx) if dx else self.px
-        return self.amp * p(np.asarray(x, dtype=float)) * _trig(self.y_kind, self.y_freq, y, dy)
+    coef: np.ndarray
+    freq: np.ndarray
+    kind: np.ndarray
+    rate: np.ndarray = 0.0
 
-
-@dataclass(frozen=True)
-class ExpTrigTerm:
-    """amp * e^{a x} * trig(freq * y); building block for harmonic fields."""
-
-    a: float
-    y_kind: str = "sin"
-    y_freq: float = 0.0
-    amp: float = 1.0
-
-    def __call__(self, x, y, dx=0, dy=0):
-        val = self.amp * self.a**dx * np.exp(self.a * np.asarray(x, dtype=float))
-        return val * _trig(self.y_kind, self.y_freq, y, dy)
-
-
-@dataclass(frozen=True)
-class PlanarSum:
-    parts: tuple
+    def __post_init__(self):
+        kind = np.asarray(self.kind, dtype=str)
+        coef, freq = np.asarray(self.coef, dtype=float), np.asarray(self.freq, dtype=float)
+        if coef.ndim != 2 or coef.shape[1] < 1 or not len(coef) == kind.size == freq.size:
+            raise ShapeError(f"coef {coef.shape}, freq {freq.shape} and kind "
+                             f"{kind.shape} need one row per term")
+        rate = np.broadcast_to(np.asarray(self.rate, dtype=float), kind.shape)
+        for name, value in (("coef", coef), ("freq", freq), ("kind", kind), ("rate", rate)):
+            object.__setattr__(self, name, value)
 
     def __call__(self, x, y, dx=0, dy=0):
-        return sum(p(x, y, dx, dy) for p in self.parts)
+        c = self.coef
+        for _ in range(dx):
+            dc = np.zeros_like(c)
+            dc[:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
+            c = dc + self.rate[:, None] * c
+        # rows run along a new last axis; Horner in x, as polyval does
+        x = np.asarray(x, dtype=float)[..., None]
+        y = np.asarray(y, dtype=float)[..., None]
+        px = c[:, -1] + x * 0.0
+        for j in range(c.shape[1] - 2, -1, -1):
+            px = c[:, j] + px * x
+        trig = np.empty(np.broadcast_shapes(y.shape, self.freq.shape))
+        for kind in set(self.kind):
+            rows = self.kind == kind
+            trig[..., rows] = _trig(kind, self.freq[rows], y, dy)
+        return np.einsum("...i,...i->...", px * np.exp(self.rate * x), trig)
 
 
-ZERO = PolyTrigTerm(np.polynomial.Polynomial([0.0]))
+ZERO = PlanarSeries(np.zeros((0, 1)), (), ())
 
 
 @dataclass(frozen=True)
 class PlanarField:
     """Vector field (u, v) on [0, h] x [0, L].
 
-    bc_tag: 'zero_horizontal' (u = 0 at y in {0, L}) or 'periodic_y'
-    (period 2 pi in y).
+    u and v are any callables c(x, y, dx=0, dy=0) returning the (dx, dy)
+    partial derivative, broadcast over x and y; every field the module
+    generates has PlanarSeries components.  bc_tag: 'zero_horizontal'
+    (u = 0 at y in {0, L}) or 'periodic_y' (period 2 pi in y).
     """
 
     u: object
@@ -240,40 +257,38 @@ def random_zero_horizontal(rng, h, L):
     u is a sine series in y with random x-polynomial coefficients; v is an
     unconstrained trig series of the same type; 6 cubic-in-x terms each.
     """
-    u_parts, v_parts = [], []
+    cu, cv, k_u, k_v, kind_v = [], [], [], [], []
     for _ in range(6):
-        pu = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 4))
-        pv = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 4))
-        k_u = int(rng.integers(1, 9))
-        k_v = int(rng.integers(0, 9))
-        u_parts.append(PolyTrigTerm(pu, "sin", math.pi * k_u / L))
-        v_parts.append(PolyTrigTerm(
-            pv, "cos" if rng.random() < 0.5 else "sin", math.pi * k_v / L))
-    return PlanarField(PlanarSum(tuple(u_parts)), PlanarSum(tuple(v_parts)),
+        cu.append(rng.uniform(-1.0, 1.0, 4))
+        cv.append(rng.uniform(-1.0, 1.0, 4))
+        k_u.append(int(rng.integers(1, 9)))
+        k_v.append(int(rng.integers(0, 9)))
+        kind_v.append("cos" if rng.random() < 0.5 else "sin")
+    return PlanarField(PlanarSeries(cu, math.pi * np.array(k_u) / L, ["sin"] * 6),
+                       PlanarSeries(cv, math.pi * np.array(k_v) / L, kind_v),
                        bc_tag="zero_horizontal")
 
 
-def _check_trials(trials):
+def _trial_scan(trials, seed, reports):
+    """(violations, min margin) of reports(rng, alpha) over seeded trials, rounded forms too."""
     # a scan of no fields would report zero violations without testing anything
     if trials < 1:
         raise ParameterError(f"need at least 1 trial, got trials={trials}")
+    rng = np.random.default_rng(seed)
+    violations, min_margin = 0, math.inf
+    for t in range(trials):
+        for rep in reports(rng, TRIAL_ALPHAS[t % len(TRIAL_ALPHAS)]):
+            violations += not rep.holds
+            rounded = rep.margin_rounded
+            min_margin = min(min_margin, rep.margin, math.inf if rounded is None else rounded)
+    return violations, min_margin
 
 
 def basic_inequality_trials(h, L, trials=200, seed=1234):
     """Randomized scan of check_basic_inequality; returns (violations, min margin)."""
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
     grid = planar_grid(h, L, n_x=16, n_y=48)
-    violations = 0
-    min_margin = math.inf
-    for t in range(trials):
-        field = random_zero_horizontal(rng, h, L)
-        alpha = TRIAL_ALPHAS[t % len(TRIAL_ALPHAS)]
-        rep = check_basic_inequality(field, alpha, h, L, grid=grid)
-        if not rep.holds:
-            violations += 1
-        min_margin = min(min_margin, rep.margin, rep.margin_rounded)
-    return violations, min_margin
+    return _trial_scan(trials, seed, lambda rng, alpha: [check_basic_inequality(
+        random_zero_horizontal(rng, h, L), alpha, h, L, grid=grid)])
 
 
 # ---------------------------------------------------------------------------
@@ -293,22 +308,20 @@ def phi_factor(tau):
 def extremal_harmonic(h, L):
     """The sharpness witness w = cosh(pi (x - h/2)/L) sin(pi y/L)."""
     a = math.pi / L
-    return PlanarSum((
-        ExpTrigTerm(a, "sin", a, amp=0.5 * math.exp(-a * h / 2.0)),
-        ExpTrigTerm(-a, "sin", a, amp=0.5 * math.exp(a * h / 2.0)),
-    ))
+    amp = [[0.5 * math.exp(-a * h / 2.0)], [0.5 * math.exp(a * h / 2.0)]]
+    return PlanarSeries(amp, [a, a], ["sin"] * 2, rate=[a, -a])
 
 
 def random_harmonic(rng, h, L):
     """Random harmonic function vanishing on the horizontal edges (modes 1..8)."""
-    parts = []
+    amp, rate = [], []
     for n_ in range(1, 9):
         a = math.pi * n_ / L
         A, B = rng.uniform(-1.0, 1.0, 2)
         # keep the growing exponential O(1) on [0, h]
-        parts.append(ExpTrigTerm(a, "sin", a, amp=A * math.exp(-a * h)))
-        parts.append(ExpTrigTerm(-a, "sin", a, amp=B))
-    return PlanarSum(tuple(parts))
+        amp += [[A * math.exp(-a * h)], [B]]
+        rate += [a, -a]
+    return PlanarSeries(amp, np.abs(rate), ["sin"] * 16, rate=rate)
 
 
 @dataclass(frozen=True)
@@ -394,8 +407,7 @@ def harmonic_projection(field, h, L, n_x=48, n_y=96):
     x = np.linspace(0.0, h, n_x + 1)
     y = np.linspace(0.0, L, n_y + 1)
     hx, hy = x[1] - x[0], y[1] - y[0]
-    w = np.asarray(field.u(x[:, None], y[None, :]), dtype=float)
-    w = np.array(np.broadcast_to(w, (n_x + 1, n_y + 1)))
+    w = np.array(np.broadcast_to(field.u(x[:, None], y[None, :]), (n_x + 1, n_y + 1)), dtype=float)
 
     cx, cy = 1.0 / hx**2, 1.0 / hy**2
     b = np.zeros((n_x - 1, n_y - 1))
@@ -440,17 +452,13 @@ def projection_estimates(field, alpha, h, L, allowance=0.05):
     sol = harmonic_projection(field, h, L)
     x, y, w = sol.x, sol.y, sol.w
     hx, hy = x[1] - x[0], y[1] - y[0]
-    X, Y = x[:, None], y[None, :]
 
     # trapezoid weights for the node grid
-    wx = np.full(x.size, hx)
-    wx[0] = wx[-1] = hx / 2.0
-    wy = np.full(y.size, hy)
-    wy[0] = wy[-1] = hy / 2.0
-    W2 = wx[:, None] * wy[None, :]
-
-    u = np.broadcast_to(np.asarray(field.u(X, Y), dtype=float), w.shape)
-    value_diff = math.sqrt(float(np.sum(W2 * (u - w) ** 2)))
+    wx, wy = np.full(x.size, hx), np.full(y.size, hy)
+    wx[[0, -1]] = hx / 2.0
+    wy[[0, -1]] = hy / 2.0
+    u = np.broadcast_to(np.asarray(field.u(x[:, None], y[None, :]), dtype=float), w.shape)
+    value_diff = math.sqrt(float(np.sum(wx[:, None] * wy[None, :] * (u - w) ** 2)))
 
     # gradients at cell centers (second-order for both u and w)
     wc_x = 0.5 * ((w[1:, 1:] - w[:-1, 1:]) + (w[1:, :-1] - w[:-1, :-1])) / hx
@@ -477,12 +485,12 @@ def random_periodic(rng, h):
     """Seeded random field with period 2 pi in y: 6 cubic-in-x terms per component."""
     comps = []
     for _ in range(2):
-        parts = []
+        coef, k, kind = [], [], []
         for _ in range(6):
-            p = np.polynomial.Polynomial(rng.uniform(-1.0, 1.0, 4))
-            k = int(rng.integers(0, 9))
-            parts.append(PolyTrigTerm(p, "cos" if rng.random() < 0.5 else "sin", float(k)))
-        comps.append(PlanarSum(tuple(parts)))
+            coef.append(rng.uniform(-1.0, 1.0, 4))
+            k.append(int(rng.integers(0, 9)))
+            kind.append("cos" if rng.random() < 0.5 else "sin")
+        comps.append(PlanarSeries(coef, k, kind))
     return PlanarField(comps[0], comps[1], bc_tag="periodic_y")
 
 
@@ -490,7 +498,9 @@ def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
     """Both periodic-in-y bounds with the frozen constants C0 and sigma.
 
     Returns (alpha-form report, starred-form report); the starred form is
-    ||G_*||^2 <= C0 (||e_*||^2 + ||e_*|| ||u||/h + ||v||^2).
+    ||G_*||^2 <= C0 (||e_*||^2 + ||e_*|| ||u||/h + ||v||^2).  At the frozen
+    C0 = 2.0 both forms fail on a witness from the span of random_periodic
+    (test_periodic_constant_violated_in_trial_span); the random scan misses it.
     """
     if not 0.0 < h < PERIODIC_SIGMA:
         raise ParameterError(f"h = {h} outside (0, sigma = {PERIODIC_SIGMA})")
@@ -516,17 +526,6 @@ def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
 
 def periodic_inequality_trials(h, trials=200, seed=1234):
     """Randomized scan of both periodic bounds; returns (violations, min margin)."""
-    _check_trials(trials)
-    rng = np.random.default_rng(seed)
     grid = planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
-    violations = 0
-    min_margin = math.inf
-    for t in range(trials):
-        field = random_periodic(rng, h)
-        rep_a, rep_s = check_periodic_inequalities(
-            field, h, alpha=TRIAL_ALPHAS[t % len(TRIAL_ALPHAS)], grid=grid)
-        for rep in (rep_a, rep_s):
-            if not rep.holds:
-                violations += 1
-            min_margin = min(min_margin, rep.margin)
-    return violations, min_margin
+    return _trial_scan(trials, seed, lambda rng, alpha: check_periodic_inequalities(
+        random_periodic(rng, h), h, alpha=alpha, grid=grid))

@@ -184,6 +184,16 @@ def test_korn_constant_reference(geo_thick):
     assert not res.on_boundary
 
 
+@pytest.mark.parametrize("h", [1e-4, 1e-5, 1e-6, 1e-7])
+def test_korn_constant_matches_reduced_model(h):
+    # thin-shell reduction of mode (1, n) at L = pi: K ~ (h^2 n^4/12 + 1/n^4)/(2 n^2),
+    # minimized over integer n; the scan exceeds it by about 0.2 h^(1/2)
+    res = korn.korn_constant(ShellGeometry(h, math.pi), N=16)
+    oracle = min((h**2 * n**4 / 12.0 + 1.0 / n**4) / (2.0 * n**2) for n in range(1, 1000))
+    assert res.m == 1
+    assert res.value == pytest.approx(oracle, rel=5e-3)
+
+
 def test_korn_constant_fd_cross_check(geo_thick):
     # first-order nodal scheme converges to the spectral value
     cheb = korn.radial_grid(geo_thick, N=32)

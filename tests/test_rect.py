@@ -44,12 +44,42 @@ def test_planar_grid_integrates_exactly():
         H**3 * L / 3.0, rel=1e-13)
 
 
+def test_planar_series_matches_polynomial_reference():
+    # rows mix degree, exponential rate and trig kind; reference: numpy.polynomial
+    # for p_i, the product rule for e^{rate x}, and closed-form trig derivatives
+    coef = [[0.3, -1.0, 0.5, 2.0], [1.5, 0.0, 0.0, 0.0], [-0.2, 0.7, 0.0, 0.0]]
+    freq, kind, rate = [2.0, 3.0, 0.0], ["sin", "cos", "one"], [0.0, -4.0, 1.5]
+    series = rect.PlanarSeries(coef, freq, kind, rate=rate)
+    x, y = np.linspace(0.0, H, 7)[:, None], np.linspace(0.0, L, 5)[None, :]
+
+    def trig(kd, k, dy):
+        if kd == "one":
+            return np.full_like(y, 1.0 if dy == 0 else 0.0)
+        return k**dy * {"sin": np.sin, "cos": np.cos}[kd](k * y + dy * math.pi / 2.0)
+
+    for dx in range(3):
+        for dy in range(2):
+            want = np.zeros((7, 5))
+            for c, k, kd, a in zip(coef, freq, kind, rate):
+                p = np.polynomial.Polynomial(c)
+                # d^dx (p e^{a x}) = e^{a x} sum_j C(dx, j) a^(dx - j) p^(j)
+                px = sum(math.comb(dx, j) * a ** (dx - j) * p.deriv(j)(x)
+                         for j in range(dx + 1)) * np.exp(a * x)
+                want = want + px * trig(kd, k, dy)
+            got = series(x, y, dx, dy)
+            assert got.shape == (7, 5)
+            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+    assert rect.ZERO(x, y, 1, 1).shape == (7, 5) and not rect.ZERO(x, y).any()
+    with pytest.raises(ShapeError):
+        rect.PlanarSeries(coef, freq[:2], kind)
+
+
 def test_verify_planar_bc():
-    u = rect.PolyTrigTerm(np.polynomial.Polynomial([1.0]), "sin", math.pi / L)
+    u = rect.PlanarSeries([[1.0]], [math.pi / L], ["sin"])
     good = rect.PlanarField(u, rect.ZERO, bc_tag="zero_horizontal")
     assert rect.verify_planar_bc(good, H, L)
     bad = rect.PlanarField(
-        rect.PolyTrigTerm(np.polynomial.Polynomial([1.0]), "cos", math.pi / L),
+        rect.PlanarSeries([[1.0]], [math.pi / L], ["cos"]),
         rect.ZERO, bc_tag="zero_horizontal")
     with pytest.raises(ShapeError):
         rect.verify_planar_bc(bad, H, L)
@@ -58,7 +88,7 @@ def test_verify_planar_bc():
 
 
 def test_basic_inequality_parameter_checks():
-    u = rect.PolyTrigTerm(np.polynomial.Polynomial([1.0]), "sin", math.pi / L)
+    u = rect.PlanarSeries([[1.0]], [math.pi / L], ["sin"])
     field = rect.PlanarField(u, rect.ZERO, bc_tag="zero_horizontal")
     with pytest.raises(ParameterError):
         rect.check_basic_inequality(field, 2.0, H, L)
@@ -75,8 +105,8 @@ def test_basic_inequality_parameter_checks():
 
 
 def test_basic_inequality_single_field():
-    u = rect.PolyTrigTerm(np.polynomial.Polynomial([0.0, 1.0]), "sin", math.pi / L)
-    v = rect.PolyTrigTerm(np.polynomial.Polynomial([1.0, -2.0]), "cos", 2 * math.pi / L)
+    u = rect.PlanarSeries([[0.0, 1.0]], [math.pi / L], ["sin"])
+    v = rect.PlanarSeries([[1.0, -2.0]], [2 * math.pi / L], ["cos"])
     field = rect.PlanarField(u, v, bc_tag="zero_horizontal")
     rep = rect.check_basic_inequality(field, 1.0, H, L)
     assert rep.holds
@@ -87,6 +117,8 @@ def test_basic_inequality_trials_no_violations():
     violations, min_margin = rect.basic_inequality_trials(H, L, trials=50)
     assert violations == 0
     assert min_margin > 0
+    # pins the seeded draw order of random_zero_horizontal
+    assert min_margin == pytest.approx(877.4428843198876, rel=1e-12)
 
 
 def test_extremal_harmonic_is_sharp():
@@ -94,6 +126,7 @@ def test_extremal_harmonic_is_sharp():
     assert report.equality_error <= 1e-8
     assert report.hi_violations == 0
     assert report.hi_min_margin > 0
+    assert report.hi_min_margin == pytest.approx(29.518303730321836, rel=1e-12)
 
 
 def test_harmonic_projection_reproduces_harmonic_data():
@@ -165,3 +198,67 @@ def test_periodic_trials_no_violations():
     violations, min_margin = rect.periodic_inequality_trials(H, trials=50)
     assert violations == 0
     assert min_margin > 0
+    # pins the seeded draw order of random_periodic
+    assert min_margin == pytest.approx(39.55418203029562, rel=1e-12)
+
+
+# the span of random_periodic: x^j cos(k y), k = 0..8, and x^j sin(k y), k = 1..8,
+# j = 0..3, in u and in v
+SPAN_ROWS = [("cos", k) for k in range(9)] + [("sin", k) for k in range(1, 9)]
+
+
+def _span_forms(starred):
+    """Gram matrices (G, E, U, V) of the 136 span fields on the periodic scan grid.
+
+    G and E are ||G||^2 and ||sym G||^2 of the alpha = 1 gradient, or of the
+    starred one; U and V are ||u||^2 and ||v||^2.
+    """
+    grid = rect.planar_grid(H, 2.0 * math.pi, n_x=16, n_y=48)
+    weights = (grid.x_weights[:, None] * grid.y_weights[None, :]).ravel()
+    shape = (grid.x_nodes.size, grid.y_nodes.size)
+    cols = {key: [] for key in ("xx", "xy", "yx", "yy", "u", "v")}
+    for comp in range(2):
+        for kind, k in SPAN_ROWS:
+            for j in range(4):
+                series = rect.PlanarSeries([np.eye(4)[j]], [k], [kind])
+                u, v = (series, rect.ZERO) if comp == 0 else (rect.ZERO, series)
+                field = rect.PlanarField(u, v, bc_tag="periodic_y")
+                d = rect.planar_partials(field, grid.X, grid.Y)
+                vals = field.v(grid.X, grid.Y)
+                g = (rect.starred_gradient(d, vals) if starred
+                     else rect.modified_gradient(d, 1.0))
+                for key, val in (*g.items(), ("u", d["u"]), ("v", vals)):
+                    cols[key].append(np.broadcast_to(val, shape).ravel())
+    a = {key: np.array(rows) for key, rows in cols.items()}
+
+    def gram(p, q):
+        return (p * weights) @ q.T
+
+    off = 0.5 * (a["xy"] + a["yx"])
+    G = sum(gram(a[key], a[key]) for key in ("xx", "xy", "yx", "yy"))
+    E = gram(a["xx"], a["xx"]) + 2.0 * gram(off, off) + gram(a["yy"], a["yy"])
+    return G, E, gram(a["u"], a["u"]), gram(a["v"], a["v"])
+
+
+@pytest.mark.parametrize("starred,t,sup", [(False, 177.8, 6.913), (True, 7.08, 6.274)])
+def test_periodic_constant_violated_in_trial_span(starred, t, sup):
+    # PERIODIC_C0 = 2.0 is broken by a field of the trial generator's own span.
+    # e (u/h + e) <= (1 + t) e^2 + u^2 / (4 t h^2) for every t > 0, so the top
+    # generalized eigenvector of (G, (1 + t) E + U / (4 t h^2) [+ V]) gives a
+    # lower bound on the best constant.  At alpha = 1 the constant v lies in the
+    # kernel of both forms, so the pencil is taken on the range of B.
+    G, E, U, V = _span_forms(starred)
+    B = (1.0 + t) * E + U / (4.0 * t * H**2) + (V if starred else 0.0)
+    lam, Q = np.linalg.eigh(B)
+    keep = lam > 1e-12 * lam[-1]
+    P = Q[:, keep] / np.sqrt(lam[keep])
+    mu, Y = np.linalg.eigh(P.T @ G @ P)
+    assert mu[-1] == pytest.approx(sup, rel=1e-3)
+    c = (P @ Y[:, -1]).reshape(2, len(SPAN_ROWS), 4)
+    kinds, freqs = zip(*SPAN_ROWS)
+    witness = rect.PlanarField(rect.PlanarSeries(c[0], freqs, kinds),
+                               rect.PlanarSeries(c[1], freqs, kinds), bc_tag="periodic_y")
+    rep_alpha, rep_star = rect.check_periodic_inequalities(witness, H)
+    rep = rep_star if starred else rep_alpha
+    assert rep.holds is False
+    assert rep.lhs / rep.rhs > 3.0
