@@ -18,8 +18,8 @@ import math
 import numpy as np
 
 from cylshell import ansatz
-from cylshell.material import (ShellGeometry, derive_material, hoop_imperfection,
-                               perfect_stress, shear_imperfection)
+from cylshell.material import (derive_material, hoop_imperfection, perfect_stress,
+                               shear_imperfection)
 
 
 def main():
@@ -28,8 +28,7 @@ def main():
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
 
     h_limits = [3.0**-4, 5.0**-4, 10.0**-4]
-    geo = ShellGeometry(h=min(h_limits), L=L)
-    report = ansatz.verify_limits(bump, h_limits, geo)
+    report = ansatz.verify_limits(bump, h_limits)
     print("normalized limits (should approach 1 from above):")
     print(f"{'h':>12} {'grad / limit':>14} {'strain / limit':>15}")
     for (h, _), g, s in zip(report["gradient"].points,
@@ -39,7 +38,7 @@ def main():
     print()
 
     h_sweep = [1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4]
-    comp = ansatz.component_scalings(bump, h_sweep, geo)
+    comp = ansatz.component_scalings(bump, h_sweep)
     print("gradient-component group rates:")
     for name, target in ansatz.COMPONENT_EXPONENTS.items():
         print(f"  {name:14s}: fitted {comp[name].fit.exponent:8.4f}"
@@ -54,7 +53,7 @@ def main():
         ("hoop", bump, hoop_imperfection(), 1.5),
     ]
     for name, b, stress, target in cases:
-        rep = ansatz.compressiveness_scaling(b, h_sweep, geo, material, stress)
+        rep = ansatz.compressiveness_scaling(b, h_sweep, material, stress)
         print(f"  {name:8s}: fitted {rep['ratio'].fit.exponent:8.4f}"
               f"  (expected {target:.2f})")
 

@@ -14,16 +14,15 @@ h^(2 alpha).
 import math
 
 from cylshell import fixedbc
-from cylshell.material import ShellGeometry, derive_material
+from cylshell.material import derive_material
 
 
 def main():
     L = math.pi
     material = derive_material(E=1.0, nu=0.3)
-    geometry = ShellGeometry(h=1e-6, L=L)
 
     for alpha in (0.2, 0.25, 0.3):
-        report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], alpha, geometry, material)
+        report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], alpha, L, material)
         print(f"alpha = {alpha}:")
         print(f"{'h':>10} {'m':>5} {'n':>5} {'ratio':>12} {'finite-m limit':>16}")
         for row in report.rows:

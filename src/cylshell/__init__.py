@@ -25,7 +25,6 @@ from cylshell.fields import (
     strain,
     functionals,
     functional_family,
-    linearize_radial,
 )
 from cylshell.koiter import (
     reduced_forms,
@@ -87,7 +86,6 @@ __all__ = [
     "strain",
     "functionals",
     "functional_family",
-    "linearize_radial",
     "reduced_forms",
     "optimal_tangential",
     "lambda_star",

@@ -27,8 +27,7 @@ from numpy.polynomial import Polynomial
 
 from cylshell.errors import ParameterError
 from cylshell.material import ShellGeometry
-from cylshell.fields import (Scaled, Shifted, SurfaceFunction,
-                             from_midsurface, functionals, gradient,
+from cylshell.fields import (Scaled, Shifted, from_midsurface, functionals, gradient,
                              symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
                              STRAIN_WEIGHT)
 from cylshell.scaling import ScalingFit, fit_exponent
@@ -106,7 +105,7 @@ class BumpProfile:
 
 
 @dataclass(frozen=True)
-class CompressedBump(SurfaceFunction):
+class CompressedBump:
     """phi^h(theta, z) = phi(n_h theta, z), 2 pi-periodic in theta."""
 
     bump: BumpProfile
@@ -179,19 +178,22 @@ class QuantityTable:
     target: float = None
 
 
-def _sweep(bump, h_list, geometry, quantity):
-    """(h, quantity(ansatz, grid)) for each h, largest h first, on ansatz_grid."""
+def _sweep(bump, h_list, quantity):
+    """(h, quantity(ansatz, grid)) for each h, largest h first, on ansatz_grid.
+
+    The shell at each h has the bump's axial length.
+    """
     if len(h_list) == 0:
         raise ParameterError("h_list must be non-empty")
     rows = []
     for h in sorted(h_list, reverse=True):
-        geo = ShellGeometry(h=h, L=geometry.L)
+        geo = ShellGeometry(h=h, L=bump.L)
         ans = build_ansatz(h, bump, geo)
         rows.append((h, quantity(ans, ansatz_grid(ans, geo))))
     return rows
 
 
-def verify_limits(bump, h_list, geometry):
+def verify_limits(bump, h_list):
     """Gradient and strain norms of U^h against their exact bump limits.
 
     Reports h^(1/4) ||grad U^h||^2 normalized by 2 ||phi_,eta eta eta||^2 and
@@ -203,7 +205,7 @@ def verify_limits(bump, h_list, geometry):
         return {"gradient": sum(grid.norm_sq(g[k]) for k in GRAD_KEYS),
                 "strain": sum(STRAIN_WEIGHT[k] * grid.norm_sq(e[k]) for k in STRAIN_KEYS)}
 
-    rows = _sweep(bump, h_list, geometry, norms)
+    rows = _sweep(bump, h_list, norms)
     tables = {}
     for name, target, power in (("gradient", bump.gradient_limit(), 0.25),
                                 ("strain", bump.strain_limit(), -1.25)):
@@ -232,7 +234,7 @@ COMPONENT_EXPONENTS = {
 }
 
 
-def component_scalings(bump, h_list, geometry):
+def component_scalings(bump, h_list):
     """Fitted h-exponents of the squared gradient-component group norms."""
     def groups(ans, grid):
         g = gradient(ans.field, grid.R, grid.TH, grid.Z)
@@ -241,7 +243,7 @@ def component_scalings(bump, h_list, geometry):
         vals["u_r"] = grid.norm_sq(ans.field.u_r(grid.R, grid.TH, grid.Z))
         return vals
 
-    rows = _sweep(bump, h_list, geometry, groups)
+    rows = _sweep(bump, h_list, groups)
     tables = {}
     for name, target in COMPONENT_EXPONENTS.items():
         pts = tuple((h, vals[name]) for h, vals in rows)
@@ -250,13 +252,13 @@ def component_scalings(bump, h_list, geometry):
     return tables
 
 
-def compressiveness_scaling(bump, h_list, geometry, material, stress):
+def compressiveness_scaling(bump, h_list, material, stress):
     """Fitted exponent of the stability/compressiveness ratio of U^h.
 
     Points with non-positive compressiveness are reported in the ``excluded``
     table instead of entering the fit.
     """
-    rows = _sweep(bump, h_list, geometry,
+    rows = _sweep(bump, h_list,
                   lambda ans, grid: functionals(ans.field, stress, material, grid))
     pts = tuple((h, val.S / val.C) for h, val in rows if val.C > 0.0)
     excluded = tuple((h, val.C) for h, val in rows if val.C <= 0.0)

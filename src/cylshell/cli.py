@@ -204,13 +204,12 @@ def _cmd_components(args):
 
 
 def _cmd_ansatz(args):
-    geometry = ShellGeometry(h=min(args.h_list), L=args.L)
     bump = ansatz.BumpProfile(eta0=args.eta0, L=args.L, skew=args.skew)
     config = _config(args, ("h_list", "eta0", "L", "stress", "skew", "E", "nu"))
     payload = {}
     rows = []
     if args.stress is None:
-        report = ansatz.verify_limits(bump, args.h_list, geometry)
+        report = ansatz.verify_limits(bump, args.h_list)
         for name in ("gradient", "strain"):
             tab = report[name]
             for (h, val), nv in zip(tab.points, tab.normalized):
@@ -224,8 +223,7 @@ def _cmd_ansatz(args):
     stress = {"perfect": perfect_stress,
               "shear": lambda: shear_imperfection(np.cos),
               "hoop": hoop_imperfection}[args.stress]()
-    report = ansatz.compressiveness_scaling(bump, args.h_list, geometry,
-                                            material, stress)
+    report = ansatz.compressiveness_scaling(bump, args.h_list, material, stress)
     tab = report["ratio"]
     for h, val in tab.points:
         rows.append([args.stress, h, val])
@@ -239,9 +237,8 @@ def _cmd_ansatz(args):
 
 
 def _cmd_fixedbc(args):
-    geometry = ShellGeometry(h=min(args.h_list), L=args.L)
     material = derive_material(args.E, args.nu)
-    report = fixedbc.fixedbc_limit(args.h_list, args.alpha, geometry, material)
+    report = fixedbc.fixedbc_limit(args.h_list, args.alpha, args.L, material)
     rows = [(row.h, row.m, row.n, row.ratio) for row in report.rows]
     if args.export:
         row = report.rows[-1]

@@ -1,37 +1,30 @@
 """Cylindrical-coordinate field calculus.
 
-Displacement fields are sums of separable terms p(r)*s(theta, z) where p is a
-polynomial in r and s carries closed-form partial derivatives.  This covers
-every field family used here (trig modes, the compressed bending bump, the
-trivial branch) and makes gradients, strains, the simplified tensors G/E and
-A, and all L2 norms exactly computable by quadrature.
+A displacement field is its three mid-surface profiles f = (f_r, f_theta, f_z),
+through the map U(f)
 
-The mid-surface map U(f) builds the affine-in-(r-1) fields
+    u_r = f_r,   u_theta = r f_theta - (r-1) f_r,theta,   u_z = f_z - (r-1) f_r,z.
 
-    u_r = f_r,   u_theta = r f_theta - (r-1) f_r,theta,   u_z = f_z - (r-1) f_r,z
-
-from surface profiles f; such fields form the linearized space on which the
-reduced forms Q0, Q1, Q1* and B live.
+A profile is any callable f(theta, z, dth=0, dz=0) with closed-form partial
+derivatives (trig modes, the compressed bending bump).  Every field built here
+-- the Koiter modes, the clamped-edge modes, the bending ansatz -- has this
+form, so each component and its r-derivatives are closed-form in the profiles,
+and the reduced forms Q0, Q1, Q1* and B, hence K*, are defined on every field.
+Gradients, strains, the simplified tensors G/E and all L2 norms are computed by
+tensor-product quadrature.  Fields with general radial profiles live only in
+the korn oracle test, as objects whose u_r/u_t/u_z ``gradient`` accepts.
 """
 
 from dataclasses import dataclass, replace
 
 import numpy as np
-from numpy.polynomial import Polynomial
 
 from cylshell.errors import NotDestabilizingError, ParameterError, ShapeError
 from cylshell.material import perfect_stress
 
 
 # ---------------------------------------------------------------------------
-# surface functions of (theta, z) with derivative access
-
-
-class SurfaceFunction:
-    """Base: callable (theta, z, dth=0, dz=0) -> broadcastable array."""
-
-    def __call__(self, theta, z, dth=0, dz=0):
-        raise NotImplementedError
+# surface profiles f(theta, z, dth=0, dz=0) -> broadcastable array
 
 
 def _trig(kind, freq, x, d):
@@ -48,7 +41,7 @@ def _trig(kind, freq, x, d):
 
 
 @dataclass(frozen=True)
-class TrigSurface(SurfaceFunction):
+class TrigSurface:
     """amp * trig(n*theta) * trig(k*z)."""
 
     theta_kind: str = "one"
@@ -62,11 +55,14 @@ class TrigSurface(SurfaceFunction):
                 * _trig(self.z_kind, self.k, z, dz))
 
 
-@dataclass(frozen=True)
-class Shifted(SurfaceFunction):
-    """A surface function pre-differentiated by (dth, dz)."""
+ZERO = TrigSurface(amp=0.0)   # the profile f = 0
 
-    base: SurfaceFunction
+
+@dataclass(frozen=True)
+class Shifted:
+    """A profile pre-differentiated by (dth, dz)."""
+
+    base: object
     dth: int = 0
     dz: int = 0
 
@@ -75,8 +71,8 @@ class Shifted(SurfaceFunction):
 
 
 @dataclass(frozen=True)
-class Scaled(SurfaceFunction):
-    base: SurfaceFunction
+class Scaled:
+    base: object
     c: float
 
     def __call__(self, theta, z, dth=0, dz=0):
@@ -84,7 +80,7 @@ class Scaled(SurfaceFunction):
 
 
 @dataclass(frozen=True)
-class SumSurface(SurfaceFunction):
+class SumSurface:
     parts: tuple
 
     def __call__(self, theta, z, dth=0, dz=0):
@@ -95,81 +91,60 @@ class SumSurface(SurfaceFunction):
 # displacement fields
 
 
-def _poly_deriv(p, d):
-    return p.deriv(d) if d else p
-
-
-@dataclass(frozen=True)
-class Component:
-    """Sum of separable terms (polynomial in r) * (surface function)."""
-
-    terms: tuple = ()
-
-    def __call__(self, r, theta, z, dr=0, dth=0, dz=0):
-        r = np.asarray(r, dtype=float)
-        shape = np.broadcast(r, np.asarray(theta, dtype=float),
-                             np.asarray(z, dtype=float)).shape
-        out = np.zeros(shape)
-        for p, s in self.terms:
-            out = out + _poly_deriv(p, dr)(r) * s(theta, z, dth, dz)
-        return out
-
-    def at_midsurface(self):
-        """Collapse to a surface function u(1, theta, z)."""
-        parts = []
-        for p, s in self.terms:
-            c = float(p(1.0))
-            if c != 0.0:
-                parts.append(Scaled(s, c))
-        return SumSurface(tuple(parts))
-
-    def radial_average(self, geometry):
-        """Surface function: mean of u over I_h at fixed (theta, z)."""
-        a, b = geometry.I_h
-        parts = []
-        for p, s in self.terms:
-            q = p.integ()
-            c = float(q(b) - q(a)) / geometry.h
-            if c != 0.0:
-                parts.append(Scaled(s, c))
-        return SumSurface(tuple(parts))
-
-
-ZERO_COMPONENT = Component(())
-
-P_ONE = Polynomial([1.0])
-P_R = Polynomial([0.0, 1.0])
-P_NEG_RM1 = Polynomial([1.0, -1.0])   # -(r - 1)
+def _zeros(r, theta, z):
+    """r as a float array, and zeros of the broadcast shape of (r, theta, z)."""
+    r = np.asarray(r, dtype=float)
+    return r, np.zeros(np.broadcast(r, theta, z).shape)
 
 
 @dataclass(frozen=True)
 class DisplacementField:
-    """Cylindrical displacement with closed-form partial derivatives.
+    """The U(f) field of the mid-surface profiles f_r, f_t, f_z.
+
+    Each component u_r/u_t/u_z(r, theta, z, dr=0, dth=0, dz=0) is evaluated in
+    closed form from the profiles and returns an array of the broadcast shape
+    of (r, theta, z); the field is affine in r, so second r-derivatives vanish.
+    General radial profiles are not representable; they live only in the korn
+    oracle test.
 
     bc_tag is one of 'average_top' (u_r = u_theta = 0 at z in {0, L}, zero-mean
     u_z on the bottom annulus), 'fixed_bottom' (additionally u_z = 0 at z = 0),
     or None.
     """
 
-    u_r: Component = ZERO_COMPONENT
-    u_t: Component = ZERO_COMPONENT
-    u_z: Component = ZERO_COMPONENT
+    f_r: object
+    f_t: object
+    f_z: object
     bc_tag: str = None
+
+    def u_r(self, r, theta, z, dr=0, dth=0, dz=0):
+        _, out = _zeros(r, theta, z)
+        return out + self.f_r(theta, z, dth, dz) if dr == 0 else out
+
+    def u_t(self, r, theta, z, dr=0, dth=0, dz=0):
+        r, out = _zeros(r, theta, z)
+        if dr > 1:
+            return out
+        f_t = self.f_t(theta, z, dth, dz)
+        fr_t = self.f_r(theta, z, dth + 1, dz)
+        if dr == 1:
+            return out + (f_t - fr_t)
+        return out + (r * f_t - (r - 1.0) * fr_t)
+
+    def u_z(self, r, theta, z, dr=0, dth=0, dz=0):
+        r, out = _zeros(r, theta, z)
+        if dr > 1:
+            return out
+        fr_z = self.f_r(theta, z, dth, dz + 1)
+        if dr == 1:
+            return out - fr_z
+        return out + (self.f_z(theta, z, dth, dz) - (r - 1.0) * fr_z)
 
 
 def from_midsurface(f_r, f_t=None, f_z=None, bc_tag=None):
-    """Build the U(f) field from mid-surface profiles."""
-    u_r = Component(((P_ONE, f_r),))
-    t_terms = []
-    if f_t is not None:
-        t_terms.append((P_R, f_t))
-    t_terms.append((P_NEG_RM1, Shifted(f_r, 1, 0)))
-    z_terms = []
-    if f_z is not None:
-        z_terms.append((P_ONE, f_z))
-    z_terms.append((P_NEG_RM1, Shifted(f_r, 0, 1)))
-    return DisplacementField(u_r=u_r, u_t=Component(tuple(t_terms)),
-                             u_z=Component(tuple(z_terms)), bc_tag=bc_tag)
+    """The U(f) field of mid-surface profiles; a missing profile is zero."""
+    return DisplacementField(f_r, ZERO if f_t is None else f_t,
+                             ZERO if f_z is None else f_z, bc_tag)
 
 
 GRAD_KEYS = ("rr", "rt", "rz", "tr", "tt", "tz", "zr", "zt", "zz")
@@ -377,44 +352,16 @@ def functionals(field, stress, material, grid):
                                       stress, material, grid)
 
 
-def linearize_radial(field, geometry):
-    """Project onto the affine-in-(r-1) space generated by U(f).
-
-    v_r is the radial average of u_r; the tangential and axial components are
-    rebuilt from their mid-surface traces and v_r's surface derivatives.
-    """
-    return from_midsurface(field.u_r.radial_average(geometry), field.u_t.at_midsurface(),
-                           field.u_z.at_midsurface(), bc_tag=field.bc_tag)
-
-
-def _is_xlin(field, geometry):
-    """Sampled check, to relative 1e-9, that linearize_radial fixes the field."""
-    lin = linearize_radial(field, geometry)
-    a, b = geometry.I_h
-    rs = np.linspace(a, b, 5)[:, None, None]
-    ths = np.linspace(0.0, 2.0 * np.pi, 7, endpoint=False)[None, :, None]
-    zs = np.linspace(0.05 * geometry.L, 0.95 * geometry.L, 5)[None, None, :]
-    for c1, c2 in ((field.u_r, lin.u_r), (field.u_t, lin.u_t), (field.u_z, lin.u_z)):
-        v1 = c1(rs, ths, zs)
-        v2 = c2(rs, ths, zs)
-        scale = max(float(np.max(np.abs(v1))), 1e-300)
-        if float(np.max(np.abs(v1 - v2))) > 1e-9 * scale:
-            return False
-    return True
-
-
 def reduced_surface_forms(field, grid):
     """Q0, Q1, Q1*, B of a U(f)-form field by mid-surface quadrature.
 
     The integrals run over the grid's own theta and z rules at the single
     radius r = 1 with unit weight, i.e. with the measure dtheta dz.
-    Derivative inputs are read off the field's mid-surface traces.
+    Derivative inputs are read off the field's mid-surface profiles.
     """
     grid = replace(grid, r_nodes=np.ones(1), r_weights=np.ones(1))
     th, z = grid.TH, grid.Z
-    f_r = field.u_r.at_midsurface()
-    f_t = field.u_t.at_midsurface()
-    f_z = field.u_z.at_midsurface()
+    f_r, f_t, f_z = field.f_r, field.f_t, field.f_z
 
     fr = f_r(th, z)
     fr_z = f_r(th, z, 0, 1)
@@ -448,14 +395,14 @@ def _combine_q(parts, Lambda):
             + 2.0 * parts["axial"] + parts["shear"])
 
 
-def functional_family(field, material, geometry, grid, want_kstar=True):
+def functional_family(field, material, geometry, grid):
     """The buckling-equivalent functional family {K, K1, K0, K*} on one field.
 
     K  = S / C under perfect axial compression;
     K1 = S / ||u_r,z||^2;
     K0 = (flat-measure integral of (L0 E(u), E(u))) / ||u_r,z||^2, where E is
          the symmetrized simplified gradient;
-    K* = mu (Q0 + h^2/12 Q1*) / B, defined only for U(f)-form fields.
+    K* = mu (Q0 + h^2/12 Q1*) / B from the field's mid-surface profiles.
 
     Every integral uses ``grid``'s own rules: the flat measure dr dtheta dz
     as the volume measure of the density divided by r, and K*'s reduced
@@ -470,22 +417,18 @@ def functional_family(field, material, geometry, grid, want_kstar=True):
     E = symmetrize(simplified_G(g, grid.R))
     K0_num = grid.integrate(stability_integrand(material, E) / grid.R)
 
-    out = {
+    q0p, q1p, q1s_core, B = reduced_surface_forms(field, grid)
+    Q0 = _combine_q(q0p, material.Lambda)
+    Q1star = (material.Lambda + 2.0) * q1s_core
+    return {
         "K": sc.S / sc.C if sc.C > 0 else np.inf,
         "K1": sc.S / urz_sq,
         "K0": K0_num / urz_sq,
+        "Kstar": material.mu * (Q0 + geometry.h**2 / 12.0 * Q1star) / B,
         "S": sc.S,
         "C": sc.C,
+        "Q0": Q0,
+        "Q1": _combine_q(q1p, material.Lambda),
+        "Q1star": Q1star,
+        "B": B,
     }
-    if want_kstar:
-        if not _is_xlin(field, geometry):
-            raise ShapeError("K* requested for a field not of the U(f) form")
-        q0p, q1p, q1s_core, B = reduced_surface_forms(field, grid)
-        Q0 = _combine_q(q0p, material.Lambda)
-        Q1star = (material.Lambda + 2.0) * q1s_core
-        out["Kstar"] = material.mu * (Q0 + geometry.h**2 / 12.0 * Q1star) / B
-        out["Q0"] = Q0
-        out["Q1"] = _combine_q(q1p, material.Lambda)
-        out["Q1star"] = Q1star
-        out["B"] = B
-    return out

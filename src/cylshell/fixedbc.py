@@ -232,14 +232,15 @@ def wavenumber(h, alpha):
     return max(1, int(round(h**-alpha)))
 
 
-def fixedbc_limit(h_list, alpha, geometry, material):
+def fixedbc_limit(h_list, alpha, L, material):
     """Ratio table K0 / (2 mu h sqrt((Lambda+1)/3)) along an h-sweep.
 
-    The table converges to 1 from above as h -> 0 for any alpha in (0, 1/2).
+    The shell at each h has axial length L.  The table converges to 1 from
+    above as h -> 0 for any alpha in (0, 1/2).
     """
     rows = []
     for h in sorted(h_list, reverse=True):
-        geo = ShellGeometry(h=h, L=geometry.L)
+        geo = ShellGeometry(h=h, L=L)
         m = wavenumber(h, alpha)
         n = circle_wavenumber(m, geo, material.Lambda)
         rows.append(LimitRow(h=h, m=m, n=n, ratio=classical_ratio(m, geo, material, n=n)))

@@ -373,12 +373,16 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234):
 
 @dataclass(frozen=True)
 class HarmonicSolution:
-    """Discrete solution of the Dirichlet Laplace problem with data u."""
+    """Discrete solution w of the Dirichlet Laplace problem with data u.
+
+    ``u`` is the field on the whole node grid, of which w keeps the boundary.
+    """
 
     w: np.ndarray
     x: np.ndarray
     y: np.ndarray
     residual: float
+    u: np.ndarray
 
 
 def _sine_matrix(n):
@@ -407,7 +411,8 @@ def harmonic_projection(field, h, L, n_x=48, n_y=96):
     x = np.linspace(0.0, h, n_x + 1)
     y = np.linspace(0.0, L, n_y + 1)
     hx, hy = x[1] - x[0], y[1] - y[0]
-    w = np.array(np.broadcast_to(field.u(x[:, None], y[None, :]), (n_x + 1, n_y + 1)), dtype=float)
+    u = np.array(np.broadcast_to(field.u(x[:, None], y[None, :]), (n_x + 1, n_y + 1)), dtype=float)
+    w = u.copy()
 
     cx, cy = 1.0 / hx**2, 1.0 / hy**2
     b = np.zeros((n_x - 1, n_y - 1))
@@ -426,7 +431,7 @@ def harmonic_projection(field, h, L, n_x=48, n_y=96):
     scale = float(np.max(np.abs(w)))
     if residual > 1e-10 * max(scale, 1e-300) * max(1.0 / hx**2, 1.0 / hy**2) * 4.0:
         raise SolverError(f"discrete Laplacian residual {residual:.3e} too large")
-    return HarmonicSolution(w=w, x=x, y=y, residual=residual)
+    return HarmonicSolution(w=w, x=x, y=y, residual=residual, u=u)
 
 
 @dataclass(frozen=True)
@@ -450,14 +455,13 @@ def projection_estimates(field, alpha, h, L, allowance=0.05):
     if field.bc_tag != "zero_horizontal":
         raise ParameterError("projection estimates require u = 0 on the horizontal edges")
     sol = harmonic_projection(field, h, L)
-    x, y, w = sol.x, sol.y, sol.w
+    x, y, w, u = sol.x, sol.y, sol.w, sol.u
     hx, hy = x[1] - x[0], y[1] - y[0]
 
     # trapezoid weights for the node grid
     wx, wy = np.full(x.size, hx), np.full(y.size, hy)
     wx[[0, -1]] = hx / 2.0
     wy[[0, -1]] = hy / 2.0
-    u = np.broadcast_to(np.asarray(field.u(x[:, None], y[None, :]), dtype=float), w.shape)
     value_diff = math.sqrt(float(np.sum(wx[:, None] * wy[None, :] * (u - w) ** 2)))
 
     # gradients at cell centers (second-order for both u and w)

@@ -85,9 +85,8 @@ def test_gradient_component_bounds():
 
 
 def test_bending_ansatz_limits():
-    geo = ShellGeometry(h=1e-4, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
-    report = ansatz.verify_limits(bump, [3.0**-4, 5.0**-4, 10.0**-4], geo)
+    report = ansatz.verify_limits(bump, [3.0**-4, 5.0**-4, 10.0**-4])
     for name in ("gradient", "strain"):
         normalized = report[name].normalized
         assert abs(normalized[-1] - 1.0) <= 0.05
@@ -98,21 +97,18 @@ def test_bending_ansatz_limits():
 
 def test_compressiveness_scaling_exponents():
     mat = derive_material(1.0, 0.3)
-    geo = ShellGeometry(h=1e-4, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
-    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, geo, mat, perfect_stress())
+    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, mat, perfect_stress())
     assert rep["ratio"].fit.exponent == pytest.approx(1.0, abs=0.1)
     skewed = ansatz.BumpProfile(eta0=1.0, L=L, skew=-1.0)
-    rep = ansatz.compressiveness_scaling(skewed, H_SWEEP, geo, mat,
-                                         shear_imperfection(np.cos))
+    rep = ansatz.compressiveness_scaling(skewed, H_SWEEP, mat, shear_imperfection(np.cos))
     assert rep["ratio"].fit.exponent == pytest.approx(1.25, abs=0.15)
-    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, geo, mat,
-                                         hoop_imperfection())
+    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, mat, hoop_imperfection())
     assert rep["ratio"].fit.exponent == pytest.approx(1.5, abs=0.15)
 
 
-def test_fixed_bottom_classical_limit(mat, geo_thin):
-    report = fixedbc.fixedbc_limit([1e-4, 1e-6], 0.25, geo_thin, mat)
+def test_fixed_bottom_classical_limit(mat):
+    report = fixedbc.fixedbc_limit([1e-4, 1e-6], 0.25, L, mat)
     ratios = {row.h: row.ratio for row in report.rows}
     assert ratios[1e-4] == pytest.approx(1.034, abs=0.01)
     assert 1.0 < ratios[1e-6] <= 1.01

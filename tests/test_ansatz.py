@@ -74,9 +74,8 @@ def test_ansatz_field_satisfies_fixed_bottom_bc():
 
 
 def test_verify_limits_converges_monotonically():
-    geo = ShellGeometry(h=1e-4, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
-    report = ansatz.verify_limits(bump, [3.0**-4, 5.0**-4, 1e-4], geo)
+    report = ansatz.verify_limits(bump, [3.0**-4, 5.0**-4, 1e-4])
     for name in ("gradient", "strain"):
         normalized = report[name].normalized
         # normalized values decrease toward 1 from above along the sweep
@@ -86,41 +85,36 @@ def test_verify_limits_converges_monotonically():
 
 
 def test_verify_limits_reference_values():
-    geo = ShellGeometry(h=1e-4, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
-    report = ansatz.verify_limits(bump, [1e-4], geo)
+    report = ansatz.verify_limits(bump, [1e-4])
     assert report["gradient"].normalized[0] == pytest.approx(1.0001450867927526, rel=1e-9)
     assert report["strain"].normalized[0] == pytest.approx(1.0007786116654414, rel=1e-9)
 
 
 def test_component_scalings_match_targets():
-    geo = ShellGeometry(h=1e-4, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
-    report = ansatz.component_scalings(bump, H_SWEEP, geo)
+    report = ansatz.component_scalings(bump, H_SWEEP)
     for name, target in ansatz.COMPONENT_EXPONENTS.items():
         assert report[name].fit.exponent == pytest.approx(target, abs=0.15), name
 
 
 def test_thetaz_pair_rate_on_deep_sweep():
     # the h^(3/4) group approaches its rate slowly; a deeper sweep tightens it
-    geo = ShellGeometry(h=20.0**-4, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
     deep = [4.0**-4, 5.0**-4, 7.0**-4, 10.0**-4, 14.0**-4, 20.0**-4]
-    report = ansatz.component_scalings(bump, deep, geo)
+    report = ansatz.component_scalings(bump, deep)
     assert report["thetaz_pair"].fit.exponent == pytest.approx(0.75, abs=0.05)
 
 
 def test_compressiveness_exponents():
     mat = derive_material(1.0, 0.3)
-    geo = ShellGeometry(h=1e-4, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
-    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, geo, mat, perfect_stress())
+    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, mat, perfect_stress())
     assert rep["ratio"].fit.exponent == pytest.approx(1.0, abs=0.1)
-    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, geo, mat, hoop_imperfection())
+    rep = ansatz.compressiveness_scaling(bump, H_SWEEP, mat, hoop_imperfection())
     assert rep["ratio"].fit.exponent == pytest.approx(1.5, abs=0.15)
     skewed = ansatz.BumpProfile(eta0=1.0, L=L, skew=-1.0)
-    rep = ansatz.compressiveness_scaling(skewed, H_SWEEP, geo, mat,
-                                         shear_imperfection(np.cos))
+    rep = ansatz.compressiveness_scaling(skewed, H_SWEEP, mat, shear_imperfection(np.cos))
     assert rep["ratio"].fit.exponent == pytest.approx(1.25, abs=0.15)
 
 
@@ -128,9 +122,8 @@ def test_shear_needs_opposing_skew():
     # with the skew aligned to s = cos the shear weight is stabilizing:
     # every point lands in the excluded table and no fit is produced
     mat = derive_material(1.0, 0.3)
-    geo = ShellGeometry(h=1e-3, L=L)
     skewed = ansatz.BumpProfile(eta0=1.0, L=L, skew=1.0)
-    rep = ansatz.compressiveness_scaling(skewed, [1e-2, 1e-3], geo, mat,
+    rep = ansatz.compressiveness_scaling(skewed, [1e-2, 1e-3], mat,
                                          shear_imperfection(np.cos))
     assert len(rep["excluded"].points) == 2
     assert rep["ratio"].fit is None

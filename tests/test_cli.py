@@ -224,6 +224,18 @@ def test_bad_h_list(capsys, argv):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["ansatz", "--h-list", "1e-2,-1"],
+    ["fixedbc", "--h-list", "1e-3,0"],
+    ["ansatz", "--h-list", "1e-2,1e-3", "--L", "-1"],
+    ["fixedbc", "--h-list", "1e-3", "--L", "0"],
+], ids=["ansatz-h", "fixedbc-h", "ansatz-L", "fixedbc-L"])
+def test_bad_sweep_geometry(capsys, argv):
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_missing_subcommand(capsys):
     assert main([]) == 2
 
@@ -271,6 +283,11 @@ def test_no_files_without_out(tmp_path, capsys, monkeypatch, name):
     assert code == 0
     assert json.loads(out)["config"]
     assert list(tmp_path.iterdir()) == []
+
+
+def test_every_export_resolves():
+    missing = [name for name in cylshell.__all__ if not hasattr(cylshell, name)]
+    assert missing == []
 
 
 def test_import_loads_no_scipy():

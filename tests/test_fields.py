@@ -9,8 +9,8 @@ from cylshell.ansatz import BumpProfile, ansatz_grid, build_ansatz
 from cylshell.errors import NotDestabilizingError, ShapeError
 from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, TrigSurface,
                              from_midsurface, functional_family, functionals,
-                             gradient, linearize_radial, strain, verify_bc,
-                             volume_grid)
+                             gradient, strain, verify_bc, volume_grid)
+from cylshell.koiter import buckling_mode, koiter_circle_n
 from cylshell.material import ShellGeometry, perfect_stress
 
 
@@ -88,18 +88,6 @@ def test_strain_is_symmetric_part(geo_thick):
     assert float(e["rr"]) == pytest.approx(float(g["rr"]))
 
 
-def test_linearize_radial_fixes_midsurface_fields(geo_thick):
-    f_r = TrigSurface("cos", 4, "sin", 2.0)
-    f_t = TrigSurface("sin", 4, "sin", 2.0, amp=0.3)
-    field = from_midsurface(f_r, f_t, None)
-    lin = linearize_radial(field, geo_thick)
-    rs = np.linspace(*geo_thick.I_h, 5)[:, None, None]
-    ths = np.array([0.1, 2.0])[None, :, None]
-    zs = np.array([0.3, 1.5])[None, None, :]
-    for c1, c2 in ((field.u_r, lin.u_r), (field.u_t, lin.u_t), (field.u_z, lin.u_z)):
-        assert np.allclose(c1(rs, ths, zs), c2(rs, ths, zs), atol=1e-13)
-
-
 def test_ratio_raises_on_noncompressive(mat, geo_thick):
     # a field with no z-dependence has C = 0 under perfect axial compression
     f_r = TrigSurface("cos", 2, "one", 0.0)
@@ -114,7 +102,6 @@ def test_ratio_raises_on_noncompressive(mat, geo_thick):
 def test_functional_family_ordering(mat, geo_thick):
     # K <= K1 under perfect compression: C = ||u_z,z...||-type terms never
     # exceed the full gradient contraction bounded below by ||u_r,z||^2
-    from cylshell.koiter import buckling_mode, koiter_circle_n
     n = koiter_circle_n(2, geo_thick, mat.Lambda)
     field = buckling_mode(2, geo_thick, mat, n=n)
     grid = volume_grid(geo_thick, n_r=4, n_th=2 * n + 7, n_z=16)
@@ -145,18 +132,17 @@ def test_kstar_uses_the_grid_rule(mat):
     assert kstar == pytest.approx(ref, rel=1e-3)
 
 
-def test_functional_family_rejects_non_xlin(mat, geo_thick):
-    from numpy.polynomial import Polynomial
-
-    from cylshell.fields import Component, DisplacementField
-    quad = Polynomial([0.0, 0.0, 1.0])  # r^2 radial profile is not affine
-    f = TrigSurface("cos", 2, "sin", 2.0)
-    field = DisplacementField(u_r=Component(((quad, f),)))
-    grid = volume_grid(geo_thick, n_r=4, n_th=8, n_z=8)
-    with pytest.raises(ShapeError):
-        functional_family(field, mat, geo_thick, grid)
-    fam = functional_family(field, mat, geo_thick, grid, want_kstar=False)
-    assert "Kstar" not in fam
+def test_functional_family_reference_values(mat):
+    # the m = 1 Koiter mode on the benchmark's family grid at h = 1e-3, pinned
+    # so that any change to how a field is evaluated shows
+    geo = ShellGeometry(h=1e-3, L=math.pi)
+    n = koiter_circle_n(1, geo, mat.Lambda)
+    field = buckling_mode(1, geo, mat, n=n)
+    fam = functional_family(field, mat, geo, volume_grid(geo, n_r=4, n_th=2 * n + 7, n_z=24))
+    assert fam["K"] == pytest.approx(0.0006941248876441151, rel=1e-13)
+    assert fam["K1"] == pytest.approx(0.0007087829370177234, rel=1e-13)
+    assert fam["K0"] == pytest.approx(0.0007088161113553072, rel=1e-13)
+    assert fam["Kstar"] == pytest.approx(0.0007200091575091564, rel=1e-13)
 
 
 def test_strain_weights_sum():

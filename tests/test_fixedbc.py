@@ -80,8 +80,8 @@ def test_limit_expression():
     assert fixedbc.limit_expression(10**6) == pytest.approx(1.0, abs=1e-5)
 
 
-def test_ratio_reference_values(mat, geo_thin):
-    report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], 0.25, geo_thin, mat)
+def test_ratio_reference_values(mat):
+    report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], 0.25, L, mat)
     ratios = {row.h: row.ratio for row in report.rows}
     assert ratios[1e-4] == pytest.approx(1.027444058235132, rel=1e-9)
     assert ratios[1e-5] == pytest.approx(1.009350755035927, rel=1e-9)
@@ -94,18 +94,18 @@ def test_ratio_near_finite_m_limit(mat, geo_thin):
     assert ratio == pytest.approx(fixedbc.limit_expression(10), abs=0.01)
 
 
-def test_excess_decays_like_h_to_two_alpha(mat, geo_thin):
-    report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], 0.25, geo_thin, mat)
+def test_excess_decays_like_h_to_two_alpha(mat):
+    report = fixedbc.fixedbc_limit([1e-4, 1e-5, 1e-6], 0.25, L, mat)
     fit = report.excess_fit()
     assert fit.exponent == pytest.approx(0.5, abs=0.1)
 
 
-def test_limit_memory(mat, geo_thin):
+def test_limit_memory(mat):
     # the algebra needs O(1) memory per h; the volume quadrature allocated
     # about 178 MB at h = 1e-7
     tracemalloc.start()
     try:
-        report = fixedbc.fixedbc_limit([1e-7], 0.25, geo_thin, mat)
+        report = fixedbc.fixedbc_limit([1e-7], 0.25, L, mat)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

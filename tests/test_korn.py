@@ -11,9 +11,8 @@ from numpy.polynomial import Polynomial
 
 from cylshell import blas, korn
 from cylshell.errors import ParameterError
-from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, Component,
-                             DisplacementField, TrigSurface, gradient, symmetrize,
-                             volume_grid)
+from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, TrigSurface,
+                             gradient, symmetrize, volume_grid)
 from cylshell.material import ShellGeometry
 
 
@@ -62,6 +61,21 @@ def fd_radial_grid(geometry, N):
     return korn.RadialGrid(nodes=nodes, D=D, weights=w)
 
 
+class RadialPolynomialField:
+    """Oracle field u_c = p_c(r) s_c(theta, z) with polynomial radial profiles.
+
+    Quadratic p_c lie outside the U(f) fields of ``cylshell.fields``;
+    ``gradient`` reads only the u_r/u_t/u_z calls.
+    """
+
+    def __init__(self, profiles, angular):
+        self.u_r, self.u_t, self.u_z = (self._component(p, s) for p, s in zip(profiles, angular))
+
+    @staticmethod
+    def _component(p, s):
+        return lambda r, theta, z, dr=0, dth=0, dz=0: p.deriv(dr)(r) * s(theta, z, dth, dz)
+
+
 def random_form_pair(rng, d):
     """Small random sqrt(W)-weighted row-stack pair with SPD denominator."""
     A_s = np.vstack([rng.standard_normal((d + 2, d)), np.zeros((1, d))])
@@ -102,7 +116,7 @@ def test_mode_forms_match_field_quadrature(geo_thick):
                 -0.5 + 0.8 * x + 1.3 * x**2]
     angular = [TrigSurface("cos", n, "sin", m_hat), TrigSurface("sin", n, "sin", m_hat),
                TrigSurface("cos", n, "cos", m_hat)]
-    field = DisplacementField(*(Component(((p, s),)) for p, s in zip(profiles, angular)))
+    field = RadialPolynomialField(profiles, angular)
     quad = volume_grid(geo_thick, n_r=8, n_th=16, n_z=24)
     g = gradient(field, quad.R, quad.TH, quad.Z)
     e = symmetrize(g)

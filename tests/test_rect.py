@@ -180,6 +180,12 @@ def test_projection_estimates_hold_on_random_fields():
         field = rect.random_zero_horizontal(rng, H, L)
         rep = rect.projection_estimates(field, alpha=0.5, h=H, L=L)
         assert rep.holds
+    # the first seed-1234 field at alpha = 1, pinned: the estimates read the
+    # node-grid data of the projection
+    field = rect.random_zero_horizontal(np.random.default_rng(1234), H, L)
+    rep = rect.projection_estimates(field, alpha=1.0, h=H, L=L)
+    assert rep.grad_diff == pytest.approx(3.106336926720022, rel=1e-12)
+    assert rep.value_diff == pytest.approx(0.07870051051131415, rel=1e-12)
     free = rect.PlanarField(rect.ZERO, rect.ZERO, bc_tag=None)
     with pytest.raises(ParameterError):
         rect.projection_estimates(free, 0.5, H, L)
