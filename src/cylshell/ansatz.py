@@ -11,9 +11,11 @@ whose U(f) field U^h realizes the h^(3/2) Korn-constant scaling:
     lim h^(-5/4) ||e(U^h)||^2  = ||phi_,zz||^2 + (1/12) ||phi_,eta eta eta eta||^2.
 
 (The off-diagonal (r, theta) block of grad U^h is exactly antisymmetric, so
-both entries carry the leading term; hence the factor 2.)  The remaining
-gradient components split into groups scaling as h^(-1/4), h^(1/4), h^(3/4)
-and h^(5/4), with ||U_r||^2 = O(h^(1/4)).  The stability/compressiveness
+both entries carry the leading term; hence the factor 2.)  The gradient
+components fall into korn's component groups, and each group's squared norm
+scales as h to korn's exponent + 5/4, so U^h attains every Korn-type bound:
+rthr as h^(-1/4), urrzzr as h^(1/4) (||U_r||^2 is part of urrzzr), thzzth as
+h^(3/4) and ththzz as h^(5/4).  The stability/compressiveness
 ratio of U^h scales as h for perfect axial compression, as h^(5/4) for a
 shear-imperfection weight paired with a circumferentially skewed bump, and
 as h^(3/2) for a hoop-imperfection weight.
@@ -25,19 +27,13 @@ import math
 import numpy as np
 from numpy.polynomial import Polynomial
 
+from cylshell import korn
 from cylshell.errors import ParameterError
-from cylshell.material import ShellGeometry
+from cylshell.material import shell_sweep
 from cylshell.fields import (Scaled, Shifted, from_midsurface, functionals, gradient,
                              symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
                              STRAIN_WEIGHT)
 from cylshell.scaling import ScalingFit, fit_exponent
-
-
-def _poly_pow(p, k):
-    out = Polynomial([1.0])
-    for _ in range(k):
-        out = out * p
-    return out
 
 
 @dataclass(frozen=True)
@@ -61,8 +57,8 @@ class BumpProfile:
             raise ParameterError(f"eta0 must lie in (0, pi), got {self.eta0}")
         if not self.L > 0:
             raise ParameterError(f"L must be positive, got {self.L}")
-        P = _poly_pow(Polynomial([1.0, 0.0, -1.0 / self.eta0**2]), 5)
-        Z = _poly_pow(Polynomial([0.0, 1.0 / self.L, -1.0 / self.L**2]), 5)
+        P = Polynomial([1.0, 0.0, -1.0 / self.eta0**2]) ** 5
+        Z = Polynomial([0.0, 1.0 / self.L, -1.0 / self.L**2]) ** 5
         terms = [(P, Z)]
         if self.skew != 0.0:
             eta_p = Polynomial([0.0, 1.0 / self.eta0])
@@ -183,13 +179,10 @@ def _sweep(bump, h_list, quantity):
 
     The shell at each h has the bump's axial length.
     """
-    if len(h_list) == 0:
-        raise ParameterError("h_list must be non-empty")
     rows = []
-    for h in sorted(h_list, reverse=True):
-        geo = ShellGeometry(h=h, L=bump.L)
-        ans = build_ansatz(h, bump, geo)
-        rows.append((h, quantity(ans, ansatz_grid(ans, geo))))
+    for geo in shell_sweep(h_list, bump.L):
+        ans = build_ansatz(geo.h, bump, geo)
+        rows.append((geo.h, quantity(ans, ansatz_grid(ans, geo))))
     return rows
 
 
@@ -215,33 +208,18 @@ def verify_limits(bump, h_list):
     return tables
 
 
-# gradient-component pairs of the ansatz and their absolute h-powers; the
-# off-diagonal (r, theta) pair carries the full gradient (h^(-1/4)), the
-# diagonal pair matches the strain scaling (h^(5/4)), and ||U_r||^2 = O(h^(1/4))
-GRADIENT_PAIRS = {
-    "rtheta_pair": ("rt", "tr"),
-    "rz_pair": ("rz", "zr"),
-    "thetaz_pair": ("tz", "zt"),
-    "diag_pair": ("tt", "zz"),
-}
-
-COMPONENT_EXPONENTS = {
-    "rtheta_pair": -0.25,
-    "rz_pair": 0.25,
-    "thetaz_pair": 0.75,
-    "diag_pair": 1.25,
-    "u_r": 0.25,
-}
+# h-exponents of korn's component groups on U^h: korn's exponent + 5/4, since
+# ||e(U^h)||^2 ~ h^(5/4), so U^h attains each Korn-type bound
+COMPONENT_EXPONENTS = {name: e + 1.25 for name, e in korn.COMPONENT_EXPONENTS.items()}
 
 
 def component_scalings(bump, h_list):
-    """Fitted h-exponents of the squared gradient-component group norms."""
+    """Fitted h-exponents of the squared norms of korn's component groups."""
     def groups(ans, grid):
         g = gradient(ans.field, grid.R, grid.TH, grid.Z)
-        vals = {name: sum(grid.norm_sq(g[k]) for k in keys)
-                for name, keys in GRADIENT_PAIRS.items()}
-        vals["u_r"] = grid.norm_sq(ans.field.u_r(grid.R, grid.TH, grid.Z))
-        return vals
+        g["ur"] = ans.field.u_r(grid.R, grid.TH, grid.Z)
+        return {name: sum(grid.norm_sq(g[k]) for k in keys)
+                for name, keys in korn.COMPONENT_GROUPS.items()}
 
     rows = _sweep(bump, h_list, groups)
     tables = {}

@@ -23,7 +23,7 @@ from cylshell import ansatz, fixedbc, koiter, korn, rect
 from cylshell.errors import (NotDestabilizingError, ParameterError, ShapeError,
                              SolverError)
 from cylshell.material import (ShellGeometry, derive_material, hoop_imperfection,
-                               perfect_stress, shear_imperfection,
+                               perfect_stress, shear_imperfection, shell_sweep,
                                solve_trivial_branch)
 from cylshell.scaling import fit_exponent
 
@@ -173,7 +173,7 @@ def _cmd_koiter_modes(args):
 
 def _h_sweep(args, name, config, header, one, **extra):
     """Rows ``one(geometry)`` over the h-list, largest h first; fitted from 4 rows."""
-    rows = [one(ShellGeometry(h=h, L=args.L)) for h in sorted(args.h_list, reverse=True)]
+    rows = [one(geo) for geo in shell_sweep(args.h_list, args.L)]
     payload = {"rows": rows, **extra}
     if len(rows) >= 4:
         fit = fit_exponent([(r[0], r[1]) for r in rows])

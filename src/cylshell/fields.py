@@ -16,6 +16,7 @@ the korn oracle test, as objects whose u_r/u_t/u_z ``gradient`` accepts.
 """
 
 from dataclasses import dataclass, replace
+import functools
 
 import numpy as np
 
@@ -197,8 +198,14 @@ def strain(field, r, theta, z):
 # quadrature
 
 
+@functools.lru_cache(maxsize=None)
+def _unit_gauss(n):
+    """The n-point Gauss-Legendre rule on [-1, 1], computed once per n."""
+    return np.polynomial.legendre.leggauss(n)
+
+
 def _gauss(a, b, n):
-    x, w = np.polynomial.legendre.leggauss(n)
+    x, w = _unit_gauss(n)
     return 0.5 * (b - a) * x + 0.5 * (a + b), 0.5 * (b - a) * w
 
 
@@ -390,7 +397,8 @@ def reduced_surface_forms(field, grid):
     return q0_parts, q1_parts, q1star_core, B
 
 
-def _combine_q(parts, Lambda):
+def combine_q(parts, Lambda):
+    """Q0 or Q1 from its trace, hoop, axial and shear parts: weights Lambda, 2, 2, 1."""
     return (Lambda * parts["trace"] + 2.0 * parts["hoop"]
             + 2.0 * parts["axial"] + parts["shear"])
 
@@ -418,7 +426,7 @@ def functional_family(field, material, geometry, grid):
     K0_num = grid.integrate(stability_integrand(material, E) / grid.R)
 
     q0p, q1p, q1s_core, B = reduced_surface_forms(field, grid)
-    Q0 = _combine_q(q0p, material.Lambda)
+    Q0 = combine_q(q0p, material.Lambda)
     Q1star = (material.Lambda + 2.0) * q1s_core
     return {
         "K": sc.S / sc.C if sc.C > 0 else np.inf,
@@ -428,7 +436,7 @@ def functional_family(field, material, geometry, grid):
         "S": sc.S,
         "C": sc.C,
         "Q0": Q0,
-        "Q1": _combine_q(q1p, material.Lambda),
+        "Q1": combine_q(q1p, material.Lambda),
         "Q1star": Q1star,
         "B": B,
     }

@@ -24,11 +24,13 @@ family by volume quadrature, which the tests use as an independent oracle.
 from dataclasses import dataclass
 import math
 
+import numpy as np
+
 from cylshell.errors import ParameterError
 from cylshell.fields import SumSurface, from_midsurface, functional_family, volume_grid
-from cylshell.koiter import (circle_n_real, classical_load, max_circle_m, real_profiles,
-                             reduced_forms)
-from cylshell.material import ShellGeometry
+from cylshell.koiter import (circle_n_real, classical_load, max_circle_m,
+                             optimal_tangential, real_profiles, reduced_forms)
+from cylshell.material import shell_sweep
 from cylshell.scaling import fit_exponent
 
 
@@ -53,15 +55,13 @@ def gamma(m, n, geometry, Lambda):
 def t_coefficient(m, n, geometry, Lambda):
     """Axial-profile coefficient shared by the two modes.
 
-    T(m, n) = ((Lambda+2) n^2 - Lambda m_hat^2) / ((Lambda+2)(n^2 + m_hat^2)^2);
-    in the regime n >> m_hat this agrees with the leading-order 1/n^2 to
-    relative O(m_hat^2 / n^2).
+    T(m, n) = -f_z*/m_hat, f_z* the membrane optimum at f_r = 1; in the regime
+    n >> m_hat it agrees with the leading-order 1/n^2 to relative O(m_hat^2 / n^2).
     """
     if n < 1:
         raise ParameterError("t_coefficient requires n >= 1")
     m_hat = math.pi * m / geometry.L
-    Lp2 = Lambda + 2.0
-    return (Lp2 * n**2 - Lambda * m_hat**2) / (Lp2 * (n**2 + m_hat**2) ** 2)
+    return -optimal_tangential(1, m_hat, n, Lambda)[1] / m_hat
 
 
 def mode_amplitudes(m, n, geometry, Lambda):
@@ -155,14 +155,10 @@ def mode_k0_algebraic(m, geometry, material, n=None):
     Lam = material.Lambda
     n = _admissible_n(m, geometry, Lam, n)
     amps = mode_amplitudes(m, n, geometry, Lam)
-    Q0 = Q1 = B = 0.0
-    for k, (f_r, f_t, f_z) in amps.items():
-        k_hat = math.pi * k / geometry.L
-        forms = reduced_forms(k_hat, n, Lam, f_r, f_t, f_z)
-        Q0 += forms.Q0
-        Q1 += forms.Q1
-        B += forms.B
-    return material.mu * (Q0 + geometry.h**2 / 12.0 * Q1) / B
+    k_hat = math.pi * np.array(list(amps)) / geometry.L
+    f_r, f_t, f_z = (np.array(c) for c in zip(*amps.values()))
+    forms = reduced_forms(k_hat, n, Lam, f_r, f_t, f_z)
+    return material.mu * (forms.Q0 + geometry.h**2 / 12.0 * forms.Q1) / forms.B
 
 
 def mode_grid(m, n, geometry):
@@ -239,9 +235,8 @@ def fixedbc_limit(h_list, alpha, L, material):
     above as h -> 0 for any alpha in (0, 1/2).
     """
     rows = []
-    for h in sorted(h_list, reverse=True):
-        geo = ShellGeometry(h=h, L=L)
-        m = wavenumber(h, alpha)
+    for geo in shell_sweep(h_list, L):
+        m = wavenumber(geo.h, alpha)
         n = circle_wavenumber(m, geo, material.Lambda)
-        rows.append(LimitRow(h=h, m=m, n=n, ratio=classical_ratio(m, geo, material, n=n)))
+        rows.append(LimitRow(h=geo.h, m=m, n=n, ratio=classical_ratio(m, geo, material, n=n)))
     return LimitReport(alpha=alpha, rows=tuple(rows))

@@ -9,8 +9,8 @@ two-term load surface
                           + h^2 (Lambda+2)(m_hat^2+n^2)^2 / (12 m_hat^2) ],
 
 whose minimum over real wavenumbers is 2 mu h sqrt((Lambda+1)/3), attained on
-the circle h(Lambda+2)(n^2+m_hat^2)^2 = 4 m_hat^2 sqrt(3(Lambda+1)).  The
-integer minimization, the circle wavenumber map n(m), and the explicit
+the Koiter circle n^2 + m_hat^2 = 2 k m_hat, k = (3(Lambda+1))^(1/4) / sqrt(h(Lambda+2)).
+The integer minimization, the circle wavenumber map n(m), and the explicit
 buckling-mode construction live here.
 """
 
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from cylshell.errors import ParameterError
-from cylshell.fields import TrigSurface, from_midsurface
+from cylshell.fields import TrigSurface, combine_q, from_midsurface
 
 
 @dataclass(frozen=True)
@@ -34,27 +34,30 @@ class ReducedForms:
 def reduced_forms(m_hat, n, Lambda, f_r, f_t=0.0, f_z=0.0):
     """Reduced quadratic forms at complex mode amplitudes.
 
+    Over arrays of axial modes each mode's forms are combined, then summed.
     The common Fourier normalization (pi L / 2 per mode) is dropped; it
     cancels in every ratio formed from these.
     """
     i = 1j
-    Q0 = (Lambda * abs(i * n * f_t - m_hat * f_z + f_r) ** 2
-          + 2.0 * abs(i * n * f_t + f_r) ** 2
-          + 2.0 * m_hat**2 * abs(f_z) ** 2
-          + abs(i * n * f_z + m_hat * f_t) ** 2)
-    Q1 = (Lambda * abs((m_hat**2 + n**2) * f_r + i * n * f_t) ** 2
-          + 2.0 * abs(n**2 * f_r + i * n * f_t) ** 2
-          + 2.0 * m_hat**4 * abs(f_r) ** 2
-          + m_hat**2 * abs(f_t - 2.0 * i * n * f_r) ** 2)
+    q0_parts = {"trace": abs(i * n * f_t - m_hat * f_z + f_r) ** 2,
+                "hoop": abs(i * n * f_t + f_r) ** 2,
+                "axial": m_hat**2 * abs(f_z) ** 2,
+                "shear": abs(i * n * f_z + m_hat * f_t) ** 2}
+    q1_parts = {"trace": abs((m_hat**2 + n**2) * f_r + i * n * f_t) ** 2,
+                "hoop": abs(n**2 * f_r + i * n * f_t) ** 2,
+                "axial": m_hat**4 * abs(f_r) ** 2,
+                "shear": m_hat**2 * abs(f_t - 2.0 * i * n * f_r) ** 2}
     Q1star = (Lambda + 2.0) * (m_hat**2 + n**2) ** 2 * abs(f_r) ** 2
     B = m_hat**2 * abs(f_r) ** 2
-    return ReducedForms(Q0=float(Q0), Q1=float(Q1), Q1star=float(Q1star), B=float(B))
+    return ReducedForms(Q0=float(np.sum(combine_q(q0_parts, Lambda))),
+                        Q1=float(np.sum(combine_q(q1_parts, Lambda))),
+                        Q1star=float(np.sum(Q1star)), B=float(np.sum(B)))
 
 
 def optimal_tangential(f_r, m_hat, n, Lambda):
     """Minimizer (f_theta*, f_z*) of Q0 over the tangential amplitudes.
 
-    At the optimum Q0 = 4 |f_r|^2 m_hat^4 (Lambda+1) / ((Lambda+2)(n^2+m_hat^2)^2).
+    Q0 there is q0_at_optimum(f_r, m_hat, n, Lambda).
     """
     if m_hat == 0 and n == 0:
         raise ParameterError("optimal tangential amplitudes undefined at m_hat = n = 0")
@@ -64,9 +67,13 @@ def optimal_tangential(f_r, m_hat, n, Lambda):
     return f_t, f_z
 
 
+def _membrane_term(m_hat, n, Lambda):
+    """Membrane part of lambda*/mu; Q0 at the membrane optimum is |f_r|^2 m_hat^2 times it."""
+    return 4.0 * m_hat**2 * (Lambda + 1.0) / ((Lambda + 2.0) * (n**2 + m_hat**2) ** 2)
+
+
 def q0_at_optimum(f_r, m_hat, n, Lambda):
-    return 4.0 * abs(f_r) ** 2 * m_hat**4 * (Lambda + 1.0) / (
-        (Lambda + 2.0) * (n**2 + m_hat**2) ** 2)
+    return abs(f_r) ** 2 * m_hat**2 * _membrane_term(m_hat, n, Lambda)
 
 
 def lambda_star(geometry, material, m, n):
@@ -78,9 +85,8 @@ def lambda_star(geometry, material, m, n):
         raise ParameterError("lambda* requires m >= 1 (B vanishes at m = 0)")
     h, Lam = geometry.h, material.Lambda
     m_hat = math.pi * m / geometry.L
-    membrane = 4.0 * m_hat**2 * (Lam + 1.0) / ((Lam + 2.0) * (n**2 + m_hat**2) ** 2)
     bending = h**2 * (Lam + 2.0) * (m_hat**2 + n**2) ** 2 / (12.0 * m_hat**2)
-    return material.mu * (membrane + bending)
+    return material.mu * (_membrane_term(m_hat, n, Lam) + bending)
 
 
 def classical_load(geometry, material):
@@ -88,18 +94,21 @@ def classical_load(geometry, material):
     return 2.0 * material.mu * geometry.h * math.sqrt((material.Lambda + 1.0) / 3.0)
 
 
+def _circle_radius(geometry, Lambda):
+    """k of the Koiter circle n^2 + m_hat^2 = 2 k m_hat."""
+    return (3.0 * (Lambda + 1.0)) ** 0.25 / math.sqrt(geometry.h * (Lambda + 2.0))
+
+
 def circle_residual(geometry, Lambda, m, n):
     """Relative defect of (m, n) from the Koiter circle."""
     m_hat = math.pi * m / geometry.L
-    target = 4.0 * m_hat**2 * math.sqrt(3.0 * (Lambda + 1.0))
-    return abs(geometry.h * (Lambda + 2.0) * (n**2 + m_hat**2) ** 2 - target) / target
+    target = (2.0 * _circle_radius(geometry, Lambda) * m_hat) ** 2
+    return abs((n**2 + m_hat**2) ** 2 - target) / target
 
 
 def max_circle_m(geometry, Lambda):
     """M(h): largest m on the Koiter circle."""
-    val = (2.0 * geometry.L / math.pi) * (3.0 * (Lambda + 1.0)) ** 0.25 \
-        / math.sqrt(geometry.h * (Lambda + 2.0))
-    return int(math.floor(val))
+    return int(math.floor(2.0 * _circle_radius(geometry, Lambda) * geometry.L / math.pi))
 
 
 def _circle_radicand(m, geometry, Lambda):
@@ -108,8 +117,7 @@ def _circle_radicand(m, geometry, Lambda):
     Broadcasts over array-valued m.
     """
     m_hat = math.pi * m / geometry.L
-    return 2.0 * m_hat * (3.0 * (Lambda + 1.0)) ** 0.25 \
-        / math.sqrt(geometry.h * (Lambda + 2.0)) - m_hat**2
+    return m_hat * (2.0 * _circle_radius(geometry, Lambda) - m_hat)
 
 
 def circle_n_real(m, geometry, Lambda):
@@ -185,18 +193,17 @@ def mode_amplitudes(m, n, geometry, material):
 def display_amplitudes(m, n, geometry, material):
     """Circle-substituted mode amplitudes.
 
-    Same as mode_amplitudes except the denominator (Lambda+2)(n^2+m_hat^2)^2
-    is replaced through the circle identity by 4 m_hat^2 sqrt(3(Lambda+1))/h.
-    Exact on the circle of classical modes; at the floored integer n the
+    Same as mode_amplitudes except the denominator (n^2+m_hat^2)^2 of the
+    tangential pair is replaced through the circle by (2 k m_hat)^2.  Exact
+    on the circle of classical modes; at the floored integer n the
     substitution is off by O(circle residual), which the membrane form
     amplifies, so these serve only as a near-circle consistency oracle.
     """
-    h, Lam = geometry.h, material.Lambda
     m_hat = math.pi * m / geometry.L
-    root = 4.0 * m_hat**2 * math.sqrt(3.0 * (Lam + 1.0))
-    f_t = 1j * h * n * ((3.0 * Lam + 4.0) * m_hat**2 + (Lam + 2.0) * n**2) / root
-    f_z = h * m_hat * (Lam * m_hat**2 - (Lam + 2.0) * n**2) / root
-    return 1.0 + 0.0j, f_t, f_z
+    k = _circle_radius(geometry, material.Lambda)
+    scale = (n**2 + m_hat**2) ** 2 / (2.0 * k * m_hat) ** 2
+    f_r, f_t, f_z = mode_amplitudes(m, n, geometry, material)
+    return f_r, scale * f_t, scale * f_z
 
 
 def real_profiles(n, k_hat, f_r, f_t, f_z):

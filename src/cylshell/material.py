@@ -77,6 +77,13 @@ class ShellGeometry:
         return (self.r_inner, self.r_outer)
 
 
+def shell_sweep(h_list, L):
+    """The validated shells of a non-empty h-sweep at length L, largest h first."""
+    if len(h_list) == 0:
+        raise ParameterError("h_list must be non-empty")
+    return [ShellGeometry(h=h, L=L) for h in sorted(h_list, reverse=True)]
+
+
 # Largest admissible b on the trivial branch: b < 1 - 1/sqrt(3).
 B_MAX = 1.0 - 1.0 / math.sqrt(3.0)
 

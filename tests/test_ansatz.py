@@ -103,7 +103,7 @@ def test_thetaz_pair_rate_on_deep_sweep():
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
     deep = [4.0**-4, 5.0**-4, 7.0**-4, 10.0**-4, 14.0**-4, 20.0**-4]
     report = ansatz.component_scalings(bump, deep)
-    assert report["thetaz_pair"].fit.exponent == pytest.approx(0.75, abs=0.05)
+    assert report["thzzth"].fit.exponent == pytest.approx(0.75, abs=0.05)
 
 
 def test_compressiveness_exponents():

@@ -12,6 +12,7 @@ import pytest
 import scipy.linalg
 
 import cylshell
+from cylshell import ansatz, fixedbc, korn
 from cylshell.cli import main
 
 
@@ -229,8 +230,17 @@ def test_bad_h_list(capsys, argv):
     ["fixedbc", "--h-list", "1e-3,0"],
     ["ansatz", "--h-list", "1e-2,1e-3", "--L", "-1"],
     ["fixedbc", "--h-list", "1e-3", "--L", "0"],
-], ids=["ansatz-h", "fixedbc-h", "ansatz-L", "fixedbc-L"])
-def test_bad_sweep_geometry(capsys, argv):
+    ["korn", "--h-list", "1e-2,-1"],
+    ["components", "--which", "rthr", "--h-list", "1e-2,-1"],
+], ids=["ansatz-h", "fixedbc-h", "ansatz-L", "fixedbc-L", "korn-h", "components-h"])
+def test_bad_sweep_geometry(capsys, monkeypatch, argv):
+    # every h is validated before the first solve: nothing is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("a sweep computed before validating its h-list")
+
+    for module, name in ((korn, "_scan_quotient"), (ansatz, "build_ansatz"),
+                         (fixedbc, "classical_ratio")):
+        monkeypatch.setattr(module, name, computed)
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""

@@ -37,6 +37,24 @@ def test_circle_wavenumbers(mat, geo_thin):
         koiter.koiter_circle_n(200, geo_thin, mat.Lambda)
 
 
+@pytest.mark.parametrize("nu", [0.1, 0.3, 0.45])
+@pytest.mark.parametrize("h", [1e-2, 1e-4, 1e-6])
+def test_circle_is_the_load_minimum(nu, h):
+    # on the one circle n^2 + m_hat^2 = 2 k m_hat the load surface equals the
+    # classical load, the residual vanishes, and the radicand turns negative
+    # exactly past M(h)
+    mat = derive_material(1.0, nu)
+    geo = ShellGeometry(h=h, L=math.pi)
+    M = koiter.max_circle_m(geo, mat.Lambda)
+    for m in (1, M // 2, M):
+        n = koiter.circle_n_real(m, geo, mat.Lambda)
+        assert koiter.lambda_star(geo, mat, m, n) == pytest.approx(
+            koiter.classical_load(geo, mat), rel=1e-12)
+        assert koiter.circle_residual(geo, mat.Lambda, m, n) <= 1e-12
+    assert koiter._circle_radicand(M + 1, geo, mat.Lambda) < 0.0 \
+        <= koiter._circle_radicand(M, geo, mat.Lambda)
+
+
 def test_optimal_tangential_minimizes_membrane(mat):
     # brute-force 2-D minimization over (Im f_t, Re f_z) at a few triples
     from scipy.optimize import minimize
