@@ -26,13 +26,14 @@ import math
 
 import numpy as np
 from numpy.polynomial import Polynomial
+from numpy.polynomial.polynomial import polyder, polyint, polymul, polyval
 
 from cylshell import korn
 from cylshell.errors import ParameterError
 from cylshell.material import shell_sweep
-from cylshell.fields import (Scaled, Shifted, from_midsurface, functionals, gradient,
-                             symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
-                             STRAIN_WEIGHT)
+from cylshell.fields import (Scaled, Shifted, cylindrical_gradient, from_midsurface,
+                             functionals, gradient, symmetrize, volume_grid, GRAD_KEYS,
+                             STRAIN_KEYS, STRAIN_WEIGHT)
 from cylshell.scaling import ScalingFit, fit_exponent
 
 
@@ -44,13 +45,15 @@ class BumpProfile:
     adds the non-separable tilt factor (1 + skew (eta/eta0)(z/L)), which
     leaves the support and the C^4 regularity untouched.  Internally the bump
     is a sum of separable polynomial terms, so every squared-derivative
-    integral is an exact polynomial integral.
+    integral is an exact polynomial integral.  The coefficient arrays of each
+    (d_eta, d_z) derivative are computed once, on first use.
     """
 
     eta0: float
     L: float
     skew: float = 0.0
     terms: tuple = dc_field(default=None)
+    _derivs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.eta0 < math.pi:
@@ -66,28 +69,33 @@ class BumpProfile:
             terms.append((self.skew * (P * eta_p), Z * z_p))
         object.__setattr__(self, "terms", tuple(terms))
 
+    def _derivative(self, d_eta, d_z):
+        """(eta, z) coefficient arrays of each term's (d_eta, d_z) derivative."""
+        key = (d_eta, d_z)
+        if key not in self._derivs:
+            self._derivs[key] = tuple((polyder(P.coef, d_eta), polyder(Z.coef, d_z))
+                                      for P, Z in self.terms)
+        return self._derivs[key]
+
     def __call__(self, eta, z, d_eta=0, d_z=0):
         eta = np.asarray(eta, dtype=float)
         z = np.asarray(z, dtype=float)
         inside = (np.abs(eta) < self.eta0) & (z > 0.0) & (z < self.L)
         out = np.zeros(np.broadcast(eta, z).shape)
-        for P, Z in self.terms:
-            Pd = P.deriv(d_eta) if d_eta else P
-            Zd = Z.deriv(d_z) if d_z else Z
-            out = out + Pd(eta) * Zd(z)
+        for P, Z in self._derivative(d_eta, d_z):
+            out = out + polyval(eta, P) * polyval(z, Z)
         return np.where(inside, out, 0.0)
 
     def norm_sq(self, d_eta=0, d_z=0):
         """Exact integral of (d^a_eta d^b_z phi)^2 over the support."""
+        terms = self._derivative(d_eta, d_z)
         total = 0.0
-        for Pi, Zi in self.terms:
-            for Pj, Zj in self.terms:
-                pe = (Pi.deriv(d_eta) if d_eta else Pi) * (Pj.deriv(d_eta) if d_eta else Pj)
-                pz = (Zi.deriv(d_z) if d_z else Zi) * (Zj.deriv(d_z) if d_z else Zj)
-                qe = pe.integ()
-                qz = pz.integ()
-                total += (float(qe(self.eta0) - qe(-self.eta0))
-                          * float(qz(self.L) - qz(0.0)))
+        for Pi, Zi in terms:
+            for Pj, Zj in terms:
+                qe = polyint(polymul(Pi, Pj))
+                qz = polyint(polymul(Zi, Zj))
+                total += (float(polyval(self.eta0, qe) - polyval(-self.eta0, qe))
+                          * float(polyval(self.L, qz) - polyval(0.0, qz)))
         return total
 
     def gradient_limit(self):
@@ -123,12 +131,11 @@ def wavenumber(h):
 
 @dataclass(frozen=True)
 class AnsatzField:
-    """The bending ansatz at thickness h: field, compressed bump, support."""
+    """The bending ansatz at thickness h: field, bump, support."""
 
     h: float
     n_h: int
     bump: BumpProfile
-    phi: CompressedBump
     field: object
 
     @property
@@ -149,7 +156,7 @@ def build_ansatz(h, bump, geometry):
     f_t = Shifted(phi, 1, 0)
     f_z = Scaled(Shifted(phi, 0, 1), -1.0)
     field = from_midsurface(f_r, f_t, f_z, bc_tag="fixed_bottom")
-    return AnsatzField(h=h, n_h=n_h, bump=bump, phi=phi, field=field)
+    return AnsatzField(h=h, n_h=n_h, bump=bump, field=field)
 
 
 def ansatz_grid(ansatz, geometry):
@@ -216,8 +223,8 @@ COMPONENT_EXPONENTS = {name: e + 1.25 for name, e in korn.COMPONENT_EXPONENTS.it
 def component_scalings(bump, h_list):
     """Fitted h-exponents of the squared norms of korn's component groups."""
     def groups(ans, grid):
-        g = gradient(ans.field, grid.R, grid.TH, grid.Z)
-        g["ur"] = ans.field.u_r(grid.R, grid.TH, grid.Z)
+        p = ans.field.partials(grid.R, grid.TH, grid.Z)
+        g = {**cylindrical_gradient(p, grid.R), "ur": p["ur"]}
         return {name: sum(grid.norm_sq(g[k]) for k in keys)
                 for name, keys in korn.COMPONENT_GROUPS.items()}
 

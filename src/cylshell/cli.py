@@ -103,8 +103,8 @@ def export_surface(field, amplitude, geometry, path, n_th=96, n_z=48):
     th = np.arange(n_th) * (2.0 * np.pi / n_th)
     z = np.linspace(0.0, geometry.L, n_z)
     TH, Z = np.meshgrid(th, z, indexing="ij")
-    u_r = np.broadcast_to(field.u_r(1.0, TH, Z), TH.shape)
-    u_z = np.broadcast_to(field.u_z(1.0, TH, Z), TH.shape)
+    p = field.partials(1.0, TH, Z)
+    u_r, u_z = (np.broadcast_to(p[c], TH.shape) for c in ("ur", "uz"))
     radius = 1.0 + amplitude * u_r
     pts = np.stack([radius * np.cos(TH), radius * np.sin(TH),
                     Z + amplitude * u_z], axis=-1)

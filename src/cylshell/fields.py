@@ -9,10 +9,14 @@ A profile is any callable f(theta, z, dth=0, dz=0) with closed-form partial
 derivatives (trig modes, the compressed bending bump).  Every field built here
 -- the Koiter modes, the clamped-edge modes, the bending ansatz -- has this
 form, so each component and its r-derivatives are closed-form in the profiles,
-and the reduced forms Q0, Q1, Q1* and B, hence K*, are defined on every field.
-Gradients, strains, the simplified tensors G/E and all L2 norms are computed by
-tensor-product quadrature.  Fields with general radial profiles live only in
-the korn oracle test, as objects whose u_r/u_t/u_z ``gradient`` accepts.
+and the reduced forms Q0, Q1, Q1*, B, hence K*, are defined on every field.
+A field's ``partials(r, theta, z)`` returns its three components and their
+first derivatives in r, theta and z; ``cylindrical_gradient`` turns those 12
+partials into the nine entries of grad u, and the korn mode operators go
+through the same formula.  Gradients, strains, the simplified tensors G/E and
+all L2 norms are computed by tensor-product quadrature.  Fields with general
+radial profiles live only in the korn oracle test, which implements
+``partials`` for them.
 """
 
 from dataclasses import dataclass, replace
@@ -92,21 +96,30 @@ class SumSurface:
 # displacement fields
 
 
-def _zeros(r, theta, z):
-    """r as a float array, and zeros of the broadcast shape of (r, theta, z)."""
-    r = np.asarray(r, dtype=float)
-    return r, np.zeros(np.broadcast(r, theta, z).shape)
+# the mid-surface derivatives (profile, dth, dz) that U(f), its gradient and
+# the reduced forms read
+_JET = {
+    "fr": ("f_r", 0, 0), "fr_t": ("f_r", 1, 0), "fr_z": ("f_r", 0, 1),
+    "fr_tt": ("f_r", 2, 0), "fr_tz": ("f_r", 1, 1), "fr_zz": ("f_r", 0, 2),
+    "ft": ("f_t", 0, 0), "ft_t": ("f_t", 1, 0), "ft_z": ("f_t", 0, 1),
+    "fz": ("f_z", 0, 0), "fz_t": ("f_z", 1, 0), "fz_z": ("f_z", 0, 1),
+}
+
+
+def surface_jet(field, theta, z):
+    """The 12 mid-surface profile derivatives of a U(f) field, each evaluated once."""
+    return {key: getattr(field, prof)(theta, z, dth, dz)
+            for key, (prof, dth, dz) in _JET.items()}
 
 
 @dataclass(frozen=True)
 class DisplacementField:
     """The U(f) field of the mid-surface profiles f_r, f_t, f_z.
 
-    Each component u_r/u_t/u_z(r, theta, z, dr=0, dth=0, dz=0) is evaluated in
-    closed form from the profiles and returns an array of the broadcast shape
-    of (r, theta, z); the field is affine in r, so second r-derivatives vanish.
-    General radial profiles are not representable; they live only in the korn
-    oracle test.
+    ``partials(r, theta, z)`` evaluates the components and their first
+    derivatives in closed form from the profiles; the field is affine in r, so
+    second r-derivatives vanish.  General radial profiles are not
+    representable; they live only in the korn oracle test.
 
     bc_tag is one of 'average_top' (u_r = u_theta = 0 at z in {0, L}, zero-mean
     u_z on the bottom annulus), 'fixed_bottom' (additionally u_z = 0 at z = 0),
@@ -118,28 +131,22 @@ class DisplacementField:
     f_z: object
     bc_tag: str = None
 
-    def u_r(self, r, theta, z, dr=0, dth=0, dz=0):
-        _, out = _zeros(r, theta, z)
-        return out + self.f_r(theta, z, dth, dz) if dr == 0 else out
-
-    def u_t(self, r, theta, z, dr=0, dth=0, dz=0):
-        r, out = _zeros(r, theta, z)
-        if dr > 1:
-            return out
-        f_t = self.f_t(theta, z, dth, dz)
-        fr_t = self.f_r(theta, z, dth + 1, dz)
-        if dr == 1:
-            return out + (f_t - fr_t)
-        return out + (r * f_t - (r - 1.0) * fr_t)
-
-    def u_z(self, r, theta, z, dr=0, dth=0, dz=0):
-        r, out = _zeros(r, theta, z)
-        if dr > 1:
-            return out
-        fr_z = self.f_r(theta, z, dth, dz + 1)
-        if dr == 1:
-            return out - fr_z
-        return out + (self.f_z(theta, z, dth, dz) - (r - 1.0) * fr_z)
+    def partials(self, r, theta, z):
+        """u_r, u_theta, u_z ("ur", "ut", "uz") and their r, theta, z derivatives
+        ("ur_r", "ur_t", "ur_z", ...) at (r, theta, z), in closed form from
+        ``surface_jet``; each value broadcasts to the shape of (r, theta, z).
+        """
+        r = np.asarray(r, dtype=float)
+        j = surface_jet(self, theta, z)
+        s = r - 1.0
+        return {
+            "ur": j["fr"], "ur_r": np.zeros(np.broadcast(r, theta, z).shape),
+            "ur_t": j["fr_t"], "ur_z": j["fr_z"],
+            "ut": r * j["ft"] - s * j["fr_t"], "ut_r": j["ft"] - j["fr_t"],
+            "ut_t": r * j["ft_t"] - s * j["fr_tt"], "ut_z": r * j["ft_z"] - s * j["fr_tz"],
+            "uz": j["fz"] - s * j["fr_z"], "uz_r": -j["fr_z"],
+            "uz_t": j["fz_t"] - s * j["fr_tz"], "uz_z": j["fz_z"] - s * j["fr_zz"],
+        }
 
 
 def from_midsurface(f_r, f_t=None, f_z=None, bc_tag=None):
@@ -151,21 +158,24 @@ def from_midsurface(f_r, f_t=None, f_z=None, bc_tag=None):
 GRAD_KEYS = ("rr", "rt", "rz", "tr", "tt", "tz", "zr", "zt", "zz")
 
 
+def cylindrical_gradient(p, r):
+    """The nine entries of grad u in cylindrical coordinates from the partials p.
+
+    p holds u_r, u_theta, u_z and their r, theta, z derivatives under the keys
+    of ``DisplacementField.partials``.  The partials may be value arrays at
+    radii r, or operator matrices whose rows sit at radii r (then r is a
+    column); either way the 1/r entries multiply by 1/r.
+    """
+    rinv = 1.0 / r
+    return {"rr": p["ur_r"], "rt": rinv * (p["ur_t"] - p["ut"]), "rz": p["ur_z"],
+            "tr": p["ut_r"], "tt": rinv * (p["ut_t"] + p["ur"]), "tz": p["ut_z"],
+            "zr": p["uz_r"], "zt": rinv * p["uz_t"], "zz": p["uz_z"]}
+
+
 def gradient(field, r, theta, z):
     """The nine cylindrical gradient components at (r, theta, z) arrays."""
     r = np.asarray(r, dtype=float)
-    ur, ut, uz = field.u_r, field.u_t, field.u_z
-    return {
-        "rr": ur(r, theta, z, dr=1),
-        "rt": (ur(r, theta, z, dth=1) - ut(r, theta, z)) / r,
-        "rz": ur(r, theta, z, dz=1),
-        "tr": ut(r, theta, z, dr=1),
-        "tt": (ut(r, theta, z, dth=1) + ur(r, theta, z)) / r,
-        "tz": ut(r, theta, z, dz=1),
-        "zr": uz(r, theta, z, dr=1),
-        "zt": uz(r, theta, z, dth=1) / r,
-        "zz": uz(r, theta, z, dz=1),
-    }
+    return cylindrical_gradient(field.partials(r, theta, z), r)
 
 
 def simplified_G(g, r):
@@ -280,26 +290,23 @@ def verify_bc(field, geometry):
     ths = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
     R, TH = np.meshgrid(rs, ths, indexing="ij")
     # field scale for a relative tolerance
-    zs = np.linspace(0.0, L, 9)
-    scale = 0.0
-    for comp in (field.u_r, field.u_t, field.u_z):
-        for z0 in zs:
-            scale = max(scale, float(np.max(np.abs(comp(R, TH, z0)))))
+    samples = [field.partials(R, TH, z0) for z0 in np.linspace(0.0, L, 9)]
+    scale = max(float(np.max(np.abs(p[c]))) for p in samples for c in ("ur", "ut", "uz"))
     scale = max(scale, 1e-300)
-    for z0 in (0.0, L):
-        for comp, name in ((field.u_r, "u_r"), (field.u_t, "u_theta")):
-            err = float(np.max(np.abs(comp(R, TH, z0))))
+    for z0, p in ((0.0, samples[0]), (L, samples[-1])):
+        for c, name in (("ur", "u_r"), ("ut", "u_theta")):
+            err = float(np.max(np.abs(p[c])))
             if err > tol * scale:
                 raise ShapeError(f"{name} != 0 at z={z0}: max |{name}| = {err:.3e}")
     # zero mean of u_z over the bottom annulus
     rq, rwq = _gauss(a, b, 6)
     tq = np.arange(64) * (2.0 * np.pi / 64)
-    vals = field.u_z(rq[:, None], tq[None, :], 0.0)
+    vals = field.partials(rq[:, None], tq[None, :], 0.0)["uz"]
     mean = float(np.sum((rwq * rq)[:, None] * vals) * (2.0 * np.pi / 64))
     if abs(mean) > tol * scale * (2.0 * np.pi * geometry.h):
         raise ShapeError(f"u_z has nonzero bottom average {mean:.3e}")
     if tag == "fixed_bottom":
-        err = float(np.max(np.abs(field.u_z(R, TH, 0.0))))
+        err = float(np.max(np.abs(samples[0]["uz"])))
         if err > tol * scale:
             raise ShapeError(f"u_z != 0 at z=0: max = {err:.3e}")
     elif tag != "average_top":
@@ -364,36 +371,24 @@ def reduced_surface_forms(field, grid):
 
     The integrals run over the grid's own theta and z rules at the single
     radius r = 1 with unit weight, i.e. with the measure dtheta dz.
-    Derivative inputs are read off the field's mid-surface profiles.
+    Derivative inputs are read off the field's ``surface_jet``.
     """
     grid = replace(grid, r_nodes=np.ones(1), r_weights=np.ones(1))
-    th, z = grid.TH, grid.Z
-    f_r, f_t, f_z = field.f_r, field.f_t, field.f_z
-
-    fr = f_r(th, z)
-    fr_z = f_r(th, z, 0, 1)
-    fr_zz = f_r(th, z, 0, 2)
-    fr_tt = f_r(th, z, 2, 0)
-    fr_tz = f_r(th, z, 1, 1)
-    ft_t = f_t(th, z, 1, 0)
-    ft_z = f_t(th, z, 0, 1)
-    fz_t = f_z(th, z, 1, 0)
-    fz_z = f_z(th, z, 0, 1)
-
+    j = surface_jet(field, grid.TH, grid.Z)
     q0_parts = {
-        "trace": grid.integrate((ft_t + fz_z + fr) ** 2),
-        "hoop": grid.integrate((ft_t + fr) ** 2),
-        "axial": grid.integrate(fz_z**2),
-        "shear": grid.integrate((ft_z + fz_t) ** 2),
+        "trace": grid.integrate((j["ft_t"] + j["fz_z"] + j["fr"]) ** 2),
+        "hoop": grid.integrate((j["ft_t"] + j["fr"]) ** 2),
+        "axial": grid.integrate(j["fz_z"] ** 2),
+        "shear": grid.integrate((j["ft_z"] + j["fz_t"]) ** 2),
     }
     q1_parts = {
-        "trace": grid.integrate((fr_zz + fr_tt - ft_t) ** 2),
-        "hoop": grid.integrate((fr_tt - ft_t) ** 2),
-        "axial": grid.integrate(fr_zz**2),
-        "shear": grid.integrate((ft_z - 2.0 * fr_tz) ** 2),
+        "trace": grid.integrate((j["fr_zz"] + j["fr_tt"] - j["ft_t"]) ** 2),
+        "hoop": grid.integrate((j["fr_tt"] - j["ft_t"]) ** 2),
+        "axial": grid.integrate(j["fr_zz"] ** 2),
+        "shear": grid.integrate((j["ft_z"] - 2.0 * j["fr_tz"]) ** 2),
     }
-    q1star_core = grid.integrate((fr_tt + fr_zz) ** 2)
-    B = grid.integrate(fr_z**2)
+    q1star_core = grid.integrate((j["fr_tt"] + j["fr_zz"]) ** 2)
+    B = grid.integrate(j["fr_z"] ** 2)
     return q0_parts, q1_parts, q1star_core, B
 
 
@@ -406,7 +401,7 @@ def combine_q(parts, Lambda):
 def functional_family(field, material, geometry, grid):
     """The buckling-equivalent functional family {K, K1, K0, K*} on one field.
 
-    K  = S / C under perfect axial compression;
+    K  = S / C under perfect axial compression (C >= ||u_r,z||^2 > 0 there);
     K1 = S / ||u_r,z||^2;
     K0 = (flat-measure integral of (L0 E(u), E(u))) / ||u_r,z||^2, where E is
          the symmetrized simplified gradient;
@@ -429,7 +424,7 @@ def functional_family(field, material, geometry, grid):
     Q0 = combine_q(q0p, material.Lambda)
     Q1star = (material.Lambda + 2.0) * q1s_core
     return {
-        "K": sc.S / sc.C if sc.C > 0 else np.inf,
+        "K": sc.ratio,
         "K1": sc.S / urz_sq,
         "K0": K0_num / urz_sq,
         "Kstar": material.mu * (Q0 + geometry.h**2 / 12.0 * Q1star) / B,

@@ -20,7 +20,8 @@ import numpy as np
 
 from cylshell.blas import single_thread_blas
 from cylshell.errors import ParameterError, SolverError
-from cylshell.fields import GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, symmetrize
+from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, cylindrical_gradient,
+                             symmetrize)
 
 COMPONENT_GROUPS = {
     "ththzz": ("tt", "zz"),
@@ -108,33 +109,26 @@ def _weighted_operators(m, n, geometry, grid):
 
     W is the radial quadrature weight times r times the angular-axial mode
     normalization, so a sum of squared rows integrates over the shell.  The
-    gradient entries are keyed as in ``fields.GRAD_KEYS``; "ur" is u_r.  The
-    dofs are (f_r, f_t, f_z); at m = 0, sin(0 z) = 0 removes u_r and u_t, so
-    only the f_z columns are kept and the axial factor is L instead of L/2.
+    mode's 12 partials of (u_r, u_theta, u_z) are operators on the dofs
+    (f_r, f_t, f_z): the value, d/dr through D, d/dtheta as (-n, +n, -n) and
+    d/dz as (+m_hat, +m_hat, -m_hat) times the value.  The gradient entries
+    come from ``fields.cylindrical_gradient`` and are keyed as in
+    ``fields.GRAD_KEYS``; "ur" is u_r.  At m = 0, sin(0 z) = 0 removes u_r and
+    u_t, so only the f_z columns are kept and the axial factor is L instead
+    of L/2.
     """
     N = grid.N
     r = grid.nodes
-    D = grid.D
     m_hat = math.pi * m / geometry.L
     ang = math.pi if n >= 1 else 2.0 * math.pi
-    Rinv = 1.0 / r
-    Z = np.zeros((N, N))
-    I = np.eye(N)
-    Fr = np.hstack([I, Z, Z])
-    Ft = np.hstack([Z, I, Z])
-    Fz = np.hstack([Z, Z, I])
-    ops = {
-        "rr": np.hstack([D, Z, Z]),
-        "rt": Rinv[:, None] * (-n * Fr - Ft),
-        "rz": m_hat * Fr,
-        "tr": np.hstack([Z, D, Z]),
-        "tt": Rinv[:, None] * (n * Ft + Fr),
-        "tz": m_hat * Ft,
-        "zr": np.hstack([Z, Z, D]),
-        "zt": -n * Rinv[:, None] * Fz,
-        "zz": -m_hat * Fz,
-        "ur": Fr,
-    }
+    I, Z = np.eye(N), np.zeros((N, N))
+    p = {}
+    for j, (c, d_th, d_z) in enumerate((("ur", -n, m_hat), ("ut", n, m_hat),
+                                        ("uz", -n, -m_hat))):
+        F = np.hstack([I if k == j else Z for k in range(3)])
+        p.update({c: F, c + "_r": np.hstack([grid.D if k == j else Z for k in range(3)]),
+                  c + "_t": d_th * F, c + "_z": d_z * F})
+    ops = {**cylindrical_gradient(p, r[:, None]), "ur": p["ur"]}
     if m == 0:
         ops = {key: op[:, 2 * N:] for key, op in ops.items()}
     zfac = geometry.L if m == 0 else geometry.L / 2.0

@@ -336,7 +336,8 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234):
 
     The extremal achieves ||w_y||^2 - ||w_x||^2 = (2 sqrt(Phi(pi h/L))/h)
     ||w|| ||w_x|| to relative 1e-8; random harmonic sine series must respect
-    ||w_y||^2 <= (2 sqrt(3)/h) ||w|| ||w_x|| + ||w_x||^2.
+    ||w_y||^2 <= (2 sqrt(3)/h) ||w|| ||w_x|| + ||w_x||^2, one
+    ``InequalityReport`` per seeded trial; trials < 1 is a ParameterError.
     """
     if not 0.0 < h < 1.0:
         raise ParameterError(f"h = {h} outside (0, 1)")
@@ -348,21 +349,16 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234):
         ny = math.sqrt(grid.norm_sq(w(grid.X, grid.Y, 0, 1)))
         return n0, nx, ny
 
-    w = extremal_harmonic(h, L)
-    n0, nx, ny = norms(w)
+    def trial(rng, alpha):
+        n0, nx, ny = norms(random_harmonic(rng, h, L))
+        return [InequalityReport(lhs=ny**2, rhs=2.0 * math.sqrt(3.0) / h * n0 * nx + nx**2)]
+
+    violations, min_margin = _trial_scan(trials, seed, trial)
+
+    n0, nx, ny = norms(extremal_harmonic(h, L))
     lhs = ny**2 - nx**2
     rhs = 2.0 * math.sqrt(phi_factor(math.pi * h / L)) / h * n0 * nx
     equality_error = abs(lhs - rhs) / rhs
-
-    rng = np.random.default_rng(seed)
-    violations = 0
-    min_margin = math.inf
-    for _ in range(trials):
-        n0, nx, ny = norms(random_harmonic(rng, h, L))
-        margin = 2.0 * math.sqrt(3.0) / h * n0 * nx + nx**2 - ny**2
-        if margin < -1e-12 * ny**2:
-            violations += 1
-        min_margin = min(min_margin, margin)
     return HarmonicLemmaReport(equality_error=equality_error,
                                hi_violations=violations, hi_min_margin=min_margin)
 

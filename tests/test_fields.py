@@ -1,5 +1,6 @@
 """Field calculus: gradients, quadrature, boundary tags, functional family."""
 
+from dataclasses import replace
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from cylshell.ansatz import BumpProfile, ansatz_grid, build_ansatz
 from cylshell.errors import NotDestabilizingError, ShapeError
+from cylshell.fixedbc import fixedbc_mode
 from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, TrigSurface,
                              from_midsurface, functional_family, functionals,
                              gradient, strain, verify_bc, volume_grid)
@@ -14,34 +16,75 @@ from cylshell.koiter import buckling_mode, koiter_circle_n
 from cylshell.material import ShellGeometry, perfect_stress
 
 
-def _fd(comp, r, th, z, which, eps=1e-6):
-    if which == "r":
-        return (comp(r + eps, th, z) - comp(r - eps, th, z)) / (2 * eps)
-    if which == "th":
-        return (comp(r, th + eps, z) - comp(r, th - eps, z)) / (2 * eps)
-    return (comp(r, th, z + eps) - comp(r, th, z - eps)) / (2 * eps)
+def _fd(field, key, r, th, z, which, eps=1e-6):
+    """Central difference of the partial ``key`` of field in r, theta or z."""
+    step = {"r": (eps, 0, 0), "th": (0, eps, 0), "z": (0, 0, eps)}[which]
+    plus = field.partials(r + step[0], th + step[1], z + step[2])[key]
+    minus = field.partials(r - step[0], th - step[1], z - step[2])[key]
+    return (plus - minus) / (2 * eps)
 
 
-def test_gradient_matches_finite_differences(geo_thick):
+def _trig_field(mat, geo):
     f_r = TrigSurface("cos", 3, "sin", 2.0)
     f_t = TrigSurface("sin", 3, "sin", 2.0, amp=0.4)
     f_z = TrigSurface("cos", 3, "cos", 2.0, amp=-0.7)
-    field = from_midsurface(f_r, f_t, f_z)
-    r, th, z = 1.003, 0.37, 0.91
+    return from_midsurface(f_r, f_t, f_z)
+
+
+def _ansatz_field(mat, geo):
+    # theta = 0.11 lies inside the compressed support (-1/3, 1/3) at h = 1e-2
+    return build_ansatz(geo.h, BumpProfile(eta0=1.0, L=geo.L), geo).field
+
+
+def _fixedbc_field(mat, geo):
+    return fixedbc_mode(3, geo, mat)
+
+
+@pytest.mark.parametrize("make, th", [(_trig_field, 0.37), (_ansatz_field, 0.11),
+                                      (_fixedbc_field, 0.37)],
+                         ids=["trig", "ansatz", "fixedbc"])
+def test_gradient_matches_finite_differences(mat, geo_thick, make, th):
+    field = make(mat, geo_thick)
+    r, z = 1.003, 0.91
     g = gradient(field, r, th, z)
+    u = field.partials(r, th, z)
     checks = {
-        "rr": _fd(field.u_r, r, th, z, "r"),
-        "rt": (_fd(field.u_r, r, th, z, "th") - field.u_t(r, th, z)) / r,
-        "rz": _fd(field.u_r, r, th, z, "z"),
-        "tr": _fd(field.u_t, r, th, z, "r"),
-        "tt": (_fd(field.u_t, r, th, z, "th") + field.u_r(r, th, z)) / r,
-        "tz": _fd(field.u_t, r, th, z, "z"),
-        "zr": _fd(field.u_z, r, th, z, "r"),
-        "zt": _fd(field.u_z, r, th, z, "th") / r,
-        "zz": _fd(field.u_z, r, th, z, "z"),
+        "rr": _fd(field, "ur", r, th, z, "r"),
+        "rt": (_fd(field, "ur", r, th, z, "th") - u["ut"]) / r,
+        "rz": _fd(field, "ur", r, th, z, "z"),
+        "tr": _fd(field, "ut", r, th, z, "r"),
+        "tt": (_fd(field, "ut", r, th, z, "th") + u["ur"]) / r,
+        "tz": _fd(field, "ut", r, th, z, "z"),
+        "zr": _fd(field, "uz", r, th, z, "r"),
+        "zt": _fd(field, "uz", r, th, z, "th") / r,
+        "zz": _fd(field, "uz", r, th, z, "z"),
     }
     for key in GRAD_KEYS:
-        assert float(g[key]) == pytest.approx(checks[key], abs=1e-7), key
+        assert float(g[key]) == pytest.approx(float(checks[key]), abs=1e-7), key
+
+
+class _CountingProfile:
+    """A profile that records each (dth, dz) it is evaluated at."""
+
+    def __init__(self, base, calls):
+        self.base, self.calls = base, calls
+
+    def __call__(self, theta, z, dth=0, dz=0):
+        self.calls.append((id(self), dth, dz))
+        return self.base(theta, z, dth, dz)
+
+
+@pytest.mark.parametrize("make", [_trig_field, _ansatz_field], ids=["trig", "ansatz"])
+def test_gradient_evaluates_each_profile_derivative_once(mat, geo_thick, make):
+    field = make(mat, geo_thick)
+    calls = []
+    counted = replace(field, **{name: _CountingProfile(getattr(field, name), calls)
+                                for name in ("f_r", "f_t", "f_z")})
+    grid = volume_grid(geo_thick, n_r=3, n_th=8, n_z=4)
+    g = gradient(counted, grid.R, grid.TH, grid.Z)
+    assert len(calls) == len(set(calls)) == 12
+    for key, value in gradient(field, grid.R, grid.TH, grid.Z).items():
+        assert np.array_equal(g[key], value), key
 
 
 def test_volume_quadrature_exact():

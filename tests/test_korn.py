@@ -65,15 +65,18 @@ class RadialPolynomialField:
     """Oracle field u_c = p_c(r) s_c(theta, z) with polynomial radial profiles.
 
     Quadratic p_c lie outside the U(f) fields of ``cylshell.fields``;
-    ``gradient`` reads only the u_r/u_t/u_z calls.
+    ``gradient`` reads only ``partials``.
     """
 
     def __init__(self, profiles, angular):
-        self.u_r, self.u_t, self.u_z = (self._component(p, s) for p, s in zip(profiles, angular))
+        self.profiles, self.angular = profiles, angular
 
-    @staticmethod
-    def _component(p, s):
-        return lambda r, theta, z, dr=0, dth=0, dz=0: p.deriv(dr)(r) * s(theta, z, dth, dz)
+    def partials(self, r, theta, z):
+        out = {}
+        for c, p, s in zip(("ur", "ut", "uz"), self.profiles, self.angular):
+            out.update({c: p(r) * s(theta, z), c + "_r": p.deriv()(r) * s(theta, z),
+                        c + "_t": p(r) * s(theta, z, 1, 0), c + "_z": p(r) * s(theta, z, 0, 1)})
+        return out
 
 
 def random_form_pair(rng, d):

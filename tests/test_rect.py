@@ -129,6 +129,13 @@ def test_extremal_harmonic_is_sharp():
     assert report.hi_min_margin == pytest.approx(29.518303730321836, rel=1e-12)
 
 
+def test_harmonic_lemma_needs_a_trial():
+    # a check of no random fields would report success without testing anything
+    for trials in (0, -5):
+        with pytest.raises(ParameterError):
+            rect.harmonic_lemma_check(H, L, trials=trials)
+
+
 def test_harmonic_projection_reproduces_harmonic_data():
     field = rect.PlanarField(_Bilinear(), rect.ZERO, bc_tag=None)
     sol = rect.harmonic_projection(field, H, L, n_x=24, n_y=48)
