@@ -9,8 +9,8 @@ instead.
 
 The libraries are found once, on the first scan, and every OpenBLAS mapped
 by then is pinned.  One loaded later is not: scipy's ``libscipy_openblas``
-is such a case when the first import of scipy is the SVD retry of
-``korn._solve_pencil``, which then runs at that library's own thread count.
+is such a case when the first import of scipy is the gesvd retry of
+``korn._svd``, which then runs at that library's own thread count.
 
 The thread count is state of the whole process, so the pin is one
 reference-counted object per process: nested scans, or scans that a library

@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+import time
 
 import numpy as np
 
@@ -172,20 +173,30 @@ def _cmd_koiter_modes(args):
 
 
 def _h_sweep(args, name, config, header, one, **extra):
-    """Rows ``one(geometry)`` over the h-list, largest h first; fitted from 4 rows."""
-    rows = [one(geo) for geo in shell_sweep(args.h_list, args.L)]
+    """Rows of ``one(geometry) -> (row, scan)`` over the h-list, largest h first.
+
+    ``scans`` reports, per h, the scan's evaluations, whether it ended on its
+    search cap and its wall time; the exponent is fitted from 4 rows.
+    """
+    rows, scans = [], []
+    for geo in shell_sweep(args.h_list, args.L):
+        start = time.perf_counter()
+        row, res = one(geo)
+        rows.append(row)
+        scans.append({"h": geo.h, "evaluations": res.evaluations,
+                      "on_boundary": res.on_boundary, "wall_s": time.perf_counter() - start})
     payload = {"rows": rows, **extra}
     if len(rows) >= 4:
         fit = fit_exponent([(r[0], r[1]) for r in rows])
         payload["fit"] = {"exponent": fit.exponent, "prefactor": fit.prefactor,
                           "max_residual": fit.max_residual}
-    return _finish(args, name, config, payload, header, rows)
+    return _finish(args, name, config, {**payload, "scans": scans}, header, rows)
 
 
 def _cmd_korn(args):
     def one(geo):
         res = korn.korn_constant(geo, m_max=args.mmax, n_max=args.nmax, N=args.N)
-        return (geo.h, res.value, res.m, res.n, res.value / geo.h**1.5)
+        return (geo.h, res.value, res.m, res.n, res.value / geo.h**1.5), res
 
     return _h_sweep(args, "korn", _config(args, ("h_list", "L", "mmax", "nmax", "N")),
                     ["h", "K", "m_star", "n_star", "K_over_h15"], one)
@@ -195,7 +206,7 @@ def _cmd_components(args):
     def one(geo):
         res = korn.component_bound(geo, args.which, m_max=args.mmax,
                                    n_max=args.nmax, N=args.N)
-        return (geo.h, res.value, res.m, res.n)
+        return (geo.h, res.value, res.m, res.n), res
 
     return _h_sweep(args, f"components_{args.which}",
                     _config(args, ("h_list", "L", "which", "mmax", "nmax", "N")),

@@ -10,7 +10,9 @@ quotient ||e(u)||^2 / ||grad u||^2 decouples over modes
 so the infimum is a minimum over (m, n) of small radial generalized
 eigenproblems.  The radial profiles are discretized by Chebyshev-Gauss-Lobatto
 collocation (spectral differentiation + Clenshaw-Curtis weights).  The tests
-keep a uniform first-order nodal grid as an oracle for it.
+keep a uniform first-order nodal grid as an oracle for it.  A grid's mode
+operators are one affine table in (n, m_hat), so a scan builds them once and
+solves the modes of its coarse ladder as stacks of pencils.
 """
 
 from dataclasses import dataclass
@@ -92,7 +94,7 @@ class QuadraticFormPair:
     """Numerator/denominator forms v -> ||C_num v||^2, ||C_den v||^2.
 
     Kept as weighted row stacks, never squared into matrices (see
-    ``_solve_pencil`` for why).
+    ``_solve_stack`` for why).
     """
 
     C_num: np.ndarray
@@ -104,47 +106,47 @@ class QuadraticFormPair:
         return float(y_num @ y_num) / float(y_den @ y_den)
 
 
-def _weighted_operators(m, n, geometry, grid):
-    """Profile operators with sqrt(W) * (component values) = op @ dofs.
+# keys of the operator table, "ur" being u_r; n enters only "rt", "tt", "zt"
+# and m_hat only "rz", "tz", "zz", so Tn and Tm hold only those
+_TABLE_KEYS = GRAD_KEYS + ("ur",)
+_N_KEYS, _M_KEYS = slice(1, 9, 3), slice(2, 9, 3)
 
-    W is the radial quadrature weight times r times the angular-axial mode
-    normalization, so a sum of squared rows integrates over the shell.  The
-    mode's 12 partials of (u_r, u_theta, u_z) are operators on the dofs
-    (f_r, f_t, f_z): the value, d/dr through D, d/dtheta as (-n, +n, -n) and
-    d/dz as (+m_hat, +m_hat, -m_hat) times the value.  The gradient entries
-    come from ``fields.cylindrical_gradient`` and are keyed as in
-    ``fields.GRAD_KEYS``; "ur" is u_r.  At m = 0, sin(0 z) = 0 removes u_r and
-    u_t, so only the f_z columns are kept and the axial factor is L instead
-    of L/2.
+
+def _operator_table(grid):
+    """The grid's mode operators as an affine table (T0, Tn, Tm): T0 + n Tn + m_hat Tm.
+
+    The mode (m, n) has 12 partials of (u_r, u_theta, u_z), operators on the
+    dofs (f_r, f_t, f_z): the value, d/dr through D, d/dtheta as (-n, +n, -n)
+    and d/dz as (+m_hat, +m_hat, -m_hat) times the value.  The operators are
+    ``fields.cylindrical_gradient`` of them, linear in the partials, so each
+    table is the gradient of its own part; every entry of a mode's operator
+    comes from exactly one table, the same product as when built alone.
     """
     N = grid.N
-    r = grid.nodes
-    m_hat = math.pi * m / geometry.L
-    ang = math.pi if n >= 1 else 2.0 * math.pi
     I, Z = np.eye(N), np.zeros((N, N))
-    p = {}
-    for j, (c, d_th, d_z) in enumerate((("ur", -n, m_hat), ("ut", n, m_hat),
-                                        ("uz", -n, -m_hat))):
-        F = np.hstack([I if k == j else Z for k in range(3)])
-        p.update({c: F, c + "_r": np.hstack([grid.D if k == j else Z for k in range(3)]),
-                  c + "_t": d_th * F, c + "_z": d_z * F})
-    ops = {**cylindrical_gradient(p, r[:, None]), "ur": p["ur"]}
-    if m == 0:
-        ops = {key: op[:, 2 * N:] for key, op in ops.items()}
-    zfac = geometry.L if m == 0 else geometry.L / 2.0
-    sqw = np.sqrt(grid.weights * r * (ang * zfac))
-    return {key: sqw[:, None] * op for key, op in ops.items()}
+    table = []
+    for one, n, m_hat, keys in ((1, 0, 0, _TABLE_KEYS), (0, 1, 0, _TABLE_KEYS[_N_KEYS]),
+                                (0, 0, 1, _TABLE_KEYS[_M_KEYS])):
+        p = {}
+        for j, (c, d_th, d_z) in enumerate((("ur", -n, m_hat), ("ut", n, m_hat),
+                                            ("uz", -n, -m_hat))):
+            F, DF = (np.hstack([A if k == j else Z for k in range(3)]) for A in (I, grid.D))
+            p.update({c: one * F, c + "_r": one * DF, c + "_t": d_th * F, c + "_z": d_z * F})
+        ops = {**cylindrical_gradient(p, grid.nodes[:, None]), "ur": p["ur"]}
+        table.append(np.array([ops[key] for key in keys]))
+    return table
 
 
 def _form_rows(kind, ops):
     """Row stack C of one norm, ||C v||^2 = the norm squared of mode v.
 
     kind: 'strain', 'grad', or 'component:<group>' with group in
-    COMPONENT_GROUPS.
+    COMPONENT_GROUPS.  The operators may be stacks of modes.
     """
     if kind == "strain":
         e = symmetrize(ops)
-        return np.vstack([math.sqrt(STRAIN_WEIGHT[k]) * e[k] for k in STRAIN_KEYS])
+        return np.concatenate([math.sqrt(STRAIN_WEIGHT[k]) * e[k] for k in STRAIN_KEYS],
+                              axis=-2)
     if kind == "grad":
         keys = GRAD_KEYS
     elif kind.startswith("component:"):
@@ -154,88 +156,118 @@ def _form_rows(kind, ops):
         keys = COMPONENT_GROUPS[group]
     else:
         raise ParameterError(f"unknown form kind {kind!r}")
-    return np.vstack([ops[k] for k in keys])
+    return np.concatenate([ops[k] for k in keys], axis=-2)
 
 
-def _constraint_basis(m, n, geometry, grid):
-    """Basis of the admissible DOF space; removes the m=n=0 constant u_z."""
-    if m == 0 and n == 0:
+def _mode_forms(table, modes, geometry, grid, numerator, denominator):
+    """Stacked row stacks (C_num, C_den) of the modes [(m, n), ...].
+
+    Each operator is sqrt(W) (T0 + n Tn + m_hat Tm), weighted before it is
+    symmetrized or combined.  W is the radial quadrature weight times r times
+    the angular-axial mode normalization, so a sum of squared rows integrates
+    over the shell.  At m = 0, sin(0 z) = 0 removes u_r and u_t: only the f_z
+    columns are kept, the axial factor is L instead of L/2, and the mode comes
+    alone; (0, 0) drops the constant u_z.
+    """
+    ms, ns = np.array(modes, dtype=float).T
+    ang_z = np.where(ns >= 1, math.pi, 2.0 * math.pi) * np.where(ms == 0, geometry.L,
+                                                                 geometry.L / 2.0)
+    sqw = np.sqrt(grid.weights * grid.nodes * ang_z[:, None])
+    T0, Tn, Tm = table
+    ops = np.repeat(T0[None], len(modes), axis=0)    # updated in place: the largest array
+    ops[:, _N_KEYS] += ns[:, None, None, None] * Tn
+    ops[:, _M_KEYS] += (math.pi * ms / geometry.L)[:, None, None, None] * Tm
+    ops *= sqw[:, None, :, None]
+    if ms[0] == 0:
+        ops = ops[..., 2 * grid.N:]
+    ops = dict(zip(_TABLE_KEYS, np.moveaxis(ops, 1, 0)))
+    C_num, C_den = _form_rows(numerator, ops), _form_rows(denominator, ops)
+    if tuple(modes[0]) == (0, 0):
         # zero bottom-average: the annulus integral of f_z vanishes; keep the
         # orthogonal complement of the constraint vector
         c = grid.weights * grid.nodes
         c = c / np.linalg.norm(c)
-        proj = np.eye(grid.N) - np.outer(c, c)
-        u, s, _ = np.linalg.svd(proj)
-        return u[:, s > 1e-10]
-    return None
+        u, s, _ = np.linalg.svd(np.eye(grid.N) - np.outer(c, c))
+        C_num, C_den = C_num @ u[:, s > 1e-10], C_den @ u[:, s > 1e-10]
+    return C_num, C_den
 
 
 def assemble_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad"):
     """Quadratic-form pair for the Rayleigh quotient numerator/denominator."""
-    ops = _weighted_operators(m, n, geometry, grid)
-    C_num = _form_rows(numerator, ops)
-    C_den = _form_rows(denominator, ops)
-    B = _constraint_basis(m, n, geometry, grid)
-    if B is not None:
-        C_num, C_den = C_num @ B, C_den @ B
-    return QuadraticFormPair(C_num=C_num, C_den=C_den)
+    C_num, C_den = _mode_forms(_operator_table(grid), [(m, n)], geometry, grid,
+                               numerator, denominator)
+    return QuadraticFormPair(C_num=C_num[0], C_den=C_den[0])
 
 
-def _solve_pencil(pair, index):
-    """One extreme eigenpair of the quotient via a one-sided QR/SVD reduction.
+def _svd(B):
+    """Singular values and right vectors of a stack; when the stacked gesdd
+    fails, each matrix alone, and one that still fails once more with gesvd."""
+    try:
+        return np.linalg.svd(B, full_matrices=False)[1:]
+    except np.linalg.LinAlgError:
+        if len(B) > 1:
+            s, Vt = zip(*(_svd(b[None]) for b in B))
+            return np.concatenate(s), np.concatenate(Vt)
+        import scipy.linalg      # only here: numpy has no gesvd driver
+        _, s, Vt = scipy.linalg.svd(B[0], full_matrices=False, lapack_driver="gesvd")
+        return s[None], Vt[None]
 
-    The numerator and denominator forms are kept as weighted row stacks
-    C_num, C_den (never squared into matrices), the denominator is reduced by
-    a QR factorization C_den = Q R, and the extreme quotients are the squared
-    extreme singular values of B = C_num R^{-1}, formed by a linear solve
-    with R^T (numpy has no triangular solver).  This is backward stable:
-    the tiny Korn quotients at small thickness come out with relative
-    accuracy ~ eps * cond(B), where cond(B)^2 is the quotient spread itself,
-    whereas any formulation squaring the operators hits an absolute noise
-    floor eps * ||C||^2 that can exceed the answer by orders of magnitude.
 
-    The residual ||S y - lam M y|| <= 1e-8 ||M y|| is enforced in the
-    R-transformed coordinates (S, M) = (B^T B, I) where the problem is
-    actually solved.  When LAPACK's divide-and-conquer SVD (gesdd) does not
-    converge, the SVD is retried once with the QR-iteration driver (gesvd),
-    and the residual gate applies to its answer alike.  A LAPACK failure that
-    remains is a ``SolverError`` too.
+def _solve_stack(C_num, C_den, index):
+    """(quotient, v) of one extreme eigenpair per pencil, by a one-sided QR/SVD reduction.
+
+    C_num and C_den are stacks (pencils, rows, dofs) of weighted row stacks,
+    never squared into matrices.  C_den = Q R, and the extreme quotients are
+    the squared extreme singular values of B = C_num R^{-1}, formed by a
+    linear solve with R^T (numpy has no triangular solver).  This is
+    backward stable: the tiny Korn quotients at small thickness come out with
+    relative accuracy ~ eps * cond(B), where cond(B)^2 is the quotient spread
+    itself, whereas any formulation squaring the operators hits an absolute
+    noise floor eps * ||C||^2 that can exceed the answer by orders of
+    magnitude.  QR, solves and SVD are one stacked LAPACK call each, which
+    gives every pencil the bits of a call of its own.  The residual
+    ||B^T B y - lam y|| is gated as a backward error, at most 1e-12 s_max^2
+    for the largest singular value s_max of B; it and a LAPACK failure that
+    ``_svd`` cannot recover are ``SolverError``s.
     """
     try:
-        R = np.linalg.qr(pair.C_den, mode="r")
-        dR = np.abs(np.diag(R))
-        if not np.all(dR > 1e-14 * dR.max()):
+        R = np.linalg.qr(C_den, mode="r")
+        dR = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+        if not np.all(dR > 1e-14 * dR.max(axis=-1, keepdims=True)):
             raise SolverError("denominator form numerically rank-deficient")
-        B = np.linalg.solve(R.T, pair.C_num.T).T
-        try:
-            _, s, Vt = np.linalg.svd(B, full_matrices=False)
-        except np.linalg.LinAlgError:
-            import scipy.linalg      # only here: numpy has no gesvd driver
-            _, s, Vt = scipy.linalg.svd(B, full_matrices=False, lapack_driver="gesvd")
+        B = np.swapaxes(np.linalg.solve(np.swapaxes(R, -1, -2), np.swapaxes(C_num, -1, -2)),
+                        -1, -2)
+        s, Vt = _svd(B)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pencil reduction failed: {exc}") from exc
-    y = Vt[-1 if index == 0 else 0]          # singular values sort descending
-    lam = float(s[-1 if index == 0 else 0] ** 2)
-    res = np.linalg.norm(B.T @ (B @ y) - lam * y)
-    if res > 1e-8 * max(1.0, lam):
-        raise SolverError(f"eigen residual {res:.3e} exceeds 1e-8")
-    v = np.linalg.solve(R, y)
-    return float(pair.quotient(v)), v
+    pick = -1 if index == 0 else 0           # singular values sort descending
+    y, lam = Vt[:, pick], s[:, pick] ** 2
+    res = np.linalg.norm((np.swapaxes(B, -1, -2) @ (B @ y[..., None]))[..., 0]
+                         - lam[:, None] * y, axis=-1)
+    bad = np.flatnonzero(res > 1e-12 * s[:, 0] ** 2)
+    if bad.size:
+        raise SolverError(f"eigen residual {res[bad[0]]:.3e} exceeds "
+                          f"1e-12 s_max^2 = {1e-12 * s[bad[0], 0] ** 2:.3e}")
+    V = np.linalg.solve(R, y[..., None])[..., 0]
+    return [(QuadraticFormPair(a, b).quotient(v), v) for a, b, v in zip(C_num, C_den, V)]
 
 
 def min_rayleigh(pair):
     """Smallest quotient ||C_num v||^2 / ||C_den v||^2 with its minimizer v."""
-    return _solve_pencil(pair, 0)
+    return _solve_stack(pair.C_num[None], pair.C_den[None], 0)[0]
 
 
 def max_rayleigh(pair):
     """Largest quotient ||C_num v||^2 / ||C_den v||^2 with its maximizer v."""
-    return _solve_pencil(pair, -1)
+    return _solve_stack(pair.C_num[None], pair.C_den[None], -1)[0]
 
 
 # radial nodes of the ladder that picks a scan's starting mode; every scan
 # of the acceptance sweeps ends at the same mode as with a ladder at N = 32
 _LADDER_N = 8
+# ladder modes per stacked solve; the tracemalloc peak of korn_constant at
+# h = 1e-4 is 1.2 MB with 16 and 2.0 MB with 32
+_STACK = 16
 
 
 def _geometric_ladder(hi):
@@ -264,24 +296,26 @@ class ScanResult:
     evaluations: int
 
 
-def _scan_extremize(quotient, N, m_max, n_max, maximize):
-    """Coarse geometric ladder, then a local walk to an extremum of quotient.
+def _scan_extremize(quotients, N, m_max, n_max, maximize):
+    """Coarse geometric ladder, then a local walk to an extremum of the quotient.
 
-    ``quotient(n_r, m, n)`` is the per-mode quotient on n_r radial nodes.
-    Modes range over 1 <= m <= m_max, 0 <= n <= n_max.  The ladder only
-    picks the walk's starting mode, so it runs on min(N, _LADDER_N) nodes;
-    the walk and the returned value use N.  Each walk step solves the 5x5
-    neighbourhood of the current mode and moves to its best mode only when
-    that beats the current value by more than 1e-12 relative; otherwise the
-    walk stops, so it does not wander across modes that tie to rounding.
-    One cache keyed by (n_r, m, n) holds every solve.  All solves run with
-    BLAS on one thread.
+    ``quotients(n_r, modes)`` is the list of quotients of the modes on n_r
+    radial nodes.  Modes range over 1 <= m <= m_max, 0 <= n <= n_max.  The
+    ladder only picks the walk's starting mode, so it runs on
+    min(N, _LADDER_N) nodes, in stacks of _STACK modes.  The walk and the
+    returned value use N, one mode per call: at N = 32 a solve is LAPACK
+    time, and a stack of 25 was at most 1.2x faster for about 10 MB more
+    memory.  Each walk step solves the 5x5 neighbourhood of the current mode
+    and moves to its best mode only when that beats the current value by
+    more than 1e-12 relative; otherwise it stops, so it does not wander
+    across modes that tie to rounding.  One cache keyed by (n_r, m, n) holds
+    every solve.  All solves run with BLAS on one thread.
     """
     cache = {}
 
     def get(n_r, m, n):
         if (n_r, m, n) not in cache:
-            cache[n_r, m, n] = quotient(n_r, m, n)
+            cache[n_r, m, n] = quotients(n_r, [(m, n)])[0]
         return cache[n_r, m, n]
 
     sign = -1.0 if maximize else 1.0
@@ -289,7 +323,10 @@ def _scan_extremize(quotient, N, m_max, n_max, maximize):
     candidates = [(m, n) for m in _geometric_ladder(m_max)
                   for n in _geometric_ladder(n_max) + [0]]
     with single_thread_blas():
-        best = min(candidates, key=lambda mn: sign * get(ladder_N, *mn))
+        for i in range(0, len(candidates), _STACK):
+            chunk = candidates[i:i + _STACK]
+            cache.update(zip([(ladder_N, *mn) for mn in chunk], quotients(ladder_N, chunk)))
+        best = min(candidates, key=lambda mn: sign * cache[(ladder_N, *mn)])
         # local refinement: walk while a neighbour beats the current mode
         for _ in range(200):
             m0, n0 = best
@@ -322,13 +359,14 @@ def _scan_caps(geometry, m_max, n_max):
 def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
     """Extremum over modes of the quotient of two forms, ladder on _LADDER_N nodes."""
     grids = {n_r: radial_grid(geometry, N=n_r) for n_r in {N, min(N, _LADDER_N)}}
+    tables = {n_r: _operator_table(grid) for n_r, grid in grids.items()}
 
-    def quotient(n_r, m, n):
-        pair = assemble_mode_forms(m, n, geometry, grids[n_r], numerator, denominator)
-        return (max_rayleigh if maximize else min_rayleigh)(pair)[0]
+    def quotients(n_r, modes):
+        forms = _mode_forms(tables[n_r], modes, geometry, grids[n_r], numerator, denominator)
+        return [value for value, _ in _solve_stack(*forms, -1 if maximize else 0)]
 
     m_max, n_max = _scan_caps(geometry, m_max, n_max)
-    return _scan_extremize(quotient, N, m_max, n_max, maximize)
+    return _scan_extremize(quotients, N, m_max, n_max, maximize)
 
 
 def korn_constant(geometry, m_max=None, n_max=None, N=32):

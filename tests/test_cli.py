@@ -14,6 +14,7 @@ import scipy.linalg
 import cylshell
 from cylshell import ansatz, fixedbc, korn
 from cylshell.cli import main
+from cylshell.material import ShellGeometry
 
 
 def run(capsys, *argv):
@@ -110,6 +111,25 @@ def test_korn_sweep_artifacts(tmp_path, capsys):
     assert rows[1] == ["h", "K", "m_star", "n_star", "K_over_h15"]
     assert len(rows) == 6
     assert json.loads((tmp_path / "korn.json").read_text()) == payload
+
+
+@pytest.mark.parametrize("command", [["korn"], ["components", "--which", "rthr"]])
+def test_sweep_reports_each_scan(capsys, command):
+    # one scans entry per h, from the same scan as the row; rows keep their
+    # columns
+    code, out = run(capsys, *command, "--h-list", "1e-2,5e-3", "--N", "8")
+    assert code == 0
+    payload = json.loads(out)
+    geos = [ShellGeometry(h, math.pi) for h in (1e-2, 5e-3)]
+    expected = [korn.korn_constant(geo, N=8) if command == ["korn"]
+                else korn.component_bound(geo, "rthr", N=8) for geo in geos]
+    assert [row[:4] for row in payload["rows"]] == [[geo.h, r.value, r.m, r.n]
+                                                    for geo, r in zip(geos, expected)]
+    assert {len(row) for row in payload["rows"]} == {5 if command == ["korn"] else 4}
+    assert [[scan["h"], scan["evaluations"], scan["on_boundary"]]
+            for scan in payload["scans"]] == [[geo.h, r.evaluations, r.on_boundary]
+                                              for geo, r in zip(geos, expected)]
+    assert all(scan["wall_s"] > 0 for scan in payload["scans"])
 
 
 def test_no_jobs_option(capsys):

@@ -2,6 +2,7 @@
 
 import math
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,9 +11,9 @@ import scipy.linalg
 from numpy.polynomial import Polynomial
 
 from cylshell import blas, korn
-from cylshell.errors import ParameterError
+from cylshell.errors import ParameterError, SolverError
 from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, TrigSurface,
-                             gradient, symmetrize, volume_grid)
+                             cylindrical_gradient, gradient, symmetrize, volume_grid)
 from cylshell.material import ShellGeometry
 
 
@@ -59,6 +60,43 @@ def fd_radial_grid(geometry, N):
     w = np.full(N, dr)
     w[0] = w[-1] = dr / 2.0
     return korn.RadialGrid(nodes=nodes, D=D, weights=w)
+
+
+def per_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad"):
+    """Oracle: one mode's forms from its 12 operator partials, built by hstack.
+
+    The partials of (u_r, u_theta, u_z) are the value, d/dr through D,
+    d/dtheta as (-n, +n, -n) and d/dz as (+m_hat, +m_hat, -m_hat) times the
+    value; the operators are weighted by sqrt(W) key by key, and at m = 0 only
+    the f_z columns are kept.
+    """
+    N, r = grid.N, grid.nodes
+    m_hat = math.pi * m / geometry.L
+    I, Z = np.eye(N), np.zeros((N, N))
+    p = {}
+    for j, (c, d_th, d_z) in enumerate((("ur", -n, m_hat), ("ut", n, m_hat),
+                                        ("uz", -n, -m_hat))):
+        F = np.hstack([I if k == j else Z for k in range(3)])
+        p.update({c: F, c + "_r": np.hstack([grid.D if k == j else Z for k in range(3)]),
+                  c + "_t": d_th * F, c + "_z": d_z * F})
+    ops = {**cylindrical_gradient(p, r[:, None]), "ur": p["ur"]}
+    if m == 0:
+        ops = {key: op[:, 2 * N:] for key, op in ops.items()}
+    ang = math.pi if n >= 1 else 2.0 * math.pi
+    zfac = geometry.L if m == 0 else geometry.L / 2.0
+    sqw = np.sqrt(grid.weights * r * (ang * zfac))
+    ops = {key: sqw[:, None] * op for key, op in ops.items()}
+    C_num, C_den = korn._form_rows(numerator, ops), korn._form_rows(denominator, ops)
+    if m == 0 and n == 0:
+        c = grid.weights * grid.nodes
+        c = c / np.linalg.norm(c)
+        u, s, _ = np.linalg.svd(np.eye(N) - np.outer(c, c))
+        C_num, C_den = C_num @ u[:, s > 1e-10], C_den @ u[:, s > 1e-10]
+    return C_num, C_den
+
+
+FORM_PAIRS = [("strain", "grad")] + [(f"component:{group}", "strain")
+                                     for group in korn.COMPONENT_GROUPS]
 
 
 class RadialPolynomialField:
@@ -131,6 +169,25 @@ def test_mode_forms_match_field_quadrature(geo_thick):
     assert float(y_den @ y_den) == pytest.approx(grad_sq, rel=1e-10)
 
 
+@pytest.mark.parametrize("grid_kind", ["cheb8", "cheb32", "fd"])
+def test_mode_forms_match_per_mode_oracle(grid_kind):
+    # the affine table gives every mode, alone or in a stack, the bits of
+    # the per-mode construction; L is not a multiple of pi, so m_hat rounds
+    geo = ShellGeometry(h=10**-2.5, L=1.3)
+    grid = (fd_radial_grid(geo, 24) if grid_kind == "fd"
+            else korn.radial_grid(geo, N=int(grid_kind[4:])))
+    stack = [(3, 0), (12, 40), (1, 5)]
+    for forms in FORM_PAIRS:
+        for m, n in [(0, 0), (0, 7)] + stack:
+            pair = korn.assemble_mode_forms(m, n, geo, grid, *forms)
+            C_num, C_den = per_mode_forms(m, n, geo, grid, *forms)
+            assert np.array_equal(pair.C_num, C_num) and np.array_equal(pair.C_den, C_den)
+        stacked = korn._mode_forms(korn._operator_table(grid), stack, geo, grid, *forms)
+        for k, (m, n) in enumerate(stack):
+            C_num, C_den = per_mode_forms(m, n, geo, grid, *forms)
+            assert np.array_equal(stacked[0][k], C_num) and np.array_equal(stacked[1][k], C_den)
+
+
 def test_min_rayleigh_against_bisection_oracle():
     rng = np.random.default_rng(42)
     for _ in range(20):
@@ -192,6 +249,62 @@ def test_svd_retries_with_gesvd(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", no_convergence)
     got = [korn.min_rayleigh(pair)[0], korn.max_rayleigh(pair)[0]]
     assert got == pytest.approx(expected, rel=1e-12)
+
+
+def test_residual_gate_is_relative_to_the_largest_singular_value():
+    # a pencil whose quotients span 1e14: its minimum is a backward-stable
+    # answer that the absolute gate res <= 1e-8 max(1, lam) rejected
+    rng = np.random.default_rng(8)
+    U, _ = np.linalg.qr(rng.standard_normal((12, 8)))
+    V, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+    s = np.logspace(6, -1, 8)
+    Q, _ = np.linalg.qr(rng.standard_normal((10, 8)))
+    pair = korn.QuadraticFormPair(C_num=U @ np.diag(s) @ V.T, C_den=Q)
+    B = np.linalg.solve(np.linalg.qr(Q, mode="r").T, pair.C_num.T).T
+    _, sB, Vt = np.linalg.svd(B)
+    lam = sB[-1] ** 2
+    assert sB[0] ** 2 / lam >= 1e10
+    assert np.linalg.norm(B.T @ (B @ Vt[-1]) - lam * Vt[-1]) > 1e-8 * max(1.0, lam)
+    assert korn.min_rayleigh(pair)[0] == pytest.approx(s[-1] ** 2, rel=1e-6)
+
+
+def test_residual_gate_rejects_a_perturbed_vector(monkeypatch):
+    pair = random_form_pair(np.random.default_rng(9), 6)
+    svd = korn._svd
+
+    def perturbed(B):
+        s, Vt = svd(B)
+        Vt = Vt.copy()
+        Vt[:, -1] += 1e-6 * Vt[:, 0]
+        Vt[:, -1] /= np.linalg.norm(Vt[:, -1], axis=-1, keepdims=True)
+        return s, Vt
+
+    monkeypatch.setattr(korn, "_svd", perturbed)
+    with pytest.raises(SolverError, match="residual"):
+        korn.min_rayleigh(pair)
+
+
+def test_stack_falls_back_pencil_by_pencil():
+    # gesdd does not converge on the Korn pencil (45, 13) at h = 1e-4, N = 32,
+    # alone or in a stack; the stack is then solved one pencil at a time
+    geo = ShellGeometry(h=1e-4, L=math.pi)
+    grid = korn.radial_grid(geo, N=32)
+    modes = [(44, 13), (45, 13), (46, 13)]
+    C_num, C_den = korn._mode_forms(korn._operator_table(grid), modes, geo, grid,
+                                    "strain", "grad")
+    single = [korn.min_rayleigh(korn.assemble_mode_forms(m, n, geo, grid))[0]
+              for m, n in modes]
+    assert [value for value, _ in korn._solve_stack(C_num, C_den, 0)] == single
+
+
+def test_rank_deficient_member_of_a_stack_is_solver_error():
+    rng = np.random.default_rng(4)
+    pairs = [random_form_pair(rng, 5) for _ in range(3)]
+    C_num = np.array([p.C_num for p in pairs])
+    C_den = np.array([p.C_den for p in pairs])
+    C_den[1][:, 2] = 0.0
+    with pytest.raises(SolverError, match="rank-deficient"):
+        korn._solve_stack(C_num, C_den, 0)
 
 
 def test_korn_constant_reference(geo_thick):
@@ -295,16 +408,49 @@ def test_scan_matches_exhaustive_grid(geo_thick, kind):
     assert res.value == pytest.approx(value, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind", ["korn", "rthr", "urrzzr", "thzzth", "ththzz"])
+def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
+    # the ladder's stacked solves pick the same modes, with the same bits,
+    # as one per-mode solve of the oracle forms each
+    N = 16
+    grids = {n_r: korn.radial_grid(geo_thick, N=n_r) for n_r in (N, korn._LADDER_N)}
+    if kind == "korn":
+        res = korn.korn_constant(geo_thick, N=N)
+        forms, solve, maximize = ("strain", "grad"), korn.min_rayleigh, False
+    else:
+        res = korn.component_bound(geo_thick, kind, N=N)
+        forms, solve, maximize = (f"component:{kind}", "strain"), korn.max_rayleigh, True
+
+    def quotients(n_r, modes):
+        return [solve(korn.QuadraticFormPair(*per_mode_forms(m, n, geo_thick, grids[n_r],
+                                                             *forms)))[0]
+                for m, n in modes]
+
+    m_max, n_max = korn._scan_caps(geo_thick, None, None)
+    assert res == korn._scan_extremize(quotients, N, m_max, n_max, maximize)
+
+
 def test_scan_walk_stops_on_ties():
     # a plateau whose quotients differ only in the last bits: the walk stays
     # at the ladder's pick (45, 33) instead of following rounding to (47, 33);
     # 182 ladder solves on 8 nodes plus one 5x5 neighbourhood on 16
-    def quotient(n_r, m, n):
-        return 1.0 - 2.0**-52 * (abs(m - 47) + abs(n - 33))
+    def quotients(n_r, modes):
+        return [1.0 - 2.0**-52 * (abs(m - 47) + abs(n - 33)) for m, n in modes]
 
-    res = korn._scan_extremize(quotient, 16, 60, 60, True)
+    res = korn._scan_extremize(quotients, 16, 60, 60, True)
     assert (res.m, res.n) == (45, 33)
     assert res.evaluations == 182 + 25
+
+
+def test_scan_memory():
+    # the operator table at N = 32 and one stack of ladder pencils
+    tracemalloc.start()
+    try:
+        korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20
 
 
 def fake_openblas(threads):
@@ -319,13 +465,13 @@ def test_single_thread_blas_in_scan(geo_thick, monkeypatch):
     libs = blas.loaded_openblas()
     before = [lib.get_num_threads() for lib in libs]
     seen = set()
-    solve = korn.min_rayleigh
+    solve = korn._solve_stack
 
-    def spy(pair):
+    def spy(*args):
         seen.update(lib.get_num_threads() for lib in libs)
-        return solve(pair)
+        return solve(*args)
 
-    monkeypatch.setattr(korn, "min_rayleigh", spy)
+    monkeypatch.setattr(korn, "_solve_stack", spy)
     korn.korn_constant(geo_thick, m_max=3, n_max=3, N=8)
     assert seen == ({1} if libs else set())
     assert [lib.get_num_threads() for lib in libs] == before
