@@ -262,6 +262,13 @@ def _cmd_fixedbc(args):
 
 
 def _cmd_rect_korn(args):
+    # every input is checked before the first trial
+    if not (math.isfinite(args.L) and args.L > 0.0):
+        raise ParameterError(f"L = {args.L} must be finite and positive")
+    if not 0.0 < args.h < rect.PERIODIC_SIGMA:
+        raise ParameterError(f"h = {args.h} outside (0, sigma = {rect.PERIODIC_SIGMA})")
+    if args.trials < 1:
+        raise ParameterError(f"need at least 1 trial, got trials={args.trials}")
     violations, min_margin = rect.basic_inequality_trials(
         args.h, args.L, trials=args.trials, seed=args.seed)
     lemma = rect.harmonic_lemma_check(args.h, args.L, seed=args.seed)

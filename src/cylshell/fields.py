@@ -136,17 +136,21 @@ class DisplacementField:
         ("ur_r", "ur_t", "ur_z", ...) at (r, theta, z), in closed form from
         ``surface_jet``; each value broadcasts to the shape of (r, theta, z).
         """
-        r = np.asarray(r, dtype=float)
-        j = surface_jet(self, theta, z)
-        s = r - 1.0
-        return {
-            "ur": j["fr"], "ur_r": np.zeros(np.broadcast(r, theta, z).shape),
-            "ur_t": j["fr_t"], "ur_z": j["fr_z"],
-            "ut": r * j["ft"] - s * j["fr_t"], "ut_r": j["ft"] - j["fr_t"],
-            "ut_t": r * j["ft_t"] - s * j["fr_tt"], "ut_z": r * j["ft_z"] - s * j["fr_tz"],
-            "uz": j["fz"] - s * j["fr_z"], "uz_r": -j["fr_z"],
-            "uz_t": j["fz_t"] - s * j["fr_tz"], "uz_z": j["fz_z"] - s * j["fr_zz"],
-        }
+        return jet_partials(surface_jet(self, theta, z), r, theta, z)
+
+
+def jet_partials(j, r, theta, z):
+    """``DisplacementField.partials`` from the surface jet j at (theta, z)."""
+    r = np.asarray(r, dtype=float)
+    s = r - 1.0
+    return {
+        "ur": j["fr"], "ur_r": np.zeros(np.broadcast(r, theta, z).shape),
+        "ur_t": j["fr_t"], "ur_z": j["fr_z"],
+        "ut": r * j["ft"] - s * j["fr_t"], "ut_r": j["ft"] - j["fr_t"],
+        "ut_t": r * j["ft_t"] - s * j["fr_tt"], "ut_z": r * j["ft_z"] - s * j["fr_tz"],
+        "uz": j["fz"] - s * j["fr_z"], "uz_r": -j["fr_z"],
+        "uz_t": j["fz_t"] - s * j["fr_tz"], "uz_z": j["fz_z"] - s * j["fr_zz"],
+    }
 
 
 def from_midsurface(f_r, f_t=None, f_z=None, bc_tag=None):
@@ -366,15 +370,15 @@ def functionals(field, stress, material, grid):
                                       stress, material, grid)
 
 
-def reduced_surface_forms(field, grid):
+def reduced_surface_forms(j, grid):
     """Q0, Q1, Q1*, B of a U(f)-form field by mid-surface quadrature.
 
     The integrals run over the grid's own theta and z rules at the single
     radius r = 1 with unit weight, i.e. with the measure dtheta dz.
-    Derivative inputs are read off the field's ``surface_jet``.
+    Derivative inputs are read off the field's ``surface_jet`` j on the
+    grid's (theta, z) nodes.
     """
     grid = replace(grid, r_nodes=np.ones(1), r_weights=np.ones(1))
-    j = surface_jet(field, grid.TH, grid.Z)
     q0_parts = {
         "trace": grid.integrate((j["ft_t"] + j["fz_z"] + j["fr"]) ** 2),
         "hoop": grid.integrate((j["ft_t"] + j["fr"]) ** 2),
@@ -409,9 +413,11 @@ def functional_family(field, material, geometry, grid):
 
     Every integral uses ``grid``'s own rules: the flat measure dr dtheta dz
     as the volume measure of the density divided by r, and K*'s reduced
-    forms on its theta and z rules at r = 1.
+    forms on its theta and z rules at r = 1.  The gradient and the reduced
+    forms read one surface jet, so each profile derivative is evaluated once.
     """
-    g = gradient(field, grid.R, grid.TH, grid.Z)
+    j = surface_jet(field, grid.TH, grid.Z)
+    g = cylindrical_gradient(jet_partials(j, grid.R, grid.TH, grid.Z), grid.R)
     sc = _stability_compressiveness(g, perfect_stress(), material, grid)
     urz_sq = grid.norm_sq(g["rz"])
     if urz_sq <= 0.0:
@@ -420,7 +426,7 @@ def functional_family(field, material, geometry, grid):
     E = symmetrize(simplified_G(g, grid.R))
     K0_num = grid.integrate(stability_integrand(material, E) / grid.R)
 
-    q0p, q1p, q1s_core, B = reduced_surface_forms(field, grid)
+    q0p, q1p, q1s_core, B = reduced_surface_forms(j, grid)
     Q0 = combine_q(q0p, material.Lambda)
     Q1star = (material.Lambda + 2.0) * q1s_core
     return {

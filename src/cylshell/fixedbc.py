@@ -16,9 +16,9 @@ hold exactly.  On this family
     a = ((m+2)/m)^2,
 
 so any m(h) -> infinity with m(h) sqrt(h) -> 0 attains the classical load in
-the limit.  The module provides the mode constructor, its K0 by exact
-per-mode Fourier algebra (which the h-sweep uses), and the full functional
-family by volume quadrature, which the tests use as an independent oracle.
+the limit.  The module provides the mode constructor and its K0 by exact
+per-mode Fourier algebra, which the h-sweep uses; the tests check that K0
+against the full functional family by volume quadrature.
 """
 
 from dataclasses import dataclass
@@ -27,7 +27,9 @@ import math
 import numpy as np
 
 from cylshell.errors import ParameterError
-from cylshell.fields import SumSurface, from_midsurface, functional_family, volume_grid
+# functional_family and volume_grid are not used here; they stay importable
+# from this module because perfbench/spans.py wraps them under these names
+from cylshell.fields import SumSurface, from_midsurface, functional_family, volume_grid  # noqa: F401
 from cylshell.koiter import (circle_n_real, classical_load, max_circle_m,
                              optimal_tangential, real_profiles, reduced_forms)
 from cylshell.material import shell_sweep
@@ -42,14 +44,6 @@ def circle_wavenumber(m, geometry, Lambda):
     systematically overweights the membrane energy of the m+2 mode.
     """
     return int(round(circle_n_real(m, geometry, Lambda)))
-
-
-def gamma(m, n, geometry, Lambda):
-    """Leading-order tangential coefficient 1/m_hat + Lambda m_hat / ((Lambda+2) n^2)."""
-    if m < 1 or n < 1:
-        raise ParameterError(f"gamma requires m >= 1 and n >= 1, got ({m}, {n})")
-    m_hat = math.pi * m / geometry.L
-    return 1.0 / m_hat + Lambda * m_hat / ((Lambda + 2.0) * n**2)
 
 
 def t_coefficient(m, n, geometry, Lambda):
@@ -81,22 +75,6 @@ def mode_amplitudes(m, n, geometry, Lambda):
         f_z = -sign * T
         f_t = 1j * n * (Lp2 * f_r - (Lambda + 1.0) * k_hat * f_z) / (Lp2 * n**2 + k_hat**2)
         out[k] = (f_r, f_t, f_z)
-    return out
-
-
-def simplified_amplitudes(m, n, geometry, Lambda):
-    """Leading-order amplitudes with gamma(k, n) and 1/n^2 coefficients.
-
-    Consistency oracle for mode_amplitudes: agrees to relative
-    O(m_hat^2 / n^2), but the membrane excess it carries decays only like
-    h^{1/4}, so the full coefficients are used to build the modes.
-    """
-    out = {}
-    for k, sign in ((m, 1.0), (m + 2, -1.0)):
-        k_hat = math.pi * k / geometry.L
-        out[k] = (sign / k_hat,
-                  sign * 1j * gamma(k, n, geometry, Lambda) / n,
-                  -sign / n**2)
     return out
 
 
@@ -133,18 +111,6 @@ def fixedbc_mode(m, geometry, material, n=None):
     return from_midsurface(f_r, f_t, f_z, bc_tag="fixed_bottom")
 
 
-def constraint_sums(m, n, geometry, Lambda):
-    """The two Fourier constraint sums of the clamped bottom edge.
-
-    Sum of k_hat * f_r(k) and sum of f_z(k) over the active modes; both
-    vanish identically for this family.
-    """
-    amps = mode_amplitudes(m, n, geometry, Lambda)
-    s_r = sum(k * amps[k][0] for k in amps) * math.pi / geometry.L
-    s_z = sum(amps[k][2] for k in amps)
-    return s_r, s_z
-
-
 def mode_k0_algebraic(m, geometry, material, n=None):
     """K0 of the two-mode family by pure per-mode Fourier algebra.
 
@@ -159,29 +125,6 @@ def mode_k0_algebraic(m, geometry, material, n=None):
     f_r, f_t, f_z = (np.array(c) for c in zip(*amps.values()))
     forms = reduced_forms(k_hat, n, Lam, f_r, f_t, f_z)
     return material.mu * (forms.Q0 + geometry.h**2 / 12.0 * forms.Q1) / forms.B
-
-
-def mode_grid(m, n, geometry):
-    """Quadrature grid sized to integrate the (m+2)-mode products exactly.
-
-    theta products have frequency <= 2n (uniform rule exact below the node
-    count); z products reach frequency 2 pi (m+2)/L, handled by an oversized
-    Gauss rule.  The radial rule has 4 Gauss nodes.
-    """
-    n_th = 2 * n + 5
-    n_z = 3 * (m + 2) + 12
-    return volume_grid(geometry, n_r=4, n_th=n_th, n_z=n_z)
-
-
-def mode_functionals(m, geometry, material, n=None):
-    """Full functional family {K, K1, K0, K*} of the mode by volume quadrature.
-
-    The independent oracle for ``mode_k0_algebraic`` in the tests; its grid
-    grows like n m, so the h-sweep does not use it.
-    """
-    n = _admissible_n(m, geometry, material.Lambda, n)
-    field = fixedbc_mode(m, geometry, material, n=n)
-    return functional_family(field, material, geometry, mode_grid(m, n, geometry))
 
 
 def classical_ratio(m, geometry, material, n=None):

@@ -230,11 +230,3 @@ def buckling_mode(m, geometry, material, n=None):
     f_r, f_t, f_z = real_profiles(n, math.pi * m / geometry.L,
                                   *mode_amplitudes(m, n, geometry, material))
     return from_midsurface(f_r, f_t, f_z, bc_tag="average_top")
-
-
-def mode_kstar_algebraic(m, n, geometry, material):
-    """K* of the explicit mode by pure per-mode algebra (quadrature oracle)."""
-    m_hat = math.pi * m / geometry.L
-    f_r, f_t, f_z = mode_amplitudes(m, n, geometry, material)
-    forms = reduced_forms(m_hat, n, material.Lambda, f_r, f_t, f_z)
-    return material.mu * (forms.Q0 + geometry.h**2 / 12.0 * forms.Q1star) / forms.B

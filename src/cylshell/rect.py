@@ -26,6 +26,12 @@ solves the projection problem by a 5-point finite-difference scheme.
 A field component is any callable c(x, y, dx=0, dy=0) giving its (dx, dy)
 partial derivative.  Every field the module builds is one PlanarSeries: a
 coefficient array of polynomial-or-exponential-in-x, trig-in-y rows.
+
+A PlanarSeries may also carry a leading member axis, a stack of series of
+the same shape.  The checks reduce over the trailing (x, y) grid axes, so a
+single field is a stack of one: a stacked field gives one report per member,
+equal bit for bit to what that member gives alone.  The randomized scans
+draw their fields in seeded order and check them _TRIAL_CHUNK at a time.
 """
 
 from dataclasses import dataclass
@@ -46,6 +52,9 @@ PERIODIC_SIGMA = 0.2
 
 # the alpha values the randomized scans cycle through
 TRIAL_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
+# random fields checked as one stack: at 10 a scan's working set stays under
+# 1 MB, while the per-call Python of the series is paid once per stack
+_TRIAL_CHUNK = 10
 
 
 # ---------------------------------------------------------------------------
@@ -61,6 +70,11 @@ class PlanarSeries:
     applies to every row) give its y-factor and exponential rate.  Polynomial
     rows have rate 0, harmonic rows degree 0.  Each x-derivative maps a row's
     coefficients c to c' + rate c.
+
+    A leading member axis makes a stack of series with the same row count and
+    degree: coef of shape (members, rows, deg) and freq, kind, rate of shape
+    (members, rows).  A call then returns shape (members, *broadcast(x, y)),
+    each member summing only its own rows, bit for bit as it would alone.
     """
 
     coef: np.ndarray
@@ -71,7 +85,8 @@ class PlanarSeries:
     def __post_init__(self):
         kind = np.asarray(self.kind, dtype=str)
         coef, freq = np.asarray(self.coef, dtype=float), np.asarray(self.freq, dtype=float)
-        if coef.ndim != 2 or coef.shape[1] < 1 or not len(coef) == kind.size == freq.size:
+        if (coef.ndim not in (2, 3) or coef.shape[-1] < 1
+                or not coef.shape[:-1] == kind.shape == freq.shape):
             raise ShapeError(f"coef {coef.shape}, freq {freq.shape} and kind "
                              f"{kind.shape} need one row per term")
         rate = np.broadcast_to(np.asarray(self.rate, dtype=float), kind.shape)
@@ -79,22 +94,41 @@ class PlanarSeries:
             object.__setattr__(self, name, value)
 
     def __call__(self, x, y, dx=0, dy=0):
-        c = self.coef
+        # the rows of all members run along one new last axis
+        c = self.coef.reshape(-1, self.coef.shape[-1])
+        freq, kind, rate = self.freq.ravel(), self.kind.ravel(), self.rate.ravel()
         for _ in range(dx):
             dc = np.zeros_like(c)
             dc[:, :-1] = c[:, 1:] * np.arange(1, c.shape[1])
-            c = dc + self.rate[:, None] * c
-        # rows run along a new last axis; Horner in x, as polyval does
+            c = dc + rate[:, None] * c
+        # Horner in x, as polyval does
         x = np.asarray(x, dtype=float)[..., None]
         y = np.asarray(y, dtype=float)[..., None]
         px = c[:, -1] + x * 0.0
         for j in range(c.shape[1] - 2, -1, -1):
             px = c[:, j] + px * x
-        trig = np.empty(np.broadcast_shapes(y.shape, self.freq.shape))
-        for kind in set(self.kind):
-            rows = self.kind == kind
-            trig[..., rows] = _trig(kind, self.freq[rows], y, dy)
-        return np.einsum("...i,...i->...", px * np.exp(self.rate * x), trig)
+        trig = np.empty(np.broadcast_shapes(y.shape, freq.shape))
+        for k in set(kind):
+            rows = kind == k
+            trig[..., rows] = _trig(k, freq[rows], y, dy)
+
+        def by_member(a):
+            return a.reshape(a.shape[:-1] + self.kind.shape)
+
+        out = np.einsum("...i,...i->...", by_member(px * np.exp(rate * x)), by_member(trig))
+        if self.kind.ndim == 1:
+            return out
+        # members first and contiguous, so each member's grid sums run as alone
+        return np.ascontiguousarray(np.moveaxis(out, -1, 0))
+
+
+def stack_series(series):
+    """The series as the members of one PlanarSeries; rows and degree must agree."""
+    try:
+        parts = [np.stack(a) for a in zip(*((s.coef, s.freq, s.kind, s.rate) for s in series))]
+    except ValueError as exc:
+        raise ShapeError(f"cannot stack planar series: {exc}") from None
+    return PlanarSeries(*parts)
 
 
 ZERO = PlanarSeries(np.zeros((0, 1)), (), ())
@@ -107,7 +141,8 @@ class PlanarField:
     u and v are any callables c(x, y, dx=0, dy=0) returning the (dx, dy)
     partial derivative, broadcast over x and y; every field the module
     generates has PlanarSeries components.  bc_tag: 'zero_horizontal'
-    (u = 0 at y in {0, L}) or 'periodic_y' (period 2 pi in y).
+    (u = 0 at y in {0, L}) or 'periodic_y' (period 2 pi in y).  With
+    stacked series (``stack_fields``) the field is a stack of members.
     """
 
     u: object
@@ -115,27 +150,41 @@ class PlanarField:
     bc_tag: str = None
 
 
+def stack_fields(fields):
+    """The fields as the members of one PlanarField of stacked series."""
+    tags = {f.bc_tag for f in fields}
+    if len(tags) != 1:
+        raise ShapeError(f"cannot stack fields of bc tags {sorted(map(str, tags))}")
+    return PlanarField(stack_series([f.u for f in fields]),
+                       stack_series([f.v for f in fields]), bc_tag=tags.pop())
+
+
+def _peak(values):
+    """max |values| over the trailing two sample axes, one value per member."""
+    return np.max(np.abs(values), axis=(-2, -1))
+
+
 def verify_planar_bc(field, h, L):
-    """Check the boundary tag on 33 samples per edge, to relative 1e-9; True or raises."""
+    """Check the boundary tag on 33 samples per edge, to relative 1e-9; True or raises.
+
+    A stacked field is checked member by member, each against its own scale.
+    """
     if field.bc_tag is None:
         return True
-    tol = 1e-9
-    xs = np.linspace(0.0, h, 33)
+    xs = np.linspace(0.0, h, 33)[:, None]
     ys = np.linspace(0.0, L, 33)
-    scale = max(float(np.max(np.abs(field.u(xs[:, None], ys[None, :])))),
-                float(np.max(np.abs(field.v(xs[:, None], ys[None, :])))), 1e-300)
+    scale = np.maximum(np.maximum(_peak(field.u(xs, ys)), _peak(field.v(xs, ys))), 1e-300)
     if field.bc_tag == "zero_horizontal":
-        for y0 in (0.0, L):
-            err = float(np.max(np.abs(field.u(xs, y0))))
-            if err > tol * scale:
-                raise ShapeError(f"horizontal-edge value {err:.3e} at y={y0}")
+        what, err = "horizontal-edge value", _peak(field.u(xs, np.array([0.0, L])))
     elif field.bc_tag == "periodic_y":
-        for comp in (field.u, field.v):
-            err = float(np.max(np.abs(comp(xs, 0.0) - comp(xs, 2.0 * np.pi))))
-            if err > tol * scale:
-                raise ShapeError(f"period-2pi defect {err:.3e}")
+        what = "period-2pi defect"
+        err = np.maximum(*(_peak(c(xs, 0.0) - c(xs, 2.0 * np.pi)) for c in (field.u, field.v)))
     else:
         raise ParameterError(f"unknown planar bc tag {field.bc_tag!r}")
+    bad = np.flatnonzero(err > 1e-9 * scale)
+    if bad.size:
+        where = f" in member {bad[0]}" if np.ndim(err) else ""
+        raise ShapeError(f"{what} {np.ravel(err)[bad[0]]:.3e}{where}")
     return True
 
 
@@ -159,14 +208,19 @@ class PlanarGrid:
         return self.y_nodes[None, :]
 
     def integrate(self, values):
+        """Quadrature over the trailing (x, y) axes: a float, or one per member."""
         w = self.x_weights[:, None] * self.y_weights[None, :]
-        return float(np.sum(w * np.broadcast_to(values, w.shape)))
+        total = np.sum(w * np.asarray(values), axis=(-2, -1))
+        return total if total.ndim else float(total)
 
     def norm_sq(self, values):
         return self.integrate(np.asarray(values) ** 2)
 
 
 def planar_grid(h, L, n_x=24, n_y=64):
+    """Gauss-Legendre rule on [0, h] x [0, L]; h and L finite and positive."""
+    if not (0.0 < h < math.inf and 0.0 < L < math.inf):
+        raise ParameterError(f"rectangle [0, {h}] x [0, {L}] needs finite h, L > 0")
     xn, xw = _gauss(0.0, h, n_x)
     yn, yw = _gauss(0.0, L, n_y)
     return PlanarGrid(xn, xw, yn, yw)
@@ -183,7 +237,11 @@ def planar_partials(field, x, y):
 
 
 def modified_gradient(d, alpha):
-    """G_alpha entries {xx, xy, yx, yy} = [[u_x, u_y], [v_x, v_y + alpha u]]."""
+    """G_alpha entries {xx, xy, yx, yy} = [[u_x, u_y], [v_x, v_y + alpha u]].
+
+    alpha is one value, or one per member of a stacked field.
+    """
+    alpha = np.reshape(alpha, np.shape(alpha) + (1, 1))
     return {"xx": d["ux"], "xy": d["uy"], "yx": d["vx"], "yy": d["vy"] + alpha * d["u"]}
 
 
@@ -193,7 +251,7 @@ def starred_gradient(d, v):
 
 
 def gradient_norms(g, grid):
-    """(||G||^2, ||sym G||^2) from the entry dict by quadrature."""
+    """(||G||^2, ||sym G||^2) from the entry dict by quadrature, per member."""
     g_sq = grid.integrate(g["xx"] ** 2 + g["xy"] ** 2 + g["yx"] ** 2 + g["yy"] ** 2)
     off = 0.5 * (g["xy"] + g["yx"])
     e_sq = grid.integrate(g["xx"] ** 2 + 2.0 * off**2 + g["yy"] ** 2)
@@ -226,13 +284,23 @@ class InequalityReport:
         return ok
 
 
+def _reports(lhs, rhs, rhs_rounded=None):
+    """One InequalityReport of floats per member; a single one for a single field."""
+    cols = [np.ravel(lhs).tolist(), np.ravel(rhs).tolist()]
+    if rhs_rounded is not None:
+        cols.append(np.ravel(rhs_rounded).tolist())
+    reps = [InequalityReport(*row) for row in zip(*cols)]
+    return reps if np.ndim(lhs) else reps[0]
+
+
 def check_basic_inequality(field, alpha, h, L, grid=None):
     """Both forms of the clamped-horizontal-edge bound on ||G_alpha||^2.
 
     rhs is the product form 100 ||e|| (||u||/h + ||e||); rhs_rounded is the
-    rounded-up split form 99 ||e||^2 + (57/h) ||u|| ||e||.
+    rounded-up split form 99 ||e||^2 + (57/h) ||u|| ||e||.  A stacked field
+    (alpha one value or one per member) gives a list of reports, one per member.
     """
-    if not -1.0 <= alpha <= 1.0:
+    if not np.all(np.abs(alpha) <= 1.0):
         raise ParameterError(f"alpha = {alpha} outside [-1, 1]")
     if not 0.0 < h < 1.0:
         raise ParameterError(f"h = {h} outside (0, 1)")
@@ -242,13 +310,9 @@ def check_basic_inequality(field, alpha, h, L, grid=None):
     grid = grid or planar_grid(h, L)
     d = planar_partials(field, grid.X, grid.Y)
     g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
-    e = math.sqrt(e_sq)
-    u_norm = math.sqrt(grid.norm_sq(d["u"]))
-    return InequalityReport(
-        lhs=g_sq,
-        rhs=100.0 * e * (u_norm / h + e),
-        rhs_rounded=99.0 * e_sq + 57.0 / h * u_norm * e,
-    )
+    e = np.sqrt(e_sq)
+    u_norm = np.sqrt(grid.norm_sq(d["u"]))
+    return _reports(g_sq, 100.0 * e * (u_norm / h + e), 99.0 * e_sq + 57.0 / h * u_norm * e)
 
 
 def random_zero_horizontal(rng, h, L):
@@ -269,15 +333,23 @@ def random_zero_horizontal(rng, h, L):
                        bc_tag="zero_horizontal")
 
 
-def _trial_scan(trials, seed, reports):
-    """(violations, min margin) of reports(rng, alpha) over seeded trials, rounded forms too."""
+def _trial_scan(trials, seed, draw, reports):
+    """(violations, min margin) over seeded trials, rounded forms too.
+
+    draw(rng, count) stacks the next count random fields in draw order, and
+    reports(stack, alphas) lists the InequalityReports of all its members;
+    trial t takes alpha = TRIAL_ALPHAS[t % 5].  Up to _TRIAL_CHUNK fields go
+    in one stack, which bounds the scan's working memory.
+    """
     # a scan of no fields would report zero violations without testing anything
     if trials < 1:
         raise ParameterError(f"need at least 1 trial, got trials={trials}")
     rng = np.random.default_rng(seed)
     violations, min_margin = 0, math.inf
-    for t in range(trials):
-        for rep in reports(rng, TRIAL_ALPHAS[t % len(TRIAL_ALPHAS)]):
+    for start in range(0, trials, _TRIAL_CHUNK):
+        t = np.arange(start, min(start + _TRIAL_CHUNK, trials))
+        alphas = np.take(TRIAL_ALPHAS, t, mode="wrap")
+        for rep in reports(draw(rng, t.size), alphas):
             violations += not rep.holds
             rounded = rep.margin_rounded
             min_margin = min(min_margin, rep.margin, math.inf if rounded is None else rounded)
@@ -287,8 +359,10 @@ def _trial_scan(trials, seed, reports):
 def basic_inequality_trials(h, L, trials=200, seed=1234):
     """Randomized scan of check_basic_inequality; returns (violations, min margin)."""
     grid = planar_grid(h, L, n_x=16, n_y=48)
-    return _trial_scan(trials, seed, lambda rng, alpha: [check_basic_inequality(
-        random_zero_horizontal(rng, h, L), alpha, h, L, grid=grid)])
+    return _trial_scan(
+        trials, seed,
+        lambda rng, count: stack_fields([random_zero_horizontal(rng, h, L) for _ in range(count)]),
+        lambda field, alphas: check_basic_inequality(field, alphas, h, L, grid=grid))
 
 
 # ---------------------------------------------------------------------------
@@ -344,16 +418,18 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234):
     grid = planar_grid(h, L)
 
     def norms(w):
-        n0 = math.sqrt(grid.norm_sq(w(grid.X, grid.Y)))
-        nx = math.sqrt(grid.norm_sq(w(grid.X, grid.Y, 1, 0)))
-        ny = math.sqrt(grid.norm_sq(w(grid.X, grid.Y, 0, 1)))
-        return n0, nx, ny
+        """(||w||, ||w_x||, ||w_y||): floats, or lists of one per member."""
+        return tuple(np.sqrt(grid.norm_sq(w(grid.X, grid.Y, dx, dy))).tolist()
+                     for dx, dy in ((0, 0), (1, 0), (0, 1)))
 
-    def trial(rng, alpha):
-        n0, nx, ny = norms(random_harmonic(rng, h, L))
-        return [InequalityReport(lhs=ny**2, rhs=2.0 * math.sqrt(3.0) / h * n0 * nx + nx**2)]
+    def reports(stack, alphas):
+        return [InequalityReport(lhs=ny**2, rhs=2.0 * math.sqrt(3.0) / h * n0 * nx + nx**2)
+                for n0, nx, ny in zip(*norms(stack))]
 
-    violations, min_margin = _trial_scan(trials, seed, trial)
+    violations, min_margin = _trial_scan(
+        trials, seed,
+        lambda rng, count: stack_series([random_harmonic(rng, h, L) for _ in range(count)]),
+        reports)
 
     n0, nx, ny = norms(extremal_harmonic(h, L))
     lhs = ny**2 - nx**2
@@ -501,6 +577,8 @@ def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
     ||G_*||^2 <= C0 (||e_*||^2 + ||e_*|| ||u||/h + ||v||^2).  At the frozen
     C0 = 2.0 both forms fail on a witness from the span of random_periodic
     (test_periodic_constant_violated_in_trial_span); the random scan misses it.
+    A stacked field (alpha one value or one per member) gives a list of
+    reports per form, one per member.
     """
     if not 0.0 < h < PERIODIC_SIGMA:
         raise ParameterError(f"h = {h} outside (0, sigma = {PERIODIC_SIGMA})")
@@ -510,22 +588,22 @@ def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
     grid = grid or planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
     d = planar_partials(field, grid.X, grid.Y)
     v = field.v(grid.X, grid.Y)
-    u_norm = math.sqrt(grid.norm_sq(d["u"]))
+    u_norm = np.sqrt(grid.norm_sq(d["u"]))
     v_norm_sq = grid.norm_sq(v)
 
     g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
-    e = math.sqrt(e_sq)
-    rep_alpha = InequalityReport(lhs=g_sq, rhs=PERIODIC_C0 * e * (u_norm / h + e))
-
+    e = np.sqrt(e_sq)
     gs_sq, es_sq = gradient_norms(starred_gradient(d, v), grid)
-    es = math.sqrt(es_sq)
-    rep_star = InequalityReport(
-        lhs=gs_sq, rhs=PERIODIC_C0 * (es_sq + es * u_norm / h + v_norm_sq))
-    return rep_alpha, rep_star
+    es = np.sqrt(es_sq)
+    return (_reports(g_sq, PERIODIC_C0 * e * (u_norm / h + e)),
+            _reports(gs_sq, PERIODIC_C0 * (es_sq + es * u_norm / h + v_norm_sq)))
 
 
 def periodic_inequality_trials(h, trials=200, seed=1234):
     """Randomized scan of both periodic bounds; returns (violations, min margin)."""
     grid = planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
-    return _trial_scan(trials, seed, lambda rng, alpha: check_periodic_inequalities(
-        random_periodic(rng, h), h, alpha=alpha, grid=grid))
+    return _trial_scan(
+        trials, seed,
+        lambda rng, count: stack_fields([random_periodic(rng, h) for _ in range(count)]),
+        lambda field, alphas: [rep for reps in check_periodic_inequalities(
+            field, h, alpha=alphas, grid=grid) for rep in reps])

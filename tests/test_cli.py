@@ -12,7 +12,7 @@ import pytest
 import scipy.linalg
 
 import cylshell
-from cylshell import ansatz, fixedbc, korn
+from cylshell import ansatz, fixedbc, korn, rect
 from cylshell.cli import main
 from cylshell.material import ShellGeometry
 
@@ -232,6 +232,25 @@ def test_rect_korn_seed_flag(capsys):
 def test_rect_korn_rejects_empty_scan(capsys, trials):
     code, _ = run(capsys, "rect-korn", "--trials", trials)
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["--L", "-1"], ["--L", "0"], ["--L", "nan"], ["--L", "inf"],
+    ["--h", "0"], ["--h", "-0.1"], ["--h", "0.2"], ["--h", "0.5"], ["--h", "nan"],
+    ["--trials", "0"],
+], ids=["L-negative", "L-zero", "L-nan", "L-inf", "h-zero", "h-negative",
+        "h-sigma", "h-above-sigma", "h-nan", "trials-zero"])
+def test_rect_korn_checks_inputs_first(capsys, monkeypatch, argv):
+    # every input is checked before the first trial: nothing is computed
+    def computed(*args, **kwargs):
+        raise AssertionError("rect-korn ran a trial before checking its inputs")
+
+    for name in ("basic_inequality_trials", "harmonic_lemma_check",
+                 "periodic_inequality_trials"):
+        monkeypatch.setattr(rect, name, computed)
+    code, out = run(capsys, "rect-korn", *argv)
+    assert code == 2
+    assert out == ""
 
 
 @pytest.mark.parametrize("argv", [

@@ -87,6 +87,19 @@ def test_gradient_evaluates_each_profile_derivative_once(mat, geo_thick, make):
         assert np.array_equal(g[key], value), key
 
 
+def test_functional_family_evaluates_each_profile_derivative_once(mat, geo_thick):
+    # the gradient and the reduced forms read one surface jet
+    n = koiter_circle_n(1, geo_thick, mat.Lambda)
+    field = buckling_mode(1, geo_thick, mat, n=n)
+    calls = []
+    counted = replace(field, **{name: _CountingProfile(getattr(field, name), calls)
+                                for name in ("f_r", "f_t", "f_z")})
+    grid = volume_grid(geo_thick, n_r=3, n_th=2 * n + 7, n_z=8)
+    fam = functional_family(counted, mat, geo_thick, grid)
+    assert len(calls) == len(set(calls)) == 12
+    assert fam == functional_family(field, mat, geo_thick, grid)
+
+
 def test_volume_quadrature_exact():
     geo = ShellGeometry(h=0.3, L=2.5)
     grid = volume_grid(geo, n_r=4, n_th=8, n_z=4)

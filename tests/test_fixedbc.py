@@ -7,11 +7,59 @@ import pytest
 
 from cylshell import fixedbc
 from cylshell.errors import ParameterError
-from cylshell.fields import verify_bc
+from cylshell.fields import functional_family, verify_bc, volume_grid
 from cylshell.koiter import classical_load
 from cylshell.material import ShellGeometry
 
 L = math.pi
+
+
+def constraint_sums(m, n, geometry, Lambda):
+    """Oracle: the two Fourier constraint sums of the clamped bottom edge.
+
+    Sum of k_hat * f_r(k) and sum of f_z(k) over the active modes; both
+    vanish identically for this family.
+    """
+    amps = fixedbc.mode_amplitudes(m, n, geometry, Lambda)
+    s_r = sum(k * amps[k][0] for k in amps) * math.pi / geometry.L
+    s_z = sum(amps[k][2] for k in amps)
+    return s_r, s_z
+
+
+def gamma(m, n, geometry, Lambda):
+    """Leading-order tangential coefficient 1/m_hat + Lambda m_hat / ((Lambda+2) n^2)."""
+    m_hat = math.pi * m / geometry.L
+    return 1.0 / m_hat + Lambda * m_hat / ((Lambda + 2.0) * n**2)
+
+
+def simplified_amplitudes(m, n, geometry, Lambda):
+    """Oracle: leading-order amplitudes with gamma(k, n) and 1/n^2 coefficients.
+
+    Agrees with mode_amplitudes to relative O(m_hat^2 / n^2), but the
+    membrane excess it carries decays only like h^{1/4}, so the modes use
+    the full coefficients.
+    """
+    out = {}
+    for k, sign in ((m, 1.0), (m + 2, -1.0)):
+        k_hat = math.pi * k / geometry.L
+        out[k] = (sign / k_hat,
+                  sign * 1j * gamma(k, n, geometry, Lambda) / n,
+                  -sign / n**2)
+    return out
+
+
+def mode_functionals(m, n, geometry, material):
+    """Oracle: the full functional family {K, K1, K0, K*} of the mode by volume quadrature.
+
+    The grid integrates the (m+2)-mode products exactly: theta products have
+    frequency <= 2n (uniform rule exact below the node count), z products
+    reach frequency 2 pi (m+2)/L (an oversized Gauss rule), and the radial
+    rule has 4 Gauss nodes.  It grows like n m, so the h-sweep uses the
+    per-mode algebra instead.
+    """
+    field = fixedbc.fixedbc_mode(m, geometry, material, n=n)
+    grid = volume_grid(geometry, n_r=4, n_th=2 * n + 5, n_z=3 * (m + 2) + 12)
+    return functional_family(field, material, geometry, grid)
 
 
 def test_wavenumber_map():
@@ -30,7 +78,7 @@ def test_circle_wavenumber_rounds_to_nearest(mat, geo_thin):
 
 
 def test_constraint_sums_vanish(mat, geo_thin):
-    s_r, s_z = fixedbc.constraint_sums(10, 41, geo_thin, mat.Lambda)
+    s_r, s_z = constraint_sums(10, 41, geo_thin, mat.Lambda)
     assert s_r == 0.0
     assert s_z == 0.0
 
@@ -54,7 +102,7 @@ def test_simplified_amplitudes_are_leading_order(mat, geo_thin):
     # relative deviation of the leading-order coefficients is O(m_hat^2/n^2)
     m, n = 10, 41
     full = fixedbc.mode_amplitudes(m, n, geo_thin, mat.Lambda)
-    simp = fixedbc.simplified_amplitudes(m, n, geo_thin, mat.Lambda)
+    simp = simplified_amplitudes(m, n, geo_thin, mat.Lambda)
     for k in (m, m + 2):
         bound = 3.0 * (math.pi * k / L) ** 2 / n**2
         for a, b in zip(full[k], simp[k]):
@@ -70,7 +118,7 @@ def test_quadrature_matches_fourier_algebra(mat):
     # the volume-quadrature K0 is an independent oracle for the algebra
     for h, m, n, rel in ((1e-4, 10, 41, 1e-10), (1e-6, 32, 236, 1e-9)):
         geo = ShellGeometry(h=h, L=L)
-        rq = fixedbc.mode_functionals(m, geo, mat, n=n)["K0"] / classical_load(geo, mat)
+        rq = mode_functionals(m, n, geo, mat)["K0"] / classical_load(geo, mat)
         assert rq == pytest.approx(fixedbc.classical_ratio(m, geo, mat, n=n), rel=rel)
 
 

@@ -1,6 +1,8 @@
 """Planar Korn-type inequalities on the thin rectangle."""
 
+from dataclasses import astuple, replace
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -74,6 +76,119 @@ def test_planar_series_matches_polynomial_reference():
         rect.PlanarSeries(coef, freq[:2], kind)
 
 
+def test_stacked_series_equals_each_member():
+    # members mix degree, exponential rate and trig kind; each member of the
+    # stack must give exactly what it gives alone
+    rng = np.random.default_rng(5)
+    kinds = np.array([["sin", "cos", "one"], ["one", "sin", "sin"], ["cos", "cos", "one"]])
+    members = [rect.PlanarSeries(rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(0.0, 9.0, 3),
+                                 kind, rate=rng.uniform(-4.0, 4.0, 3)) for kind in kinds]
+    stack = rect.stack_series(members)
+    x, y = np.linspace(0.0, H, 7)[:, None], np.linspace(0.0, L, 5)[None, :]
+    for dx in range(3):
+        for dy in range(2):
+            got = stack(x, y, dx, dy)
+            assert got.shape == (3, 7, 5)
+            for k, member in enumerate(members):
+                assert np.array_equal(got[k], member(x, y, dx, dy)), (k, dx, dy)
+    with pytest.raises(ShapeError):
+        rect.stack_series([members[0], rect.PlanarSeries([[1.0]], [1.0], ["sin"])])
+    with pytest.raises(ShapeError):
+        rect.stack_series([stack, stack])
+
+
+def _field_by_field(trials, seed, draw, reports):
+    """Reference scan: (violations, min margin), one field checked at a time."""
+    rng = np.random.default_rng(seed)
+    reps = []
+    for t in range(trials):
+        reps += reports(draw(rng), rect.TRIAL_ALPHAS[t % len(rect.TRIAL_ALPHAS)])
+    margins = [r.margin for r in reps]
+    margins += [r.margin_rounded for r in reps if r.rhs_rounded is not None]
+    return sum(not r.holds for r in reps), min(margins)
+
+
+def _lemma_reports(w, alpha):
+    # the random-trial inequality of harmonic_lemma_check on one field
+    grid = rect.planar_grid(H, L)
+    n0, nx, ny = (math.sqrt(grid.norm_sq(w(grid.X, grid.Y, dx, dy)))
+                  for dx, dy in ((0, 0), (1, 0), (0, 1)))
+    return [rect.InequalityReport(lhs=ny**2, rhs=2.0 * math.sqrt(3.0) / H * n0 * nx + nx**2)]
+
+
+BASIC_GRID = rect.planar_grid(H, L, n_x=16, n_y=48)
+PERIODIC_GRID = rect.planar_grid(H, 2.0 * math.pi, n_x=16, n_y=48)
+SCANS = {
+    "basic": (lambda trials: rect.basic_inequality_trials(H, L, trials=trials, seed=3),
+              lambda rng: rect.random_zero_horizontal(rng, H, L),
+              lambda field, alpha: [rect.check_basic_inequality(field, alpha, H, L,
+                                                                 grid=BASIC_GRID)]),
+    "periodic": (lambda trials: rect.periodic_inequality_trials(H, trials=trials, seed=3),
+                 lambda rng: rect.random_periodic(rng, H),
+                 lambda field, alpha: list(rect.check_periodic_inequalities(
+                     field, H, alpha=alpha, grid=PERIODIC_GRID))),
+    "harmonic": (lambda trials: astuple(rect.harmonic_lemma_check(
+                     H, L, trials=trials, seed=3))[1:],
+                 lambda rng: rect.random_harmonic(rng, H, L), _lemma_reports),
+}
+
+
+@pytest.mark.parametrize("trials", [1, 23, 200])
+@pytest.mark.parametrize("scan", sorted(SCANS))
+def test_stacked_scan_equals_field_by_field(scan, trials):
+    # 23 is not a multiple of the stack size: the last stack is partial
+    run, draw, reports = SCANS[scan]
+    assert run(trials) == _field_by_field(trials, 3, draw, reports)
+
+
+def test_stacked_checks_equal_field_by_field():
+    rng = np.random.default_rng(21)
+    alphas = np.take(rect.TRIAL_ALPHAS, np.arange(23), mode="wrap")
+    fields = [rect.random_zero_horizontal(rng, H, L) for _ in alphas]
+    stacked = rect.check_basic_inequality(rect.stack_fields(fields), alphas, H, L)
+    assert stacked == [rect.check_basic_inequality(f, a, H, L) for f, a in zip(fields, alphas)]
+    fields = [rect.random_periodic(rng, H) for _ in alphas]
+    stacked = rect.check_periodic_inequalities(rect.stack_fields(fields), H, alpha=alphas)
+    single = [rect.check_periodic_inequalities(f, H, alpha=a) for f, a in zip(fields, alphas)]
+    assert list(zip(*stacked)) == single
+
+
+def test_stack_with_one_bad_member_raises():
+    rng = np.random.default_rng(4)
+    fields = [rect.random_zero_horizontal(rng, H, L) for _ in range(5)]
+    good = fields[2]
+    # cos rows do not vanish on the horizontal edges
+    fields[2] = replace(good, u=replace(good.u, kind=np.full(6, "cos")))
+    with pytest.raises(ShapeError, match="member 2"):
+        rect.check_basic_inequality(rect.stack_fields(fields), 0.5, H, L)
+    fields = [rect.random_periodic(rng, H) for _ in range(5)]
+    # a non-integer frequency breaks the 2 pi period
+    fields[2] = replace(fields[2], v=replace(fields[2].v, freq=fields[2].v.freq + 0.5))
+    with pytest.raises(ShapeError, match="member 2"):
+        rect.check_periodic_inequalities(rect.stack_fields(fields), H)
+    with pytest.raises(ShapeError):
+        rect.stack_fields([good, fields[0]])
+
+
+@pytest.mark.parametrize("scan, args", [
+    (rect.basic_inequality_trials, (H, L)),
+    (rect.harmonic_lemma_check, (H, L)),
+    (rect.periodic_inequality_trials, (H,)),
+], ids=["basic", "harmonic", "periodic"])
+def test_trial_scan_memory(scan, args):
+    # one stack of random fields at a time: 0.4-0.8 MB at 10 fields a stack,
+    # 1.5-1.8 MB for the basic and periodic scans at 25; a one-trial run first
+    # keeps one-time allocations out of the peak
+    scan(*args, trials=1)
+    tracemalloc.start()
+    try:
+        scan(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
+
+
 def test_verify_planar_bc():
     u = rect.PlanarSeries([[1.0]], [math.pi / L], ["sin"])
     good = rect.PlanarField(u, rect.ZERO, bc_tag="zero_horizontal")
@@ -102,6 +217,12 @@ def test_basic_inequality_parameter_checks():
             rect.basic_inequality_trials(H, L, trials=trials)
         with pytest.raises(ParameterError):
             rect.periodic_inequality_trials(H, trials=trials)
+    # a degenerate rectangle is rejected, not reported as a violation
+    for bad_L in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ParameterError):
+            rect.basic_inequality_trials(H, bad_L, trials=1)
+        with pytest.raises(ParameterError):
+            rect.harmonic_lemma_check(H, bad_L, trials=1)
 
 
 def test_basic_inequality_single_field():
