@@ -5,7 +5,8 @@ n_h = floor(h^(-1/4)) and turned into the mid-surface profile family
 
     f_r = -phi^h_,theta theta,   f_theta = phi^h_,theta,   f_z = -phi^h_,z,
 
-whose U(f) field U^h realizes the h^(3/2) Korn-constant scaling:
+each a ``CompressedBump`` (a derivative offset and a factor of phi^h), whose
+U(f) field U^h realizes the h^(3/2) Korn-constant scaling:
 
     lim h^(1/4) ||grad U^h||^2 = 2 ||phi_,eta eta eta||^2,
     lim h^(-5/4) ||e(U^h)||^2  = ||phi_,zz||^2 + (1/12) ||phi_,eta eta eta eta||^2.
@@ -31,9 +32,9 @@ from numpy.polynomial.polynomial import polyder, polyint, polymul, polyval
 from cylshell import korn
 from cylshell.errors import ParameterError
 from cylshell.material import shell_sweep
-from cylshell.fields import (Scaled, Shifted, cylindrical_gradient, from_midsurface,
-                             functionals, gradient, symmetrize, volume_grid, GRAD_KEYS,
-                             STRAIN_KEYS, STRAIN_WEIGHT)
+from cylshell.fields import (DisplacementField, cylindrical_gradient, functionals,
+                             gradient, symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
+                             STRAIN_WEIGHT)
 from cylshell.scaling import ScalingFit, fit_exponent
 
 
@@ -58,8 +59,10 @@ class BumpProfile:
     def __post_init__(self):
         if not 0.0 < self.eta0 < math.pi:
             raise ParameterError(f"eta0 must lie in (0, pi), got {self.eta0}")
-        if not self.L > 0:
-            raise ParameterError(f"L must be positive, got {self.L}")
+        if not 0.0 < self.L < math.inf:
+            raise ParameterError(f"L must be finite and positive, got {self.L}")
+        if not math.isfinite(self.skew):
+            raise ParameterError(f"skew must be finite, got {self.skew}")
         P = Polynomial([1.0, 0.0, -1.0 / self.eta0**2]) ** 5
         Z = Polynomial([0.0, 1.0 / self.L, -1.0 / self.L**2]) ** 5
         terms = [(P, Z)]
@@ -110,15 +113,19 @@ class BumpProfile:
 
 @dataclass(frozen=True)
 class CompressedBump:
-    """phi^h(theta, z) = phi(n_h theta, z), 2 pi-periodic in theta."""
+    """c d^d_th_theta d^d_z_z phi^h, phi^h(theta, z) = phi(n_h theta, z) 2 pi-periodic in theta."""
 
     bump: BumpProfile
     n_h: int
+    d_th: int
+    d_z: int
+    c: float
 
     def __call__(self, theta, z, dth=0, dz=0):
         theta = np.asarray(theta, dtype=float)
         wrapped = np.mod(theta + math.pi, 2.0 * math.pi) - math.pi
-        return self.n_h**dth * self.bump(self.n_h * wrapped, z, dth, dz)
+        dth, dz = dth + self.d_th, dz + self.d_z
+        return self.c * (self.n_h**dth * self.bump(self.n_h * wrapped, z, dth, dz))
 
 
 def wavenumber(h):
@@ -151,11 +158,9 @@ def build_ansatz(h, bump, geometry):
         raise ParameterError(
             f"bump axial length {bump.L} does not match shell length {geometry.L}")
     n_h = wavenumber(h)
-    phi = CompressedBump(bump=bump, n_h=n_h)
-    f_r = Scaled(Shifted(phi, 2, 0), -1.0)
-    f_t = Shifted(phi, 1, 0)
-    f_z = Scaled(Shifted(phi, 0, 1), -1.0)
-    field = from_midsurface(f_r, f_t, f_z, bc_tag="fixed_bottom")
+    field = DisplacementField(CompressedBump(bump, n_h, 2, 0, -1.0),
+                              CompressedBump(bump, n_h, 1, 0, 1.0),
+                              CompressedBump(bump, n_h, 0, 1, -1.0), bc_tag="fixed_bottom")
     return AnsatzField(h=h, n_h=n_h, bump=bump, field=field)
 
 

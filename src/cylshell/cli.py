@@ -96,8 +96,8 @@ def export_surface(field, amplitude, geometry, path, n_th=96, n_z=48):
     Points are ((1 + eps u_r) cos th, (1 + eps u_r) sin th, z + eps u_z)
     sampled on an n_th x n_z grid, with quad faces wrapping in theta.
     """
-    if amplitude <= 0:
-        raise ParameterError(f"amplitude must be positive, got {amplitude}")
+    if not 0 < amplitude < math.inf:
+        raise ParameterError(f"amplitude must be finite and positive, got {amplitude}")
     if n_th < 3 or n_z < 2:
         raise ParameterError(f"surface grid needs n_th >= 3 and n_z >= 2, "
                              f"got {n_th} x {n_z}")

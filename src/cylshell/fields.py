@@ -6,16 +6,19 @@ through the map U(f)
     u_r = f_r,   u_theta = r f_theta - (r-1) f_r,theta,   u_z = f_z - (r-1) f_r,z.
 
 A profile is any callable f(theta, z, dth=0, dz=0) with closed-form partial
-derivatives (trig modes, the compressed bending bump).  Every field built here
--- the Koiter modes, the clamped-edge modes, the bending ansatz -- has this
-form, so each component and its r-derivatives are closed-form in the profiles,
-and the reduced forms Q0, Q1, Q1*, B, hence K*, are defined on every field.
+derivatives (trig modes, the compressed bending bump; f = 0 is
+``TrigSurface(amp=0.0)``).  Every field built here -- the Koiter modes, the
+clamped-edge modes, the bending ansatz -- is a ``DisplacementField`` of three
+such profiles, so each component and its r-derivatives are closed-form in
+the profiles, and the reduced forms Q0, Q1, Q1*, B, hence K*, are defined on
+every field.
 A field's ``partials(r, theta, z)`` returns its three components and their
 first derivatives in r, theta and z; ``cylindrical_gradient`` turns those 12
 partials into the nine entries of grad u, and the korn mode operators go
 through the same formula.  Gradients, strains, the simplified tensors G/E and
-all L2 norms are computed by tensor-product quadrature.  Fields with general
-radial profiles live only in the korn oracle test, which implements
+all L2 norms are computed by tensor-product quadrature; the compressiveness
+integrand sums over the stress weight's own components only.  Fields with
+general radial profiles live only in the korn oracle test, which implements
 ``partials`` for them.
 """
 
@@ -24,7 +27,7 @@ import functools
 
 import numpy as np
 
-from cylshell.errors import NotDestabilizingError, ParameterError, ShapeError
+from cylshell.errors import NotDestabilizingError, ParameterError
 from cylshell.material import perfect_stress
 
 
@@ -58,30 +61,6 @@ class TrigSurface:
     def __call__(self, theta, z, dth=0, dz=0):
         return (self.amp * _trig(self.theta_kind, self.n, theta, dth)
                 * _trig(self.z_kind, self.k, z, dz))
-
-
-ZERO = TrigSurface(amp=0.0)   # the profile f = 0
-
-
-@dataclass(frozen=True)
-class Shifted:
-    """A profile pre-differentiated by (dth, dz)."""
-
-    base: object
-    dth: int = 0
-    dz: int = 0
-
-    def __call__(self, theta, z, dth=0, dz=0):
-        return self.base(theta, z, dth + self.dth, dz + self.dz)
-
-
-@dataclass(frozen=True)
-class Scaled:
-    base: object
-    c: float
-
-    def __call__(self, theta, z, dth=0, dz=0):
-        return self.c * self.base(theta, z, dth, dz)
 
 
 @dataclass(frozen=True)
@@ -151,12 +130,6 @@ def jet_partials(j, r, theta, z):
         "uz": j["fz"] - s * j["fr_z"], "uz_r": -j["fr_z"],
         "uz_t": j["fz_t"] - s * j["fr_tz"], "uz_z": j["fz_z"] - s * j["fr_zz"],
     }
-
-
-def from_midsurface(f_r, f_t=None, f_z=None, bc_tag=None):
-    """The U(f) field of mid-surface profiles; a missing profile is zero."""
-    return DisplacementField(f_r, ZERO if f_t is None else f_t,
-                             ZERO if f_z is None else f_z, bc_tag)
 
 
 GRAD_KEYS = ("rr", "rt", "rz", "tr", "tt", "tz", "zr", "zt", "zz")
@@ -275,50 +248,6 @@ def volume_grid(geometry, n_r=6, n_th=16, n_z=16, theta_interval=None):
 
 
 # ---------------------------------------------------------------------------
-# boundary-condition verification
-
-
-def verify_bc(field, geometry):
-    """Check the field's boundary tag by sampling; returns True or raises.
-
-    Each edge is sampled on 8 x 8 (r, theta) points; the tolerance is 1e-10
-    relative to the field's largest sampled value.
-    """
-    tag = field.bc_tag
-    if tag is None:
-        return True
-    a, b = geometry.I_h
-    L = geometry.L
-    tol = 1e-10
-    rs = np.linspace(a, b, 8)
-    ths = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    R, TH = np.meshgrid(rs, ths, indexing="ij")
-    # field scale for a relative tolerance
-    samples = [field.partials(R, TH, z0) for z0 in np.linspace(0.0, L, 9)]
-    scale = max(float(np.max(np.abs(p[c]))) for p in samples for c in ("ur", "ut", "uz"))
-    scale = max(scale, 1e-300)
-    for z0, p in ((0.0, samples[0]), (L, samples[-1])):
-        for c, name in (("ur", "u_r"), ("ut", "u_theta")):
-            err = float(np.max(np.abs(p[c])))
-            if err > tol * scale:
-                raise ShapeError(f"{name} != 0 at z={z0}: max |{name}| = {err:.3e}")
-    # zero mean of u_z over the bottom annulus
-    rq, rwq = _gauss(a, b, 6)
-    tq = np.arange(64) * (2.0 * np.pi / 64)
-    vals = field.partials(rq[:, None], tq[None, :], 0.0)["uz"]
-    mean = float(np.sum((rwq * rq)[:, None] * vals) * (2.0 * np.pi / 64))
-    if abs(mean) > tol * scale * (2.0 * np.pi * geometry.h):
-        raise ShapeError(f"u_z has nonzero bottom average {mean:.3e}")
-    if tag == "fixed_bottom":
-        err = float(np.max(np.abs(samples[0]["uz"])))
-        if err > tol * scale:
-            raise ShapeError(f"u_z != 0 at z=0: max = {err:.3e}")
-    elif tag != "average_top":
-        raise ParameterError(f"unknown bc tag {tag!r}")
-    return True
-
-
-# ---------------------------------------------------------------------------
 # functionals
 
 
@@ -344,16 +273,14 @@ def stability_integrand(material, e):
 
 
 def compressiveness_integrand(stress, g, theta, z):
-    """(sigma, grad(u)^T grad(u)) pointwise."""
+    """(sigma, grad(u)^T grad(u)) pointwise, over the weight's own components."""
     sig = stress.tensor(theta, z)
     cols = {i: [g[a + i] for a in "rtz"] for i in "rtz"}
     out = 0.0
-    for key in STRAIN_KEYS:
-        s = sig[key]
-        if np.any(s != 0.0):
-            i, j = key
-            m = sum(ci * cj for ci, cj in zip(cols[i], cols[j]))
-            out = out + STRAIN_WEIGHT[key] * s * m
+    for key in (k for k in STRAIN_KEYS if k in sig):
+        i, j = key
+        m = sum(ci * cj for ci, cj in zip(cols[i], cols[j]))
+        out = out + STRAIN_WEIGHT[key] * sig[key] * m
     return out
 
 

@@ -27,9 +27,10 @@ import math
 import numpy as np
 
 from cylshell.errors import ParameterError
+from cylshell.fields import DisplacementField, SumSurface
 # functional_family and volume_grid are not used here; they stay importable
 # from this module because perfbench/spans.py wraps them under these names
-from cylshell.fields import SumSurface, from_midsurface, functional_family, volume_grid  # noqa: F401
+from cylshell.fields import functional_family, volume_grid  # noqa: F401
 from cylshell.koiter import (circle_n_real, classical_load, max_circle_m,
                              optimal_tangential, real_profiles, reduced_forms)
 from cylshell.material import shell_sweep
@@ -108,7 +109,7 @@ def fixedbc_mode(m, geometry, material, n=None):
     """
     n = _admissible_n(m, geometry, material.Lambda, n)
     f_r, f_t, f_z = mode_profiles(m, n, geometry, material.Lambda)
-    return from_midsurface(f_r, f_t, f_z, bc_tag="fixed_bottom")
+    return DisplacementField(f_r, f_t, f_z, bc_tag="fixed_bottom")
 
 
 def mode_k0_algebraic(m, geometry, material, n=None):

@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from cylshell.errors import ParameterError
-from cylshell.fields import TrigSurface, combine_q, from_midsurface
+from cylshell.fields import DisplacementField, TrigSurface, combine_q
 
 
 @dataclass(frozen=True)
@@ -57,7 +57,7 @@ def reduced_forms(m_hat, n, Lambda, f_r, f_t=0.0, f_z=0.0):
 def optimal_tangential(f_r, m_hat, n, Lambda):
     """Minimizer (f_theta*, f_z*) of Q0 over the tangential amplitudes.
 
-    Q0 there is q0_at_optimum(f_r, m_hat, n, Lambda).
+    Q0 there is |f_r|^2 m_hat^2 times the membrane term of lambda*/mu.
     """
     if m_hat == 0 and n == 0:
         raise ParameterError("optimal tangential amplitudes undefined at m_hat = n = 0")
@@ -70,10 +70,6 @@ def optimal_tangential(f_r, m_hat, n, Lambda):
 def _membrane_term(m_hat, n, Lambda):
     """Membrane part of lambda*/mu; Q0 at the membrane optimum is |f_r|^2 m_hat^2 times it."""
     return 4.0 * m_hat**2 * (Lambda + 1.0) / ((Lambda + 2.0) * (n**2 + m_hat**2) ** 2)
-
-
-def q0_at_optimum(f_r, m_hat, n, Lambda):
-    return abs(f_r) ** 2 * m_hat**2 * _membrane_term(m_hat, n, Lambda)
 
 
 def lambda_star(geometry, material, m, n):
@@ -121,7 +117,9 @@ def _circle_radicand(m, geometry, Lambda):
 
 
 def circle_n_real(m, geometry, Lambda):
-    """Real circumferential wavenumber on the Koiter circle for axial mode m."""
+    """Real circumferential wavenumber on the Koiter circle for axial mode m >= 1."""
+    if m < 1:
+        raise ParameterError(f"axial mode m={m} must be >= 1")
     radicand = _circle_radicand(m, geometry, Lambda)
     if radicand < 0:
         raise ParameterError(
@@ -190,22 +188,6 @@ def mode_amplitudes(m, n, geometry, material):
     return 1.0 + 0.0j, f_t, f_z
 
 
-def display_amplitudes(m, n, geometry, material):
-    """Circle-substituted mode amplitudes.
-
-    Same as mode_amplitudes except the denominator (n^2+m_hat^2)^2 of the
-    tangential pair is replaced through the circle by (2 k m_hat)^2.  Exact
-    on the circle of classical modes; at the floored integer n the
-    substitution is off by O(circle residual), which the membrane form
-    amplifies, so these serve only as a near-circle consistency oracle.
-    """
-    m_hat = math.pi * m / geometry.L
-    k = _circle_radius(geometry, material.Lambda)
-    scale = (n**2 + m_hat**2) ** 2 / (2.0 * k * m_hat) ** 2
-    f_r, f_t, f_z = mode_amplitudes(m, n, geometry, material)
-    return f_r, scale * f_t, scale * f_z
-
-
 def real_profiles(n, k_hat, f_r, f_t, f_z):
     """Real mid-surface profiles of u = Re(f e^{i n theta}) at axial wavenumber k_hat.
 
@@ -223,10 +205,10 @@ def buckling_mode(m, geometry, material, n=None):
     Real form of the mode amplitudes: f_r = sin(m_hat z) cos(n theta) with the
     closed-form tangential coefficients; returned as the U(f) field.
     """
-    if n is None:
-        n = koiter_circle_n(m, geometry, material.Lambda)
     if m < 1:
         raise ParameterError("buckling mode requires m >= 1")
+    if n is None:
+        n = koiter_circle_n(m, geometry, material.Lambda)
     f_r, f_t, f_z = real_profiles(n, math.pi * m / geometry.L,
                                   *mode_amplitudes(m, n, geometry, material))
-    return from_midsurface(f_r, f_t, f_z, bc_tag="average_top")
+    return DisplacementField(f_r, f_t, f_z, bc_tag="average_top")

@@ -4,8 +4,9 @@ The shell is loaded along the axis; the homogeneous (trivial) equilibrium
 branch is parametrized by the load lambda through the coefficients a(lambda)
 (radial expansion) and b(lambda) (axial contraction).  Stress weights are the
 unit-normalized linearized stress tensors that enter the compressiveness
-functional: perfect axial compression e_z (x) e_z, or the shear/hoop
-imperfection variants.
+functional: perfect axial compression e_z (x) e_z, the shear imperfection
+(sigma_tz = s(theta), sigma_zz = -z s'(theta)) or the hoop imperfection
+(sigma_tt = 1).  A weight holds only its nonzero components.
 """
 
 from dataclasses import dataclass, field
@@ -42,8 +43,8 @@ class Material:
 
 def derive_material(E, nu):
     """Build a Material from Young's modulus and Poisson's ratio."""
-    if not E > 0:
-        raise ParameterError(f"Young modulus E must be positive, got E={E}")
+    if not 0 < E < math.inf:
+        raise ParameterError(f"Young modulus E must be finite and positive, got E={E}")
     if not 0 < nu < 0.5:
         raise ParameterError(f"Poisson ratio nu must lie in (0, 1/2), got nu={nu}")
     mu = E / (2.0 * (1.0 + nu))
@@ -61,8 +62,8 @@ class ShellGeometry:
     def __post_init__(self):
         if not 0 < self.h < 1:
             raise ParameterError(f"thickness h must lie in (0, 1), got h={self.h}")
-        if not self.L > 0:
-            raise ParameterError(f"length L must be positive, got L={self.L}")
+        if not 0 < self.L < math.inf:
+            raise ParameterError(f"length L must be finite and positive, got L={self.L}")
 
     @property
     def r_inner(self):
@@ -135,9 +136,6 @@ def solve_trivial_branch(material, load):
     return TrivialBranch(load=load, a=a, b=b, residual=residual)
 
 
-_COMPONENTS = ("rr", "rt", "rz", "tt", "tz", "zz")
-
-
 def _check_periodic(f, name):
     vals = np.array([f(0.0), f(2 * np.pi)], dtype=float)
     scale = max(1.0, float(np.max(np.abs([f(t) for t in np.linspace(0, 2 * np.pi, 17)]))))
@@ -151,26 +149,19 @@ class StressWeight:
     """Unit-normalized linearized stress sigma^0(theta, z).
 
     Component functions are keyed by 'rr', 'rt', 'rz', 'tt', 'tz', 'zz' and
-    take broadcastable (theta, z) arrays.  Off-diagonal components enter the
-    contraction twice.
+    take broadcastable (theta, z) arrays; a component not given is zero.
+    Off-diagonal components enter the contraction twice.
     """
 
     components: dict = field(default_factory=dict)
 
     def tensor(self, theta, z):
-        """Evaluate all six independent components at (theta, z) arrays."""
+        """The weight's own components at (theta, z) arrays, each of the broadcast shape."""
         theta = np.asarray(theta, dtype=float)
         z = np.asarray(z, dtype=float)
-        out = {}
-        for key in _COMPONENTS:
-            f = self.components.get(key)
-            if f is None:
-                out[key] = np.zeros(np.broadcast(theta, z).shape)
-            else:
-                out[key] = np.broadcast_to(
-                    np.asarray(f(theta, z), dtype=float), np.broadcast(theta, z).shape
-                )
-        return out
+        shape = np.broadcast(theta, z).shape
+        return {key: np.broadcast_to(np.asarray(f(theta, z), dtype=float), shape)
+                for key, f in self.components.items()}
 
 
 def perfect_stress():
@@ -178,15 +169,13 @@ def perfect_stress():
     return StressWeight(components={"zz": lambda theta, z: np.ones_like(theta + z)})
 
 
-def shear_imperfection(s, t=None):
-    """Shear-imperfection stress: sigma_tz = s(theta), sigma_zz = t(theta) - z s'(theta).
+def shear_imperfection(s):
+    """Shear-imperfection stress: sigma_tz = s(theta), sigma_zz = -z s'(theta).
 
-    s and t are 2*pi-periodic; s' is computed by a fourth-order central
-    difference with step 1e-6.
+    s is 2*pi-periodic; s' is computed by a fourth-order central difference
+    with step 1e-6.
     """
     _check_periodic(s, "s")
-    if t is not None:
-        _check_periodic(t, "t")
 
     def ds(theta):
         th, eps = np.asarray(theta, dtype=float), 1e-6
@@ -197,17 +186,11 @@ def shear_imperfection(s, t=None):
         return np.asarray(s(theta)) + np.zeros_like(np.asarray(z, dtype=float))
 
     def sigma_zz(theta, z):
-        tv = 0.0 if t is None else np.asarray(t(theta))
-        return tv - np.asarray(z, dtype=float) * np.asarray(ds(theta))
+        return -np.asarray(z, dtype=float) * np.asarray(ds(theta))
 
     return StressWeight(components={"tz": sigma_tz, "zz": sigma_zz})
 
 
-def hoop_imperfection(sigma_tt=None):
-    """Hoop-imperfection stress: only sigma_tt nonzero (default 1)."""
-    if sigma_tt is None:
-        f = lambda theta, z: np.ones_like(theta + z)
-    else:
-        _check_periodic(sigma_tt, "sigma_tt")
-        f = lambda theta, z: np.asarray(sigma_tt(theta)) + np.zeros_like(np.asarray(z, dtype=float))
-    return StressWeight(components={"tt": f})
+def hoop_imperfection():
+    """Hoop-imperfection stress: only sigma_tt = 1 nonzero."""
+    return StressWeight(components={"tt": lambda theta, z: np.ones_like(theta + z)})

@@ -27,11 +27,14 @@ A field component is any callable c(x, y, dx=0, dy=0) giving its (dx, dy)
 partial derivative.  Every field the module builds is one PlanarSeries: a
 coefficient array of polynomial-or-exponential-in-x, trig-in-y rows.
 
-A PlanarSeries may also carry a leading member axis, a stack of series of
-the same shape.  The checks reduce over the trailing (x, y) grid axes, so a
-single field is a stack of one: a stacked field gives one report per member,
-equal bit for bit to what that member gives alone.  The randomized scans
-draw their fields in seeded order and check them _TRIAL_CHUNK at a time.
+Each form of an inequality gives its own InequalityReport: the basic check
+returns (product form, split form), the periodic one (alpha form, starred
+form).  A PlanarSeries may also carry a leading member axis, a stack of
+series of the same shape.  The checks reduce over the trailing (x, y) grid
+axes, so a single field is a stack of one: a stacked field gives one report
+per form and member, equal bit for bit to what that member gives alone.  The
+randomized scans draw their fields in seeded order and check them
+_TRIAL_CHUNK at a time.
 """
 
 from dataclasses import dataclass
@@ -266,39 +269,30 @@ def gradient_norms(g, grid):
 class InequalityReport:
     lhs: float
     rhs: float
-    rhs_rounded: float = None
 
     @property
     def margin(self):
         return self.rhs - self.lhs
 
     @property
-    def margin_rounded(self):
-        return None if self.rhs_rounded is None else self.rhs_rounded - self.lhs
-
-    @property
     def holds(self):
-        ok = self.lhs <= self.rhs * (1.0 + 1e-12) + 1e-300
-        if self.rhs_rounded is not None:
-            ok = ok and self.lhs <= self.rhs_rounded * (1.0 + 1e-12) + 1e-300
-        return ok
+        return self.lhs <= self.rhs * (1.0 + 1e-12) + 1e-300
 
 
-def _reports(lhs, rhs, rhs_rounded=None):
+def _reports(lhs, rhs):
     """One InequalityReport of floats per member; a single one for a single field."""
-    cols = [np.ravel(lhs).tolist(), np.ravel(rhs).tolist()]
-    if rhs_rounded is not None:
-        cols.append(np.ravel(rhs_rounded).tolist())
-    reps = [InequalityReport(*row) for row in zip(*cols)]
+    reps = [InequalityReport(*row)
+            for row in zip(np.ravel(lhs).tolist(), np.ravel(rhs).tolist())]
     return reps if np.ndim(lhs) else reps[0]
 
 
 def check_basic_inequality(field, alpha, h, L, grid=None):
     """Both forms of the clamped-horizontal-edge bound on ||G_alpha||^2.
 
-    rhs is the product form 100 ||e|| (||u||/h + ||e||); rhs_rounded is the
-    rounded-up split form 99 ||e||^2 + (57/h) ||u|| ||e||.  A stacked field
-    (alpha one value or one per member) gives a list of reports, one per member.
+    Returns (product-form report, split-form report): the rhs are
+    100 ||e|| (||u||/h + ||e||) and the rounded-up 99 ||e||^2 + (57/h) ||u|| ||e||.
+    A stacked field (alpha one value or one per member) gives a list of
+    reports per form, one per member.
     """
     if not np.all(np.abs(alpha) <= 1.0):
         raise ParameterError(f"alpha = {alpha} outside [-1, 1]")
@@ -312,7 +306,8 @@ def check_basic_inequality(field, alpha, h, L, grid=None):
     g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
     e = np.sqrt(e_sq)
     u_norm = np.sqrt(grid.norm_sq(d["u"]))
-    return _reports(g_sq, 100.0 * e * (u_norm / h + e), 99.0 * e_sq + 57.0 / h * u_norm * e)
+    return (_reports(g_sq, 100.0 * e * (u_norm / h + e)),
+            _reports(g_sq, 99.0 * e_sq + 57.0 / h * u_norm * e))
 
 
 def random_zero_horizontal(rng, h, L):
@@ -334,12 +329,13 @@ def random_zero_horizontal(rng, h, L):
 
 
 def _trial_scan(trials, seed, draw, reports):
-    """(violations, min margin) over seeded trials, rounded forms too.
+    """(violated forms, min margin) over seeded trials.
 
     draw(rng, count) stacks the next count random fields in draw order, and
-    reports(stack, alphas) lists the InequalityReports of all its members;
-    trial t takes alpha = TRIAL_ALPHAS[t % 5].  Up to _TRIAL_CHUNK fields go
-    in one stack, which bounds the scan's working memory.
+    reports(stack, alphas) gives, for each form, the InequalityReports of all
+    its members; trial t takes alpha = TRIAL_ALPHAS[t % 5].  Up to
+    _TRIAL_CHUNK fields go in one stack, which bounds the scan's working
+    memory.
     """
     # a scan of no fields would report zero violations without testing anything
     if trials < 1:
@@ -349,15 +345,15 @@ def _trial_scan(trials, seed, draw, reports):
     for start in range(0, trials, _TRIAL_CHUNK):
         t = np.arange(start, min(start + _TRIAL_CHUNK, trials))
         alphas = np.take(TRIAL_ALPHAS, t, mode="wrap")
-        for rep in reports(draw(rng, t.size), alphas):
-            violations += not rep.holds
-            rounded = rep.margin_rounded
-            min_margin = min(min_margin, rep.margin, math.inf if rounded is None else rounded)
+        for form in reports(draw(rng, t.size), alphas):
+            for rep in form:
+                violations += not rep.holds
+                min_margin = min(min_margin, rep.margin)
     return violations, min_margin
 
 
 def basic_inequality_trials(h, L, trials=200, seed=1234):
-    """Randomized scan of check_basic_inequality; returns (violations, min margin)."""
+    """Randomized scan of both basic forms; returns (violated forms, min margin)."""
     grid = planar_grid(h, L, n_x=16, n_y=48)
     return _trial_scan(
         trials, seed,
@@ -423,8 +419,8 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234):
                      for dx, dy in ((0, 0), (1, 0), (0, 1)))
 
     def reports(stack, alphas):
-        return [InequalityReport(lhs=ny**2, rhs=2.0 * math.sqrt(3.0) / h * n0 * nx + nx**2)
-                for n0, nx, ny in zip(*norms(stack))]
+        return ([InequalityReport(lhs=ny**2, rhs=2.0 * math.sqrt(3.0) / h * n0 * nx + nx**2)
+                 for n0, nx, ny in zip(*norms(stack))],)
 
     violations, min_margin = _trial_scan(
         trials, seed,
@@ -600,10 +596,9 @@ def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
 
 
 def periodic_inequality_trials(h, trials=200, seed=1234):
-    """Randomized scan of both periodic bounds; returns (violations, min margin)."""
+    """Randomized scan of both periodic bounds; returns (violated forms, min margin)."""
     grid = planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
     return _trial_scan(
         trials, seed,
         lambda rng, count: stack_fields([random_periodic(rng, h) for _ in range(count)]),
-        lambda field, alphas: [rep for reps in check_periodic_inequalities(
-            field, h, alpha=alphas, grid=grid) for rep in reps])
+        lambda field, alphas: check_periodic_inequalities(field, h, alpha=alphas, grid=grid))

@@ -11,6 +11,8 @@ from cylshell.fields import _gauss
 from cylshell.material import (ShellGeometry, derive_material, hoop_imperfection,
                                perfect_stress, shear_imperfection)
 
+from shell_bc import verify_bc
+
 L = math.pi
 H_SWEEP = [1e-2, 10**-2.5, 1e-3, 10**-3.5, 1e-4]
 
@@ -65,8 +67,6 @@ def test_build_ansatz_length_mismatch():
 
 
 def test_ansatz_field_satisfies_fixed_bottom_bc():
-    from cylshell.fields import verify_bc
-
     geo = ShellGeometry(h=1e-2, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
     ans = ansatz.build_ansatz(1e-2, bump, geo)

@@ -271,9 +271,15 @@ def test_bad_h_list(capsys, argv):
     ["fixedbc", "--h-list", "1e-3", "--L", "0"],
     ["korn", "--h-list", "1e-2,-1"],
     ["components", "--which", "rthr", "--h-list", "1e-2,-1"],
-], ids=["ansatz-h", "fixedbc-h", "ansatz-L", "fixedbc-L", "korn-h", "components-h"])
+    ["ansatz", "--h-list", "1e-2,1e-3,1e-4", "--L", "inf"],
+    ["fixedbc", "--h-list", "1e-4", "--L", "inf"],
+    ["korn", "--h-list", "1e-2", "--L", "inf"],
+    ["ansatz", "--h-list", "1e-2", "--skew", "nan"],
+    ["ansatz", "--h-list", "1e-2", "--skew", "inf"],
+], ids=["ansatz-h", "fixedbc-h", "ansatz-L", "fixedbc-L", "korn-h", "components-h",
+        "ansatz-L-inf", "fixedbc-L-inf", "korn-L-inf", "ansatz-skew-nan", "ansatz-skew-inf"])
 def test_bad_sweep_geometry(capsys, monkeypatch, argv):
-    # every h is validated before the first solve: nothing is computed
+    # every h, L and skew is validated before the first solve: nothing is computed
     def computed(*args, **kwargs):
         raise AssertionError("a sweep computed before validating its h-list")
 
@@ -283,6 +289,28 @@ def test_bad_sweep_geometry(capsys, monkeypatch, argv):
     code, out = run(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical-load", "--h", "1e-4", "--L", "inf"],
+    ["trivial-branch", "--E", "inf", "--nu", "0.3", "--lambda", "0.01"],
+    ["koiter-modes", "--h", "1e-4", "--m", "1", "--export", "{tmp}/x.obj", "--amplitude", "nan"],
+    ["koiter-modes", "--h", "1e-4", "--m", "1", "--export", "{tmp}/x.obj", "--amplitude", "inf"],
+], ids=["classical-load-L", "trivial-branch-E", "amplitude-nan", "amplitude-inf"])
+def test_non_finite_parameters(tmp_path, capsys, argv):
+    code, out = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert not (tmp_path / "x.obj").exists()
+
+
+def test_koiter_modes_rejects_nonpositive_m(capsys):
+    # the axial mode is checked before the circle wavenumber is taken
+    code = main(["koiter-modes", "--h", "1e-4", "--m", "-3"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "m=-3 must be >= 1" in captured.err
+    assert "Koiter circle" not in captured.err
 
 
 def test_missing_subcommand(capsys):

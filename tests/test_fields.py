@@ -9,11 +9,15 @@ import pytest
 from cylshell.ansatz import BumpProfile, ansatz_grid, build_ansatz
 from cylshell.errors import NotDestabilizingError, ShapeError
 from cylshell.fixedbc import fixedbc_mode
-from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, TrigSurface,
-                             from_midsurface, functional_family, functionals,
-                             gradient, strain, verify_bc, volume_grid)
+from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, DisplacementField,
+                             TrigSurface, functional_family, functionals, gradient,
+                             strain, volume_grid)
 from cylshell.koiter import buckling_mode, koiter_circle_n
 from cylshell.material import ShellGeometry, perfect_stress
+
+from shell_bc import verify_bc
+
+ZERO = TrigSurface(amp=0.0)   # the profile f = 0
 
 
 def _fd(field, key, r, th, z, which, eps=1e-6):
@@ -28,7 +32,7 @@ def _trig_field(mat, geo):
     f_r = TrigSurface("cos", 3, "sin", 2.0)
     f_t = TrigSurface("sin", 3, "sin", 2.0, amp=0.4)
     f_z = TrigSurface("cos", 3, "cos", 2.0, amp=-0.7)
-    return from_midsurface(f_r, f_t, f_z)
+    return DisplacementField(f_r, f_t, f_z)
 
 
 def _ansatz_field(mat, geo):
@@ -123,20 +127,20 @@ def test_trig_mode_norm():
 
 def test_verify_bc_average_top(geo_thick):
     f_r = TrigSurface("cos", 5, "sin", 3.0 * math.pi / geo_thick.L)
-    field = from_midsurface(f_r, None, None, bc_tag="average_top")
+    field = DisplacementField(f_r, ZERO, ZERO, bc_tag="average_top")
     assert verify_bc(field, geo_thick)
 
 
 def test_verify_bc_rejects_nonzero_edge(geo_thick):
     f_r = TrigSurface("cos", 5, "cos", math.pi / geo_thick.L)
-    field = from_midsurface(f_r, None, None, bc_tag="average_top")
+    field = DisplacementField(f_r, ZERO, ZERO, bc_tag="average_top")
     with pytest.raises(ShapeError):
         verify_bc(field, geo_thick)
 
 
 def test_strain_is_symmetric_part(geo_thick):
     f_r = TrigSurface("cos", 2, "sin", 1.0)
-    field = from_midsurface(f_r, None, None)
+    field = DisplacementField(f_r, ZERO, ZERO)
     r, th, z = 0.997, 1.1, 0.4
     g = gradient(field, r, th, z)
     e = strain(field, r, th, z)
@@ -147,7 +151,7 @@ def test_strain_is_symmetric_part(geo_thick):
 def test_ratio_raises_on_noncompressive(mat, geo_thick):
     # a field with no z-dependence has C = 0 under perfect axial compression
     f_r = TrigSurface("cos", 2, "one", 0.0)
-    field = from_midsurface(f_r)
+    field = DisplacementField(f_r, ZERO, ZERO)
     grid = volume_grid(geo_thick, n_r=3, n_th=8, n_z=4)
     val = functionals(field, perfect_stress(), mat, grid)
     assert abs(val.C) <= 1e-14 * val.S
@@ -171,7 +175,7 @@ def test_functional_family_axisymmetric_degenerate(mat):
     # the reduced-form K* agree closely at small h
     geo = ShellGeometry(h=1e-3, L=math.pi)
     f_r = TrigSurface("one", 0, "sin", 3.0 * math.pi / geo.L)
-    field = from_midsurface(f_r, None, None, bc_tag="average_top")
+    field = DisplacementField(f_r, ZERO, ZERO, bc_tag="average_top")
     grid = volume_grid(geo, n_r=4, n_th=8, n_z=24)
     fam = functional_family(field, mat, geo, grid)
     assert fam["Kstar"] == pytest.approx(fam["K0"], rel=1e-10)

@@ -7,9 +7,11 @@ import pytest
 
 from cylshell import fixedbc
 from cylshell.errors import ParameterError
-from cylshell.fields import functional_family, verify_bc, volume_grid
+from cylshell.fields import functional_family, volume_grid
 from cylshell.koiter import classical_load
 from cylshell.material import ShellGeometry
+
+from shell_bc import verify_bc
 
 L = math.pi
 

@@ -104,9 +104,8 @@ def test_trivial_branch_solves_cubic(load):
 
 def test_perfect_stress_tensor():
     sig = perfect_stress().tensor(np.linspace(0, 2 * np.pi, 5), 0.3)
-    assert np.all(sig["zz"] == 1.0)
-    for key in ("rr", "rt", "rz", "tt", "tz"):
-        assert np.all(sig[key] == 0.0)
+    assert list(sig) == ["zz"]
+    assert sig["zz"].shape == (5,) and np.all(sig["zz"] == 1.0)
 
 
 def test_shear_imperfection_components():
@@ -118,12 +117,6 @@ def test_shear_imperfection_components():
     assert out["zz"] == pytest.approx(0.7 * np.sin(th), abs=1e-9)
 
 
-def test_shear_imperfection_with_mean_part():
-    sig = shear_imperfection(np.cos, t=lambda th: 2.0 + np.sin(th))
-    out = sig.tensor(0.5, 0.0)
-    assert float(out["zz"]) == pytest.approx(2.0 + math.sin(0.5), abs=1e-9)
-
-
 def test_shear_imperfection_rejects_aperiodic():
     with pytest.raises(ParameterError):
         shear_imperfection(lambda th: th)
@@ -131,8 +124,4 @@ def test_shear_imperfection_rejects_aperiodic():
 
 def test_hoop_imperfection():
     out = hoop_imperfection().tensor(0.0, 0.0)
-    assert float(out["tt"]) == 1.0
-    out = hoop_imperfection(np.sin).tensor(1.2, 0.0)
-    assert float(out["tt"]) == pytest.approx(math.sin(1.2))
-    with pytest.raises(ParameterError):
-        hoop_imperfection(lambda th: th**2)
+    assert list(out) == ["tt"] and float(out["tt"]) == 1.0
