@@ -47,20 +47,22 @@ class BumpProfile:
     leaves the support and the C^4 regularity untouched.  Internally the bump
     is a sum of separable polynomial terms, so every squared-derivative
     integral is an exact polynomial integral.  The coefficient arrays of each
-    (d_eta, d_z) derivative are computed once, on first use.
+    (d_eta, d_z) derivative are computed once, on first use.  L is admitted in
+    [1e-12, 1e12]: the terms carry powers of 1/L up to the 11th, and past
+    about 1e+-15 their squared integrals lose all digits (NaN at L = 1e-16).
     """
 
     eta0: float
     L: float
     skew: float = 0.0
-    terms: tuple = dc_field(default=None)
+    terms: tuple = dc_field(default=None, init=False)
     _derivs: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.eta0 < math.pi:
             raise ParameterError(f"eta0 must lie in (0, pi), got {self.eta0}")
-        if not 0.0 < self.L < math.inf:
-            raise ParameterError(f"L must be finite and positive, got {self.L}")
+        if not 1e-12 <= self.L <= 1e12:
+            raise ParameterError(f"L must lie in [1e-12, 1e12], got {self.L}")
         if not math.isfinite(self.skew):
             raise ParameterError(f"skew must be finite, got {self.skew}")
         P = Polynomial([1.0, 0.0, -1.0 / self.eta0**2]) ** 5

@@ -269,9 +269,10 @@ def _cmd_rect_korn(args):
         raise ParameterError(f"h = {args.h} outside (0, sigma = {rect.PERIODIC_SIGMA})")
     if args.trials < 1:
         raise ParameterError(f"need at least 1 trial, got trials={args.trials}")
+    # the lemma goes first: it checks tau = pi h / L before its first trial
+    lemma = rect.harmonic_lemma_check(args.h, args.L, seed=args.seed)
     violations, min_margin = rect.basic_inequality_trials(
         args.h, args.L, trials=args.trials, seed=args.seed)
-    lemma = rect.harmonic_lemma_check(args.h, args.L, seed=args.seed)
     pviol, pmargin = rect.periodic_inequality_trials(
         args.h, trials=args.trials, seed=args.seed)
     violations += lemma.hi_violations + pviol

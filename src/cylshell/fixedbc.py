@@ -2,8 +2,8 @@
 
 With the bottom edge clamped (u = 0 at z = 0) the problem no longer
 diagonalizes in the axial Fourier index, but a two-mode superposition of
-axial wavenumbers (m, m+2) satisfies the clamped boundary conditions exactly
-while staying asymptotically optimal.  The radial profile
+axial modes (m, m+2), m >= 1, satisfies the clamped boundary conditions
+exactly while staying asymptotically optimal.  The radial profile
 
     phi_r = (sin(m_hat z)/m_hat - sin((m+2)_hat z)/(m+2)_hat) cos(n theta)
 
@@ -16,23 +16,21 @@ hold exactly.  On this family
     a = ((m+2)/m)^2,
 
 so any m(h) -> infinity with m(h) sqrt(h) -> 0 attains the classical load in
-the limit.  The module provides the mode constructor and its K0 by exact
-per-mode Fourier algebra, which the h-sweep uses; the tests check that K0
-against the full functional family by volume quadrature.
+the limit.  The module builds the mode (``koiter.mode_field``) and its K0 by
+exact per-mode Fourier algebra, which the h-sweep uses; the tests check that
+K0 against the full functional family by volume quadrature.
 """
 
 from dataclasses import dataclass
-import math
 
 import numpy as np
 
 from cylshell.errors import ParameterError
-from cylshell.fields import DisplacementField, SumSurface
 # functional_family and volume_grid are not used here; they stay importable
 # from this module because perfbench/spans.py wraps them under these names
 from cylshell.fields import functional_family, volume_grid  # noqa: F401
-from cylshell.koiter import (circle_n_real, classical_load, max_circle_m,
-                             optimal_tangential, real_profiles, reduced_forms)
+from cylshell.koiter import (circle_n_real, classical_load, max_circle_m, mode_field,
+                             optimal_tangential, reduced_forms)
 from cylshell.material import shell_sweep
 from cylshell.scaling import fit_exponent
 
@@ -55,7 +53,7 @@ def t_coefficient(m, n, geometry, Lambda):
     """
     if n < 1:
         raise ParameterError("t_coefficient requires n >= 1")
-    m_hat = math.pi * m / geometry.L
+    m_hat = geometry.axial_wavenumber(m)
     return -optimal_tangential(1, m_hat, n, Lambda)[1] / m_hat
 
 
@@ -71,7 +69,7 @@ def mode_amplitudes(m, n, geometry, Lambda):
     Lp2 = Lambda + 2.0
     out = {}
     for k, sign in ((m, 1.0), (m + 2, -1.0)):
-        k_hat = math.pi * k / geometry.L
+        k_hat = geometry.axial_wavenumber(k)
         f_r = sign / k_hat
         f_z = -sign * T
         f_t = 1j * n * (Lp2 * f_r - (Lambda + 1.0) * k_hat * f_z) / (Lp2 * n**2 + k_hat**2)
@@ -79,17 +77,8 @@ def mode_amplitudes(m, n, geometry, Lambda):
     return out
 
 
-def mode_profiles(m, n, geometry, Lambda):
-    """Real mid-surface profiles (f_r, f_theta, f_z) of the two-mode family."""
-    parts = [real_profiles(n, math.pi * k / geometry.L, *amps)
-             for k, amps in mode_amplitudes(m, n, geometry, Lambda).items()]
-    return tuple(SumSurface(p) for p in zip(*parts))
-
-
 def _admissible_n(m, geometry, Lambda, n):
-    """The family's n for axial mode m (circle wavenumber unless given)."""
-    if m < 1:
-        raise ParameterError("fixedbc mode requires m >= 1")
+    """The family's n for axial mode m >= 1 (circle wavenumber unless given)."""
     M = max_circle_m(geometry, Lambda)
     if m + 2 > M:
         raise ParameterError(
@@ -108,8 +97,8 @@ def fixedbc_mode(m, geometry, material, n=None):
     phi_z(0) = 0 and phi_r'(0) = 0.
     """
     n = _admissible_n(m, geometry, material.Lambda, n)
-    f_r, f_t, f_z = mode_profiles(m, n, geometry, material.Lambda)
-    return DisplacementField(f_r, f_t, f_z, bc_tag="fixed_bottom")
+    return mode_field(mode_amplitudes(m, n, geometry, material.Lambda), n, geometry,
+                      "fixed_bottom")
 
 
 def mode_k0_algebraic(m, geometry, material, n=None):
@@ -122,7 +111,7 @@ def mode_k0_algebraic(m, geometry, material, n=None):
     Lam = material.Lambda
     n = _admissible_n(m, geometry, Lam, n)
     amps = mode_amplitudes(m, n, geometry, Lam)
-    k_hat = math.pi * np.array(list(amps)) / geometry.L
+    k_hat = geometry.axial_wavenumber(np.array(list(amps)))
     f_r, f_t, f_z = (np.array(c) for c in zip(*amps.values()))
     forms = reduced_forms(k_hat, n, Lam, f_r, f_t, f_z)
     return material.mu * (forms.Q0 + geometry.h**2 / 12.0 * forms.Q1) / forms.B
@@ -153,10 +142,6 @@ class LimitReport:
 
     alpha: float
     rows: tuple
-
-    @property
-    def points(self):
-        return tuple((row.h, row.ratio) for row in self.rows)
 
     def excess_fit(self):
         """Fitted h-exponent of ratio - 1 (decays like m(h)^{-2} ~ h^{2 alpha})."""

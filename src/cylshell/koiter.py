@@ -10,8 +10,8 @@ two-term load surface
 
 whose minimum over real wavenumbers is 2 mu h sqrt((Lambda+1)/3), attained on
 the Koiter circle n^2 + m_hat^2 = 2 k m_hat, k = (3(Lambda+1))^(1/4) / sqrt(h(Lambda+2)).
-The integer minimization, the circle wavenumber map n(m), and the explicit
-buckling-mode construction live here.
+The integer minimization over the axial modes m >= 1, the circle wavenumber
+map n(m), and ``mode_field`` (Fourier amplitudes to a field) live here.
 """
 
 from dataclasses import dataclass
@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from cylshell.errors import ParameterError
-from cylshell.fields import DisplacementField, TrigSurface, combine_q
+from cylshell.fields import DisplacementField, SumSurface, TrigSurface, combine_q
 
 
 @dataclass(frozen=True)
@@ -75,12 +75,14 @@ def _membrane_term(m_hat, n, Lambda):
 def lambda_star(geometry, material, m, n):
     """The two-term load surface lambda*(h; m, n) (with the mu prefactor).
 
-    Broadcasts over array-valued m and n.
+    Broadcasts over array-valued m and n.  Admits m_hat = pi m / L >= 1e-75,
+    where m_hat^4 is still a normal float; past it the surface is 0 / 0.
     """
-    if np.any(np.asarray(m) < 1):
-        raise ParameterError("lambda* requires m >= 1 (B vanishes at m = 0)")
+    m_hat = geometry.axial_wavenumber(m)
+    if np.any(m_hat < 1e-75):
+        raise ParameterError(f"m_hat = pi m / L = {np.min(m_hat):.3g} < 1e-75: "
+                             f"L = {geometry.L:g} is too long for the load surface")
     h, Lam = geometry.h, material.Lambda
-    m_hat = math.pi * m / geometry.L
     bending = h**2 * (Lam + 2.0) * (m_hat**2 + n**2) ** 2 / (12.0 * m_hat**2)
     return material.mu * (_membrane_term(m_hat, n, Lam) + bending)
 
@@ -97,14 +99,18 @@ def _circle_radius(geometry, Lambda):
 
 def circle_residual(geometry, Lambda, m, n):
     """Relative defect of (m, n) from the Koiter circle."""
-    m_hat = math.pi * m / geometry.L
+    m_hat = geometry.axial_wavenumber(m)
     target = (2.0 * _circle_radius(geometry, Lambda) * m_hat) ** 2
     return abs((n**2 + m_hat**2) ** 2 - target) / target
 
 
 def max_circle_m(geometry, Lambda):
-    """M(h): largest m on the Koiter circle."""
-    return int(math.floor(2.0 * _circle_radius(geometry, Lambda) * geometry.L / math.pi))
+    """M(h): largest m on the Koiter circle, admitted below 2^53, where floats count modes."""
+    M = 2.0 * _circle_radius(geometry, Lambda) * geometry.L / math.pi
+    if not M < 2.0**53:
+        raise ParameterError(f"M(h) = {M:.3g} exceeds 2^53 at h={geometry.h:g}, "
+                             f"L={geometry.L:g}")
+    return int(math.floor(M))
 
 
 def _circle_radicand(m, geometry, Lambda):
@@ -112,14 +118,12 @@ def _circle_radicand(m, geometry, Lambda):
 
     Broadcasts over array-valued m.
     """
-    m_hat = math.pi * m / geometry.L
+    m_hat = geometry.axial_wavenumber(m)
     return m_hat * (2.0 * _circle_radius(geometry, Lambda) - m_hat)
 
 
 def circle_n_real(m, geometry, Lambda):
     """Real circumferential wavenumber on the Koiter circle for axial mode m >= 1."""
-    if m < 1:
-        raise ParameterError(f"axial mode m={m} must be >= 1")
     radicand = _circle_radicand(m, geometry, Lambda)
     if radicand < 0:
         raise ParameterError(
@@ -142,11 +146,18 @@ class KoiterResult:
     closed_form: float
 
 
+# most axial modes minimize_load searches: its arrays take about 136 bytes a
+# mode (tracemalloc), so 0.55 GB at the cap; at L = pi the default window
+# 2 M(h) is 3.5e6 modes at h = 1e-12 and 1.1e7 at h = 1e-13
+MAX_WINDOW = 4_000_000
+
+
 def minimize_load(geometry, material, m_max=None, n_max=None):
     """Integer minimization of lambda*(h; m, n) over 1 <= m <= m_max, 0 <= n <= n_max.
 
-    m_max defaults to 2 M(h); n_max=None means no cap on n.  For fixed m the
-    surface is mu (a/s^2 + b s^2) in s = n^2 + m_hat^2, unimodal in n with its
+    m_max defaults to 2 M(h) and may not exceed MAX_WINDOW, checked before any
+    array is made; n_max=None means no cap on n.  For fixed m the surface is
+    mu (a/s^2 + b s^2) in s = n^2 + m_hat^2, unimodal in n with its
     minimum on the Koiter circle n = n_c(m), so only n = 0, floor(n_c) and
     floor(n_c) + 1 (clipped to n_max) are evaluated.  Ties break toward the
     smallest m, then the smallest n.  The result always sits above the
@@ -160,6 +171,9 @@ def minimize_load(geometry, material, m_max=None, n_max=None):
         m_max = 2 * M
     if m_max < 1 or (n_max is not None and n_max < 0):
         raise ParameterError(f"empty search window: m_max={m_max}, n_max={n_max}")
+    if m_max > MAX_WINDOW:
+        raise ParameterError(f"search window of m_max={m_max} axial modes exceeds "
+                             f"{MAX_WINDOW} (h={h:g}, L={geometry.L:g})")
 
     ms = np.arange(1, m_max + 1, dtype=float)
     n_c = np.floor(np.sqrt(np.maximum(_circle_radicand(ms, geometry, Lam), 0.0)))
@@ -183,32 +197,33 @@ def mode_amplitudes(m, n, geometry, material):
     The tangential amplitudes are the exact membrane minimizers at the
     integer wavenumbers, so K* of the mode equals lambda*(h; m, n) exactly.
     """
-    f_t, f_z = optimal_tangential(1.0 + 0.0j, math.pi * m / geometry.L, n,
+    f_t, f_z = optimal_tangential(1.0 + 0.0j, geometry.axial_wavenumber(m), n,
                                   material.Lambda)
     return 1.0 + 0.0j, f_t, f_z
 
 
-def real_profiles(n, k_hat, f_r, f_t, f_z):
-    """Real mid-surface profiles of u = Re(f e^{i n theta}) at axial wavenumber k_hat.
+def mode_field(amplitudes, n, geometry, bc_tag):
+    """U(f) field of u = Re(f e^{i n theta}) summed over the axial modes {m: (f_r, f_t, f_z)}.
 
     The real parts of f_r and f_z pair with cos(n theta), Im(f_theta) with
-    -sin(n theta); f_r and f_theta carry sin(k_hat z), f_z carries cos(k_hat z).
+    -sin(n theta); f_r and f_theta carry sin(m_hat z), f_z carries cos(m_hat z).
     """
-    return (TrigSurface("cos", n, "sin", k_hat, amp=complex(f_r).real),
-            TrigSurface("sin", n, "sin", k_hat, amp=-complex(f_t).imag),
-            TrigSurface("cos", n, "cos", k_hat, amp=complex(f_z).real))
+    parts = []
+    for m, (f_r, f_t, f_z) in amplitudes.items():
+        m_hat = geometry.axial_wavenumber(m)
+        parts.append((TrigSurface("cos", n, "sin", m_hat, amp=complex(f_r).real),
+                      TrigSurface("sin", n, "sin", m_hat, amp=-complex(f_t).imag),
+                      TrigSurface("cos", n, "cos", m_hat, amp=complex(f_z).real)))
+    return DisplacementField(*(SumSurface(p) for p in zip(*parts)), bc_tag=bc_tag)
 
 
 def buckling_mode(m, geometry, material, n=None):
-    """Explicit buckling-mode displacement field for axial wavenumber m.
+    """Explicit buckling-mode displacement field for axial wavenumber m >= 1.
 
     Real form of the mode amplitudes: f_r = sin(m_hat z) cos(n theta) with the
     closed-form tangential coefficients; returned as the U(f) field.
     """
-    if m < 1:
-        raise ParameterError("buckling mode requires m >= 1")
     if n is None:
         n = koiter_circle_n(m, geometry, material.Lambda)
-    f_r, f_t, f_z = real_profiles(n, math.pi * m / geometry.L,
-                                  *mode_amplitudes(m, n, geometry, material))
-    return DisplacementField(f_r, f_t, f_z, bc_tag="average_top")
+    return mode_field({m: mode_amplitudes(m, n, geometry, material)}, n, geometry,
+                      "average_top")

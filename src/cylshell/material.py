@@ -77,6 +77,14 @@ class ShellGeometry:
     def I_h(self):
         return (self.r_inner, self.r_outer)
 
+    def axial_wavenumber(self, m):
+        """m_hat = pi m / L of the axial modes m >= 1 (int or array); ``korn`` says why not 0."""
+        bad = np.asarray(m) < 1
+        if np.any(bad):
+            raise ParameterError(f"axial mode m={np.asarray(m).flat[np.argmax(bad)]:g} "
+                                 f"must be >= 1")
+        return math.pi * m / self.L
+
 
 def shell_sweep(h_list, L):
     """The validated shells of a non-empty h-sweep at length L, largest h first."""

@@ -408,10 +408,16 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234):
     ||w|| ||w_x|| to relative 1e-8; random harmonic sine series must respect
     ||w_y||^2 <= (2 sqrt(3)/h) ||w|| ||w_x|| + ||w_x||^2, one
     ``InequalityReport`` per seeded trial; trials < 1 is a ParameterError.
+    tau = pi h / L is admitted in [1e-8, 10], where the 24-node rule in x
+    resolves the extremal's equality (error 2.5e-9 at tau = 1e-8 and 1.6e-12
+    at 10; 6e-8 at 1e-9 and 2e-8 at 20).  Beyond it the extremal's w_x
+    cancels to 0 or its exponentials overflow.
     """
     if not 0.0 < h < 1.0:
         raise ParameterError(f"h = {h} outside (0, 1)")
     grid = planar_grid(h, L)
+    if not 1e-8 <= math.pi * h / L <= 10.0:
+        raise ParameterError(f"tau = pi h / L = {math.pi * h / L:.3g} outside [1e-8, 10]")
 
     def norms(w):
         """(||w||, ||w_x||, ||w_y||): floats, or lists of one per member."""

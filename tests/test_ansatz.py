@@ -32,6 +32,15 @@ def test_bump_validation():
         ansatz.BumpProfile(eta0=4.0, L=L)
     with pytest.raises(ParameterError):
         ansatz.BumpProfile(eta0=1.0, L=-1.0)
+    # the admitted lengths: past them the squared integrals lose all digits
+    for bad_L in (1e-13, 1e13, 1e-300, 1e300):
+        with pytest.raises(ParameterError, match="1e-12, 1e12"):
+            ansatz.BumpProfile(eta0=1.0, L=bad_L)
+    for good_L in (1e-12, 1e12):
+        assert math.isfinite(ansatz.BumpProfile(eta0=1.0, L=good_L, skew=-1.0).strain_limit())
+    # the terms are always derived from eta0, L and skew
+    with pytest.raises(TypeError):
+        ansatz.BumpProfile(1.0, math.pi, terms=("junk",))
 
 
 def test_bump_compact_support():

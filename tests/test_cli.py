@@ -304,6 +304,35 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
     assert not (tmp_path / "x.obj").exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ["ansatz", "--h-list", "1e-2", "--L", "1e-300"],
+    ["ansatz", "--h-list", "1e-2", "--L", "1e300"],
+    ["koiter-modes", "--h", "1e-4", "--m", "1", "--L", "1e300"],
+    ["rect-korn", "--trials", "1", "--L", "1e-30"],
+    ["rect-korn", "--trials", "1", "--L", "1e-300"],
+    ["rect-korn", "--trials", "1", "--L", "1e30"],
+    ["rect-korn", "--trials", "1", "--L", "1e300"],
+    ["rect-korn", "--trials", "1", "--h", "1e-30"],
+    ["rect-korn", "--trials", "1", "--h", "1e-300"],
+    ["classical-load", "--h", "1e-4", "--L", "1e30"],
+    ["classical-load", "--h", "1e-4", "--L", "1e300"],
+    ["classical-load", "--h", "1e-300"],
+    ["classical-load", "--h", "1e-30"],
+    ["classical-load", "--h", "1e-300", "--L", "1e300"],
+    ["classical-load", "--h", "1e-4", "--mmax", "4000001"],
+], ids=["ansatz-L-tiny", "ansatz-L-huge", "koiter-modes-L-huge", "rect-L-1e-30",
+        "rect-L-1e-300", "rect-L-1e30", "rect-L-1e300", "rect-h-1e-30", "rect-h-1e-300",
+        "load-L-1e30", "load-L-1e300", "load-h-1e-300", "load-h-1e-30", "load-M-overflow",
+        "load-mmax-cap"])
+def test_extreme_finite_parameters(capsys, argv):
+    # finite but out of each formula's admitted range: exit 2 before any
+    # large array is made, not a traceback (classical-load --h 1e-30 would
+    # ask for 25 PiB)
+    code, out = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+
+
 def test_koiter_modes_rejects_nonpositive_m(capsys):
     # the axial mode is checked before the circle wavenumber is taken
     code = main(["koiter-modes", "--h", "1e-4", "--m", "-3"])

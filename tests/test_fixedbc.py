@@ -100,6 +100,16 @@ def test_mode_rejects_out_of_circle(mat):
         fixedbc.classical_ratio(17, geo, mat)
 
 
+@pytest.mark.parametrize("m", [0, -2])
+def test_mode_rejects_nonpositive_axial_mode(mat, geo_thin, m):
+    # the shared axial-mode check, with the circle wavenumber or a given n
+    for n in (None, 20):
+        with pytest.raises(ParameterError, match=rf"m={m} must be >= 1"):
+            fixedbc.fixedbc_mode(m, geo_thin, mat, n=n)
+        with pytest.raises(ParameterError, match=rf"m={m} must be >= 1"):
+            fixedbc.mode_k0_algebraic(m, geo_thin, mat, n=n)
+
+
 def test_simplified_amplitudes_are_leading_order(mat, geo_thin):
     # relative deviation of the leading-order coefficients is O(m_hat^2/n^2)
     m, n = 10, 41

@@ -42,10 +42,15 @@ def test_circle_wavenumbers(mat, geo_thin):
 @pytest.mark.parametrize("m", [0, -3])
 def test_nonpositive_axial_mode_named_first(mat, geo_thin, m):
     # m < 1 is reported as such, not as a mode outside the Koiter circle
-    with pytest.raises(ParameterError, match=r"m=-?\d+ must be >= 1"):
+    with pytest.raises(ParameterError, match=rf"m={m} must be >= 1"):
         koiter.circle_n_real(m, geo_thin, mat.Lambda)
-    with pytest.raises(ParameterError, match="buckling mode requires m >= 1"):
+    with pytest.raises(ParameterError, match=rf"m={m} must be >= 1"):
         koiter.buckling_mode(m, geo_thin, mat)
+    with pytest.raises(ParameterError, match=rf"m={m} must be >= 1"):
+        koiter.buckling_mode(m, geo_thin, mat, n=13)
+    # checked before the circle target, which vanishes at m = 0
+    with pytest.raises(ParameterError, match=rf"m={m} must be >= 1"):
+        koiter.circle_residual(geo_thin, mat.Lambda, m, 13)
 
 
 @pytest.mark.parametrize("nu", [0.1, 0.3, 0.45])
@@ -168,6 +173,38 @@ def test_minimize_load_memory(mat):
     finally:
         tracemalloc.stop()
     assert peak < 5 * 2**20
+
+
+def test_minimize_load_window_cap(mat):
+    # the default window 2 M(h) at L = pi passes the cap at h = 1e-12 (it is
+    # not run here: about 0.5 GB) and not at 1e-13; a window over the cap,
+    # default or given, is rejected before any array is made
+    def window(h):
+        return 2 * koiter.max_circle_m(ShellGeometry(h, math.pi), mat.Lambda)
+
+    assert window(1e-12) <= koiter.MAX_WINDOW < window(1e-13)
+    tracemalloc.start()
+    try:
+        for geo, m_max in ((ShellGeometry(1e-13, math.pi), None),
+                           (ShellGeometry(1e-4, math.pi), koiter.MAX_WINDOW + 1)):
+            with pytest.raises(ParameterError, match="exceeds 4000000"):
+                koiter.minimize_load(geo, mat, m_max=m_max)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**16
+
+
+def test_extreme_lengths_are_parameter_errors(mat):
+    # m_hat^2 underflows at L = 1e300, and M(h) overflows a float at h =
+    # 1e-300, L = 1e300: parameter errors, not a division by zero or an
+    # int() of infinity
+    geo = ShellGeometry(1e-4, 1e300)
+    with pytest.raises(ParameterError, match="too long"):
+        koiter.lambda_star(geo, mat, 1, 0)
+    with pytest.raises(ParameterError, match="exceeds 2\\^53"):
+        koiter.max_circle_m(ShellGeometry(1e-300, 1e300), mat.Lambda)
+    assert koiter.lambda_star(ShellGeometry(1e-4, 1e70), mat, 1, 0) < math.inf
 
 
 def test_minimize_load_rejects_thick_shell(mat):

@@ -67,8 +67,7 @@ def per_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad")
 
     The partials of (u_r, u_theta, u_z) are the value, d/dr through D,
     d/dtheta as (-n, +n, -n) and d/dz as (+m_hat, +m_hat, -m_hat) times the
-    value; the operators are weighted by sqrt(W) key by key, and at m = 0 only
-    the f_z columns are kept.
+    value; the operators are weighted by sqrt(W) key by key.
     """
     N, r = grid.N, grid.nodes
     m_hat = math.pi * m / geometry.L
@@ -80,19 +79,10 @@ def per_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad")
         p.update({c: F, c + "_r": np.hstack([grid.D if k == j else Z for k in range(3)]),
                   c + "_t": d_th * F, c + "_z": d_z * F})
     ops = {**cylindrical_gradient(p, r[:, None]), "ur": p["ur"]}
-    if m == 0:
-        ops = {key: op[:, 2 * N:] for key, op in ops.items()}
     ang = math.pi if n >= 1 else 2.0 * math.pi
-    zfac = geometry.L if m == 0 else geometry.L / 2.0
-    sqw = np.sqrt(grid.weights * r * (ang * zfac))
+    sqw = np.sqrt(grid.weights * r * (ang * (geometry.L / 2.0)))
     ops = {key: sqw[:, None] * op for key, op in ops.items()}
-    C_num, C_den = korn._form_rows(numerator, ops), korn._form_rows(denominator, ops)
-    if m == 0 and n == 0:
-        c = grid.weights * grid.nodes
-        c = c / np.linalg.norm(c)
-        u, s, _ = np.linalg.svd(np.eye(N) - np.outer(c, c))
-        C_num, C_den = C_num @ u[:, s > 1e-10], C_den @ u[:, s > 1e-10]
-    return C_num, C_den
+    return korn._form_rows(numerator, ops), korn._form_rows(denominator, ops)
 
 
 FORM_PAIRS = [("strain", "grad")] + [(f"component:{group}", "strain")
@@ -178,7 +168,7 @@ def test_mode_forms_match_per_mode_oracle(grid_kind):
             else korn.radial_grid(geo, N=int(grid_kind[4:])))
     stack = [(3, 0), (12, 40), (1, 5)]
     for forms in FORM_PAIRS:
-        for m, n in [(0, 0), (0, 7)] + stack:
+        for m, n in stack:
             pair = korn.assemble_mode_forms(m, n, geo, grid, *forms)
             C_num, C_den = per_mode_forms(m, n, geo, grid, *forms)
             assert np.array_equal(pair.C_num, C_num) and np.array_equal(pair.C_den, C_den)
@@ -336,19 +326,48 @@ def test_korn_constant_fd_cross_check(geo_thick):
 def test_korn_quotient_bounded_by_one(geo_thick):
     # ||e||^2 <= ||grad u||^2 pointwise, so every mode quotient is in (0, 1]
     grid = korn.radial_grid(geo_thick, N=16)
-    for m, n in ((1, 0), (1, 5), (3, 2), (0, 4)):
+    for m, n in ((1, 0), (1, 5), (3, 2)):
         pair = korn.assemble_mode_forms(m, n, geo_thick, grid)
         val = korn.min_rayleigh(pair)[0]
         assert 0.0 < val <= 1.0 + 1e-12
 
 
-def test_axisymmetric_axial_mode_quotient_is_half(geo_thick):
-    # m = n = 0 leaves only f_z with the single gradient entry u_z,r, which
-    # enters the strain through the symmetrized (r, z) pair: quotient = 1/2
-    grid = korn.radial_grid(geo_thick, N=16)
-    pair = korn.assemble_mode_forms(0, 0, geo_thick, grid)
-    assert korn.max_rayleigh(pair)[0] == pytest.approx(0.5, rel=1e-10)
-    assert korn.min_rayleigh(pair)[0] == pytest.approx(0.5, rel=1e-10)
+@pytest.mark.parametrize("modes", [[(1, 3), (0, 3)], [(0, 3), (1, 3)], [(2, 1), (-1, 4)]])
+def test_mode_forms_reject_non_axial_modes(geo_thick, modes):
+    # every mode of a stack is checked, not only the first: a stack has one
+    # set of columns and one mode normalization, so m = 0 cannot ride along
+    grid = korn.radial_grid(geo_thick, N=8)
+    bad = next(m for m, _ in modes if m < 1)
+    with pytest.raises(ParameterError, match=f"m={bad} must be >= 1"):
+        korn._mode_forms(korn._operator_table(grid), modes, geo_thick, grid,
+                         "strain", "grad")
+    with pytest.raises(ParameterError, match=f"m={bad} must be >= 1"):
+        korn.assemble_mode_forms(bad, 3, geo_thick, grid)
+
+
+@pytest.mark.parametrize("n", [0, 3])
+def test_m0_mode_quotients_by_quadrature(geo_thick, n):
+    # the values the module docstring gives for leaving m = 0 out of the
+    # scans: u = (0, 0, p(r) cos(n theta)) has only the gradient entries zr
+    # and zt, so its Korn quotient is 1/2, ththzz and rthr vanish, and
+    # urrzzr and thzzth are at most 2
+    x = Polynomial([-1.0, 1.0]) / geo_thick.h          # (r - 1) / h
+    zero = Polynomial([0.0])
+    quad = volume_grid(geo_thick, n_r=8, n_th=16, n_z=8)
+    for p in (0.4 + 1.3 * x - 0.8 * x**2, x**3 - 0.5 * x):
+        field = RadialPolynomialField(
+            [zero, zero, p], [TrigSurface()] * 2 + [TrigSurface("cos", n)])
+        parts = field.partials(quad.R, quad.TH, quad.Z)
+        g = {**cylindrical_gradient(parts, quad.R), "ur": parts["ur"]}
+        e = symmetrize(g)
+        strain_sq = sum(STRAIN_WEIGHT[k] * quad.norm_sq(e[k]) for k in STRAIN_KEYS)
+        grad_sq = sum(quad.norm_sq(g[k]) for k in GRAD_KEYS)
+        assert strain_sq / grad_sq == pytest.approx(0.5, rel=1e-12)
+        groups = {name: sum(quad.norm_sq(g[k]) for k in keys) / strain_sq
+                  for name, keys in korn.COMPONENT_GROUPS.items()}
+        assert groups["ththzz"] == 0.0 and groups["rthr"] == 0.0
+        assert groups["urrzzr"] <= 2.0 * (1.0 + 1e-12)
+        assert groups["thzzth"] <= 2.0 * (1.0 + 1e-12)
 
 
 def test_component_bound_reference_values(geo_thick):

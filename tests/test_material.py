@@ -47,6 +47,17 @@ def test_geometry_annulus():
     assert geo.r_outer - geo.r_inner == pytest.approx(geo.h)
 
 
+def test_axial_wavenumber():
+    geo = ShellGeometry(h=0.1, L=1.3)
+    # the one formula pi m / L, in that operation order
+    assert geo.axial_wavenumber(3) == math.pi * 3 / 1.3
+    ms = np.array([1.0, 2.0, 7.0])
+    assert np.array_equal(geo.axial_wavenumber(ms), math.pi * ms / 1.3)
+    for m, first in ((0, 0), (-4, -4), (np.array([2, 0, -1]), 0), (np.array([3.0, -1.0]), -1)):
+        with pytest.raises(ParameterError, match=f"axial mode m={first} must be >= 1"):
+            geo.axial_wavenumber(m)
+
+
 def test_trivial_branch_zero_load(mat):
     branch = solve_trivial_branch(mat, 0.0)
     assert branch.a == 0.0 and branch.b == 0.0

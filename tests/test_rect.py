@@ -249,6 +249,17 @@ def test_extremal_harmonic_is_sharp():
     assert report.hi_min_margin == pytest.approx(29.518303730321836, rel=1e-12)
 
 
+def test_harmonic_lemma_tau_range():
+    # tau = pi h / L outside [1e-8, 10]: the extremal's w_x cancels to 0 or
+    # its exponentials overflow, so the check would divide by zero or
+    # report false violations
+    for h, bad_L in ((H, 1e30), (1e-300, L), (H, 1e-3), (H, 1e-300)):
+        with pytest.raises(ParameterError, match="outside \\[1e-8, 10\\]"):
+            rect.harmonic_lemma_check(h, bad_L, trials=1)
+    for h, good_L in ((H, math.pi * H / 2e-8), (H, math.pi * H / 9.0)):
+        assert rect.harmonic_lemma_check(h, good_L, trials=2).equality_error <= 1e-8
+
+
 def test_harmonic_lemma_needs_a_trial():
     # a check of no random fields would report success without testing anything
     for trials in (0, -5):
