@@ -176,7 +176,9 @@ def _h_sweep(args, name, config, header, one, **extra):
     """Rows of ``one(geometry) -> (row, scan)`` over the h-list, largest h first.
 
     ``scans`` reports, per h, the scan's evaluations, whether it ended on its
-    search cap and its wall time; the exponent is fitted from 4 rows.
+    search cap, the relative gap between its grids at the coarse walk's mode,
+    whether it walked again at N, and its wall time; the exponent is fitted
+    from 4 rows.
     """
     rows, scans = [], []
     for geo in shell_sweep(args.h_list, args.L):
@@ -184,7 +186,8 @@ def _h_sweep(args, name, config, header, one, **extra):
         row, res = one(geo)
         rows.append(row)
         scans.append({"h": geo.h, "evaluations": res.evaluations,
-                      "on_boundary": res.on_boundary, "wall_s": time.perf_counter() - start})
+                      "on_boundary": res.on_boundary, "resolution_gap": res.resolution_gap,
+                      "walked_at_N": res.walked_at_N, "wall_s": time.perf_counter() - start})
     payload = {"rows": rows, **extra}
     if len(rows) >= 4:
         fit = fit_exponent([(r[0], r[1]) for r in rows])

@@ -12,7 +12,7 @@ eigenproblems.  The radial profiles are discretized by Chebyshev-Gauss-Lobatto
 collocation (spectral differentiation + Clenshaw-Curtis weights).  The tests
 keep a uniform first-order nodal grid as an oracle for it.  A grid's mode
 operators are one affine table in (n, m_hat), so a scan builds them once and
-solves the modes of its coarse ladder as stacks of pencils.
+solves the modes of its coarse ladder and walk as stacks of pencils.
 
 The modes are m >= 1 (``ShellGeometry.axial_wavenumber``) and n >= 0.  At m = 0
 only u_z = f_z(r) cos(n theta) is left, whose gradient is zr and zt alone: its
@@ -256,12 +256,17 @@ def max_rayleigh(pair):
     return _solve_stack(pair.C_num[None], pair.C_den[None], -1)[0]
 
 
-# radial nodes of the ladder that picks a scan's starting mode; every scan
-# of the acceptance sweeps ends at the same mode as with a ladder at N = 32
+# radial nodes of the ladder and the coarse walk; at the acceptance sweeps
+# h the coarse walk ends on the N = 32 walk's mode, within 7.5e-8 of its value
 _LADDER_N = 8
-# ladder modes per stacked solve; the tracemalloc peak of korn_constant at
-# h = 1e-4 is 1.2 MB with 16 and 2.0 MB with 32
+# ladder-grid modes per stacked solve; the tracemalloc peak of korn_constant
+# at h = 1e-4 is 1.2 MB with 16 and 2.0 MB with 32
 _STACK = 16
+# resolution guard of the coarse walk: the most the N and _LADDER_N quotients
+# of its mode may differ, and the least its best neighbour must fall short
+# by, both relative to the mode's quotient
+_GAP_TOL = 1e-6
+_MARGIN_TOL = 1e-5
 
 
 def _geometric_ladder(hi):
@@ -277,10 +282,14 @@ def _geometric_ladder(hi):
 
 @dataclass(frozen=True)
 class ScanResult:
-    """Extremum of a mode scan at the requested radial N.
+    """Extremum of a mode scan; ``value`` is one solve at the requested radial N.
 
-    ``evaluations`` counts every per-mode solve of the scan: the coarse-grid
-    ladder plus the requested-N walk.
+    ``evaluations`` counts every per-mode solve of the scan on either grid:
+    the ladder and the coarse walk on min(N, _LADDER_N) nodes, the solve of
+    the coarse walk's mode at N and, when the guard fails, the walk at N.
+    ``resolution_gap`` is |K_N - K_ladder| / |K_N| at the coarse walk's mode
+    (None when N <= _LADDER_N, where the two grids are one), and
+    ``walked_at_N`` says that the guard failed and the walk ran again at N.
     """
 
     value: float
@@ -288,55 +297,76 @@ class ScanResult:
     n: int
     on_boundary: bool
     evaluations: int
+    resolution_gap: float | None
+    walked_at_N: bool
 
 
 def _scan_extremize(quotients, N, m_max, n_max, maximize):
-    """Coarse geometric ladder, then a local walk to an extremum of the quotient.
+    """Coarse geometric ladder and local walk, then one solve at N behind a guard.
 
     ``quotients(n_r, modes)`` is the list of quotients of the modes on n_r
     radial nodes.  Modes range over 1 <= m <= m_max, 0 <= n <= n_max.  The
-    ladder only picks the walk's starting mode, so it runs on
-    min(N, _LADDER_N) nodes, in stacks of _STACK modes.  The walk and the
-    returned value use N, one mode per call: at N = 32 a solve is LAPACK
-    time, and a stack of 25 was at most 1.2x faster for about 10 MB more
-    memory.  Each walk step solves the 5x5 neighbourhood of the current mode
+    ladder and the walk run on min(N, _LADDER_N) nodes, in stacks of _STACK
+    modes.  Each walk step solves the 5x5 neighbourhood of the current mode
     and moves to its best mode only when that beats the current value by
     more than 1e-12 relative; otherwise it stops, so it does not wander
-    across modes that tie to rounding.  One cache keyed by (n_r, m, n) holds
-    every solve.  All solves run with BLAS on one thread.
+    across modes that tie to rounding.  The mode the walk stops at is solved
+    once at N, and is the answer when the grids agree there to _GAP_TOL and
+    the walk's best neighbour falls short of it by more than _MARGIN_TOL,
+    both relative.  Otherwise (thick or short shells, where 8 nodes do not
+    resolve the profile, and ties such as ththzz's plateau at 1) the walk
+    runs again at N from the ladder's pick, one mode per call: at N = 32 a
+    solve is LAPACK time, and a stack of 25 was at most 1.2x faster for about
+    10 MB more memory.  One cache keyed by (n_r, m, n) holds every solve.
+    All solves run with BLAS on one thread.
     """
     cache = {}
-
-    def get(n_r, m, n):
-        if (n_r, m, n) not in cache:
-            cache[n_r, m, n] = quotients(n_r, [(m, n)])[0]
-        return cache[n_r, m, n]
-
-    sign = -1.0 if maximize else 1.0
     ladder_N = min(N, _LADDER_N)
-    candidates = [(m, n) for m in _geometric_ladder(m_max)
-                  for n in _geometric_ladder(n_max) + [0]]
-    with single_thread_blas():
-        for i in range(0, len(candidates), _STACK):
-            chunk = candidates[i:i + _STACK]
-            cache.update(zip([(ladder_N, *mn) for mn in chunk], quotients(ladder_N, chunk)))
-        best = min(candidates, key=lambda mn: sign * cache[(ladder_N, *mn)])
-        # local refinement: walk while a neighbour beats the current mode
+    sign = -1.0 if maximize else 1.0
+
+    def solve(n_r, modes):
+        todo = [mn for mn in modes if (n_r, *mn) not in cache]
+        stack = _STACK if n_r == ladder_N else 1
+        for i in range(0, len(todo), stack):
+            chunk = todo[i:i + stack]
+            cache.update(zip([(n_r, *mn) for mn in chunk], quotients(n_r, chunk)))
+        return [cache[(n_r, *mn)] for mn in modes]
+
+    def walk(n_r, best):
+        """The mode where the walk on n_r nodes stops, and by how much its
+        best neighbour falls short of it (-inf when it does not stop)."""
         for _ in range(200):
             m0, n0 = best
             neigh = [(m0 + dm, n0 + dn)
                      for dm in (-2, -1, 0, 1, 2) for dn in (-2, -1, 0, 1, 2)
                      if 1 <= m0 + dm <= m_max and 0 <= n0 + dn <= n_max]
-            new_best = min(neigh, key=lambda mn: sign * get(N, *mn))
-            current = get(N, m0, n0)
-            if sign * (get(N, *new_best) - current) >= -1e-12 * abs(current):
-                break
+            values = dict(zip(neigh, solve(n_r, neigh)))
+            current = values[best]
+            new_best = min(neigh, key=lambda mn: sign * values[mn])
+            if sign * (values[new_best] - current) >= -1e-12 * abs(current):
+                return best, min((sign * (v - current) for mn, v in values.items()
+                                  if mn != best), default=math.inf)
             best = new_best
+        return best, -math.inf
+
+    candidates = [(m, n) for m in _geometric_ladder(m_max)
+                  for n in _geometric_ladder(n_max) + [0]]
+    with single_thread_blas():
+        ladder = dict(zip(candidates, solve(ladder_N, candidates)))
+        start = min(candidates, key=lambda mn: sign * ladder[mn])
+        best, shortfall = walk(ladder_N, start)
+        gap, walked_at_N = None, False
+        if N > ladder_N:
+            fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
+            gap = abs(fine - coarse) / abs(fine)
+            if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
+                best, _ = walk(N, start)
+                walked_at_N = True
         m0, n0 = best
-        value = get(N, m0, n0)
+        value = solve(N, [best])[0]
     on_boundary = m0 == m_max or n0 == n_max
     return ScanResult(value=value, m=m0, n=n0, on_boundary=on_boundary,
-                      evaluations=len(cache))
+                      evaluations=len(cache), resolution_gap=gap, walked_at_N=walked_at_N)
 
 
 def _scan_caps(geometry, m_max, n_max):
@@ -366,9 +396,10 @@ def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
 def korn_constant(geometry, m_max=None, n_max=None, N=32):
     """K(V_h) = min over modes of ||e||^2 / ||grad u||^2, with argmin.
 
-    Returns a ScanResult: a local minimum over the 5x5 mode neighbourhood at
-    N radial nodes; ``on_boundary`` warns that the scan caps were probably
-    too small.
+    Returns a ScanResult: a local minimum over the 5x5 mode neighbourhood,
+    found on _LADDER_N radial nodes behind the resolution guard of
+    ``_scan_extremize`` or else on N, and valued on N; ``on_boundary`` warns
+    that the scan caps were probably too small.
     """
     return _scan_quotient(geometry, "strain", "grad", False, m_max, n_max, N)
 

@@ -21,8 +21,10 @@ def test_wavenumber():
     assert ansatz.wavenumber(1e-4) == 10
     assert ansatz.wavenumber(5.0**-4) == 5
     assert ansatz.wavenumber(0.9) == 1
-    with pytest.raises(ParameterError):
-        ansatz.wavenumber(0.0)
+    assert ansatz.wavenumber(ansatz.H_MIN) == 1000
+    for h in (0.0, 1e-13, 1e-300):
+        with pytest.raises(ParameterError, match="for the ansatz"):
+            ansatz.wavenumber(h)
     with pytest.raises(ParameterError):
         ansatz.wavenumber(1.5)
 

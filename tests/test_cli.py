@@ -116,20 +116,23 @@ def test_korn_sweep_artifacts(tmp_path, capsys):
 @pytest.mark.parametrize("command", [["korn"], ["components", "--which", "rthr"]])
 def test_sweep_reports_each_scan(capsys, command):
     # one scans entry per h, from the same scan as the row; rows keep their
-    # columns
-    code, out = run(capsys, *command, "--h-list", "1e-2,5e-3", "--N", "8")
-    assert code == 0
-    payload = json.loads(out)
+    # columns; at N = 8 the ladder grid is the N grid, so there is no gap
     geos = [ShellGeometry(h, math.pi) for h in (1e-2, 5e-3)]
-    expected = [korn.korn_constant(geo, N=8) if command == ["korn"]
-                else korn.component_bound(geo, "rthr", N=8) for geo in geos]
-    assert [row[:4] for row in payload["rows"]] == [[geo.h, r.value, r.m, r.n]
-                                                    for geo, r in zip(geos, expected)]
-    assert {len(row) for row in payload["rows"]} == {5 if command == ["korn"] else 4}
-    assert [[scan["h"], scan["evaluations"], scan["on_boundary"]]
-            for scan in payload["scans"]] == [[geo.h, r.evaluations, r.on_boundary]
-                                              for geo, r in zip(geos, expected)]
-    assert all(scan["wall_s"] > 0 for scan in payload["scans"])
+    keys = ("evaluations", "on_boundary", "resolution_gap", "walked_at_N")
+    for n_r in (8, 16):
+        code, out = run(capsys, *command, "--h-list", "1e-2,5e-3", "--N", str(n_r))
+        assert code == 0
+        payload = json.loads(out)
+        expected = [korn.korn_constant(geo, N=n_r) if command == ["korn"]
+                    else korn.component_bound(geo, "rthr", N=n_r) for geo in geos]
+        assert [row[:4] for row in payload["rows"]] == [[geo.h, r.value, r.m, r.n]
+                                                        for geo, r in zip(geos, expected)]
+        assert {len(row) for row in payload["rows"]} == {5 if command == ["korn"] else 4}
+        assert [[scan["h"], *(scan[k] for k in keys)] for scan in payload["scans"]] == [
+            [geo.h, *(getattr(r, k) for k in keys)] for geo, r in zip(geos, expected)]
+        assert all((scan["resolution_gap"] is None) == (n_r == 8)
+                   for scan in payload["scans"])
+        assert all(scan["wall_s"] > 0 for scan in payload["scans"])
 
 
 def test_no_jobs_option(capsys):
@@ -307,6 +310,7 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
 @pytest.mark.parametrize("argv", [
     ["ansatz", "--h-list", "1e-2", "--L", "1e-300"],
     ["ansatz", "--h-list", "1e-2", "--L", "1e300"],
+    ["ansatz", "--h-list", "1e-2,1e-300"],
     ["koiter-modes", "--h", "1e-4", "--m", "1", "--L", "1e300"],
     ["rect-korn", "--trials", "1", "--L", "1e-30"],
     ["rect-korn", "--trials", "1", "--L", "1e-300"],
@@ -320,10 +324,10 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
     ["classical-load", "--h", "1e-30"],
     ["classical-load", "--h", "1e-300", "--L", "1e300"],
     ["classical-load", "--h", "1e-4", "--mmax", "4000001"],
-], ids=["ansatz-L-tiny", "ansatz-L-huge", "koiter-modes-L-huge", "rect-L-1e-30",
-        "rect-L-1e-300", "rect-L-1e30", "rect-L-1e300", "rect-h-1e-30", "rect-h-1e-300",
-        "load-L-1e30", "load-L-1e300", "load-h-1e-300", "load-h-1e-30", "load-M-overflow",
-        "load-mmax-cap"])
+], ids=["ansatz-L-tiny", "ansatz-L-huge", "ansatz-h-tiny", "koiter-modes-L-huge",
+        "rect-L-1e-30", "rect-L-1e-300", "rect-L-1e30", "rect-L-1e300", "rect-h-1e-30",
+        "rect-h-1e-300", "load-L-1e30", "load-L-1e300", "load-h-1e-300", "load-h-1e-30",
+        "load-M-overflow", "load-mmax-cap"])
 def test_extreme_finite_parameters(capsys, argv):
     # finite but out of each formula's admitted range: exit 2 before any
     # large array is made, not a traceback (classical-load --h 1e-30 would

@@ -417,8 +417,11 @@ def test_scan_matches_exhaustive_grid(geo_thick, kind):
         res = korn.component_bound(geo_thick, kind, N=N)
         forms, solve, maximize = (f"component:{kind}", "strain"), korn.max_rayleigh, True
 
+    table = korn._operator_table(grid)
+
     def quotient(m, n):
-        return solve(korn.assemble_mode_forms(m, n, geo_thick, grid, *forms))[0]
+        C_num, C_den = korn._mode_forms(table, [(m, n)], geo_thick, grid, *forms)
+        return solve(korn.QuadraticFormPair(C_num[0], C_den[0]))[0]
 
     with blas.single_thread_blas():
         (m, n), value = exhaustive_scan(quotient, m_max, n_max, maximize)
@@ -452,13 +455,58 @@ def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
 def test_scan_walk_stops_on_ties():
     # a plateau whose quotients differ only in the last bits: the walk stays
     # at the ladder's pick (45, 33) instead of following rounding to (47, 33);
-    # 182 ladder solves on 8 nodes plus one 5x5 neighbourhood on 16
+    # 182 ladder solves on 8 nodes, 24 more for its 5x5 neighbourhood, and,
+    # as no neighbour falls short by the guard's margin, the neighbourhood
+    # again on 16 nodes
     def quotients(n_r, modes):
         return [1.0 - 2.0**-52 * (abs(m - 47) + abs(n - 33)) for m, n in modes]
 
     res = korn._scan_extremize(quotients, 16, 60, 60, True)
     assert (res.m, res.n) == (45, 33)
-    assert res.evaluations == 182 + 25
+    assert res.evaluations == 182 + 24 + 25
+    assert res.walked_at_N and res.resolution_gap == 0.0
+
+
+def test_scan_walks_at_N_when_the_grids_disagree():
+    # the 8-node quotients have their minimum at (10, 10) and the 16-node
+    # ones at (14, 12): the gap at the coarse walk's mode fails the guard,
+    # and the walk at N from the ladder's pick gives the N-grid minimum
+    def quotients(n_r, modes):
+        m0, n0 = (10, 10) if n_r == korn._LADDER_N else (14, 12)
+        return [1.0 + (m - m0) ** 2 + (n - n0) ** 2 for m, n in modes]
+
+    res = korn._scan_extremize(quotients, 16, 40, 40, False)
+    assert (res.m, res.n, res.value) == (14, 12, 1.0)
+    assert res.walked_at_N and res.resolution_gap == 20.0 / 21.0
+    assert not res.on_boundary
+
+
+def test_thick_short_shell_walks_at_N():
+    # at L = 0.1, h = 0.5 the 8-node grid is off by 20% at the coarse
+    # walk's mode, which would end at (1, 5) on the search boundary; the
+    # guard sends the walk back to N = 32, which ends at (1, 0)
+    res = korn.korn_constant(ShellGeometry(h=0.5, L=0.1), N=32)
+    assert (res.m, res.n, res.value) == (1, 0, 0.24690377334287106)
+    assert res.walked_at_N and res.resolution_gap > 1e-6
+    assert not res.on_boundary
+
+
+def test_thin_shell_scan_solves_once_at_N(monkeypatch):
+    # at h = 1e-4 the ladder and the walk run on 8 nodes, and the walk's
+    # mode is the one solve at N = 32
+    calls = []
+    scan = korn._scan_extremize
+
+    def spy(quotients, *args):
+        def counted(n_r, modes):
+            calls.append((n_r, len(modes)))
+            return quotients(n_r, modes)
+        return scan(counted, *args)
+
+    monkeypatch.setattr(korn, "_scan_extremize", spy)
+    res = korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))
+    assert [call for call in calls if call[0] != korn._LADDER_N] == [(32, 1)]
+    assert not res.walked_at_N and res.resolution_gap <= 1e-6
 
 
 def test_scan_memory():
