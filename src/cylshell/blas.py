@@ -1,21 +1,20 @@
-"""Pin the loaded OpenBLAS libraries to one thread around a mode scan.
+"""Pin the loaded OpenBLAS libraries to one thread around a pencil solve.
 
-A scan's solves all go through ``np.linalg``, served by numpy's own OpenBLAS
-(``libscipy_openblas64_``).  On the 192 x 96 matrices of a Korn solve,
+``korn._solve_stack`` solves through ``np.linalg``, served by numpy's own
+OpenBLAS (``libscipy_openblas64_``).  On the 192 x 96 matrices of a Korn solve,
 handing work to a second BLAS thread costs more than it saves (about 3.5x
 slower at two threads), and ``OPENBLAS_NUM_THREADS`` only acts before the
 library loads.  So the thread count is set through each library's own C API
 instead.
 
-The libraries are found once, on the first scan, and every OpenBLAS mapped
+The libraries are found once, on the first solve, and every OpenBLAS mapped
 by then is pinned.  One loaded later is not: scipy's ``libscipy_openblas``
 is such a case when the first import of scipy is the gesvd retry of
 ``korn._svd``, which then runs at that library's own thread count.
 
-The thread count is state of the whole process, so the pin is one
-reference-counted object per process: nested scans, or scans that a library
-caller runs from several threads at once, restore the saved counts only
-when the last one exits.
+The thread count is state of the whole process, so the pin is counted per
+process: solves that overlap in several threads restore the saved counts
+only when the last one exits.
 """
 
 import contextlib
@@ -69,7 +68,7 @@ def _discover():
 
 _lock = threading.Lock()
 _libraries = None            # found on first use, then cached
-_depth = 0                   # scans currently inside single_thread_blas
+_depth = 0                   # solves currently inside single_thread_blas
 _saved = ()                  # (library, thread count) to restore at the last exit
 
 

@@ -11,8 +11,8 @@ so the infimum is a minimum over (m, n) of small radial generalized
 eigenproblems.  The radial profiles are discretized by Chebyshev-Gauss-Lobatto
 collocation (spectral differentiation + Clenshaw-Curtis weights).  The tests
 keep a uniform first-order nodal grid as an oracle for it.  A grid's mode
-operators are one affine table in (n, m_hat), so a scan builds them once and
-solves the modes of its coarse ladder and walk as stacks of pencils.
+operators are one affine table in (n, m_hat) that the grid builds once; a scan
+solves its modes as stacks of pencils, each solve with BLAS on one thread.
 
 The modes are m >= 1 (``ShellGeometry.axial_wavenumber``) and n >= 0.  At m = 0
 only u_z = f_z(r) cos(n theta) is left, whose gradient is zr and zt alone: its
@@ -22,6 +22,7 @@ ththzz and rthr quotients are 0, and its urrzzr and thzzth quotients at most
 """
 
 from dataclasses import dataclass
+import functools
 import math
 
 import numpy as np
@@ -73,7 +74,8 @@ def _cheb_lobatto(N):
 
 @dataclass(frozen=True)
 class RadialGrid:
-    """Collocation grid on I_h: nodes, first-derivative matrix, weights."""
+    """Collocation grid on I_h: nodes, first-derivative matrix, weights, and
+    the operator ``table`` of ``_operator_table``, built on first use."""
 
     nodes: np.ndarray
     D: np.ndarray
@@ -82,6 +84,10 @@ class RadialGrid:
     @property
     def N(self):
         return self.nodes.size
+
+    @functools.cached_property
+    def table(self):
+        return _operator_table(self)
 
 
 def radial_grid(geometry, N=32):
@@ -158,14 +164,15 @@ def _form_rows(kind, ops):
     elif kind.startswith("component:"):
         group = kind.split(":", 1)[1]
         if group not in COMPONENT_GROUPS:
-            raise ParameterError(f"unknown component group {group!r}")
+            raise ParameterError(f"unknown component group {group!r}; "
+                                 f"choose from {sorted(COMPONENT_GROUPS)}")
         keys = COMPONENT_GROUPS[group]
     else:
         raise ParameterError(f"unknown form kind {kind!r}")
     return np.concatenate([ops[k] for k in keys], axis=-2)
 
 
-def _mode_forms(table, modes, geometry, grid, numerator, denominator):
+def _mode_forms(grid, modes, geometry, numerator, denominator):
     """Stacked row stacks (C_num, C_den) of the modes [(m, n), ...], m >= 1.
 
     Each operator is sqrt(W) (T0 + n Tn + m_hat Tm), weighted before it is
@@ -177,7 +184,7 @@ def _mode_forms(table, modes, geometry, grid, numerator, denominator):
     m_hat = geometry.axial_wavenumber(ms)
     ang_z = np.where(ns >= 1, math.pi, 2.0 * math.pi) * (geometry.L / 2.0)
     sqw = np.sqrt(grid.weights * grid.nodes * ang_z[:, None])
-    T0, Tn, Tm = table
+    T0, Tn, Tm = grid.table
     ops = np.repeat(T0[None], len(modes), axis=0)    # updated in place: the largest array
     ops[:, _N_KEYS] += ns[:, None, None, None] * Tn
     ops[:, _M_KEYS] += m_hat[:, None, None, None] * Tm
@@ -188,8 +195,7 @@ def _mode_forms(table, modes, geometry, grid, numerator, denominator):
 
 def assemble_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad"):
     """Quadratic-form pair for the Rayleigh quotient numerator/denominator."""
-    C_num, C_den = _mode_forms(_operator_table(grid), [(m, n)], geometry, grid,
-                               numerator, denominator)
+    C_num, C_den = _mode_forms(grid, [(m, n)], geometry, numerator, denominator)
     return QuadraticFormPair(C_num=C_num[0], C_den=C_den[0])
 
 
@@ -207,6 +213,7 @@ def _svd(B):
         return s[None], Vt[None]
 
 
+@single_thread_blas()
 def _solve_stack(C_num, C_den, index):
     """(quotient, v) of one extreme eigenpair per pencil, by a one-sided QR/SVD reduction.
 
@@ -267,6 +274,11 @@ _STACK = 16
 # by, both relative to the mode's quotient
 _GAP_TOL = 1e-6
 _MARGIN_TOL = 1e-5
+# least m_hat h = pi h / L of the mode m = 1 a scan admits: at 1e-10 the Korn
+# and rthr values on N and 2N nodes (N = 8, 16, 32; h = 0.5, 1e-2, 1e-4) agree
+# to 2.2e-7 relative, at 3e-11 only to 3.6e-6, and near 3e-14 the denominator
+# form is numerically rank-deficient
+_MHAT_H_MIN = 1e-10
 
 
 def _geometric_ladder(hi):
@@ -318,7 +330,6 @@ def _scan_extremize(quotients, N, m_max, n_max, maximize):
     runs again at N from the ladder's pick, one mode per call: at N = 32 a
     solve is LAPACK time, and a stack of 25 was at most 1.2x faster for about
     10 MB more memory.  One cache keyed by (n_r, m, n) holds every solve.
-    All solves run with BLAS on one thread.
     """
     cache = {}
     ladder_N = min(N, _LADDER_N)
@@ -351,19 +362,18 @@ def _scan_extremize(quotients, N, m_max, n_max, maximize):
 
     candidates = [(m, n) for m in _geometric_ladder(m_max)
                   for n in _geometric_ladder(n_max) + [0]]
-    with single_thread_blas():
-        ladder = dict(zip(candidates, solve(ladder_N, candidates)))
-        start = min(candidates, key=lambda mn: sign * ladder[mn])
-        best, shortfall = walk(ladder_N, start)
-        gap, walked_at_N = None, False
-        if N > ladder_N:
-            fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
-            gap = abs(fine - coarse) / abs(fine)
-            if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
-                best, _ = walk(N, start)
-                walked_at_N = True
-        m0, n0 = best
-        value = solve(N, [best])[0]
+    ladder = dict(zip(candidates, solve(ladder_N, candidates)))
+    start = min(candidates, key=lambda mn: sign * ladder[mn])
+    best, shortfall = walk(ladder_N, start)
+    gap, walked_at_N = None, False
+    if N > ladder_N:
+        fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
+        gap = abs(fine - coarse) / abs(fine)
+        if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
+            best, _ = walk(N, start)
+            walked_at_N = True
+    m0, n0 = best
+    value = solve(N, [best])[0]
     on_boundary = m0 == m_max or n0 == n_max
     return ScanResult(value=value, m=m0, n=n0, on_boundary=on_boundary,
                       evaluations=len(cache), resolution_gap=gap, walked_at_N=walked_at_N)
@@ -382,11 +392,14 @@ def _scan_caps(geometry, m_max, n_max):
 
 def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
     """Extremum over modes of the quotient of two forms, ladder on _LADDER_N nodes."""
+    mhat_h = geometry.axial_wavenumber(1) * geometry.h
+    if mhat_h < _MHAT_H_MIN:
+        raise ParameterError(f"pi h / L = {mhat_h:.3g} is below {_MHAT_H_MIN:g}, the least "
+                             f"the Korn and component scans resolve")
     grids = {n_r: radial_grid(geometry, N=n_r) for n_r in {N, min(N, _LADDER_N)}}
-    tables = {n_r: _operator_table(grid) for n_r, grid in grids.items()}
 
     def quotients(n_r, modes):
-        forms = _mode_forms(tables[n_r], modes, geometry, grids[n_r], numerator, denominator)
+        forms = _mode_forms(grids[n_r], modes, geometry, numerator, denominator)
         return [value for value, _ in _solve_stack(*forms, -1 if maximize else 0)]
 
     m_max, n_max = _scan_caps(geometry, m_max, n_max)
@@ -413,7 +426,4 @@ def component_bound(geometry, group, m_max=None, n_max=None, N=32):
     the scan's walk stops at the first mode that no neighbour beats by more
     than 1e-12 relative.
     """
-    if group not in COMPONENT_GROUPS:
-        raise ParameterError(f"unknown component group {group!r}; "
-                             f"choose from {sorted(COMPONENT_GROUPS)}")
     return _scan_quotient(geometry, f"component:{group}", "strain", True, m_max, n_max, N)

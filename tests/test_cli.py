@@ -324,10 +324,15 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
     ["classical-load", "--h", "1e-30"],
     ["classical-load", "--h", "1e-300", "--L", "1e300"],
     ["classical-load", "--h", "1e-4", "--mmax", "4000001"],
+    ["korn", "--h-list", "1e-2", "--L", "1e300", "--N", "8"],
+    ["korn", "--h-list", "1e-2", "--L", "1e12", "--N", "8"],
+    ["components", "--which", "rthr", "--h-list", "1e-2", "--L", "1e300"],
+    ["components", "--which", "thzzth", "--h-list", "1e-2,0.5", "--L", "1e12"],
 ], ids=["ansatz-L-tiny", "ansatz-L-huge", "ansatz-h-tiny", "koiter-modes-L-huge",
         "rect-L-1e-30", "rect-L-1e-300", "rect-L-1e30", "rect-L-1e300", "rect-h-1e-30",
         "rect-h-1e-300", "load-L-1e30", "load-L-1e300", "load-h-1e-300", "load-h-1e-30",
-        "load-M-overflow", "load-mmax-cap"])
+        "load-M-overflow", "load-mmax-cap", "korn-L-1e300", "korn-L-1e12",
+        "components-L-1e300", "components-L-1e12"])
 def test_extreme_finite_parameters(capsys, argv):
     # finite but out of each formula's admitted range: exit 2 before any
     # large array is made, not a traceback (classical-load --h 1e-30 would

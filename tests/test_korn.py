@@ -1,6 +1,8 @@
 """Korn constants and gradient-component bounds on the thin cylinder."""
 
+import ast
 import math
+import pathlib
 import threading
 import tracemalloc
 
@@ -172,10 +174,30 @@ def test_mode_forms_match_per_mode_oracle(grid_kind):
             pair = korn.assemble_mode_forms(m, n, geo, grid, *forms)
             C_num, C_den = per_mode_forms(m, n, geo, grid, *forms)
             assert np.array_equal(pair.C_num, C_num) and np.array_equal(pair.C_den, C_den)
-        stacked = korn._mode_forms(korn._operator_table(grid), stack, geo, grid, *forms)
+        stacked = korn._mode_forms(grid, stack, geo, *forms)
         for k, (m, n) in enumerate(stack):
             C_num, C_den = per_mode_forms(m, n, geo, grid, *forms)
             assert np.array_equal(stacked[0][k], C_num) and np.array_equal(stacked[1][k], C_den)
+
+
+def test_grid_builds_its_operator_table_once(geo_thick, monkeypatch):
+    # the table is built on the grid's first use and kept: a second
+    # assemble_mode_forms, or a stack of modes, on the same grid reuses it
+    calls = []
+    build = korn._operator_table
+
+    def spy(grid):
+        calls.append(grid)
+        return build(grid)
+
+    monkeypatch.setattr(korn, "_operator_table", spy)
+    grid = korn.radial_grid(geo_thick, N=8)
+    first = korn.assemble_mode_forms(1, 5, geo_thick, grid)
+    second = korn.assemble_mode_forms(1, 5, geo_thick, grid)
+    korn._mode_forms(grid, [(2, 3), (4, 0)], geo_thick, "strain", "grad")
+    assert len(calls) == 1 and calls[0] is grid
+    assert np.array_equal(first.C_num, second.C_num)
+    assert np.array_equal(first.C_den, second.C_den)
 
 
 def test_min_rayleigh_against_bisection_oracle():
@@ -280,8 +302,7 @@ def test_stack_falls_back_pencil_by_pencil():
     geo = ShellGeometry(h=1e-4, L=math.pi)
     grid = korn.radial_grid(geo, N=32)
     modes = [(44, 13), (45, 13), (46, 13)]
-    C_num, C_den = korn._mode_forms(korn._operator_table(grid), modes, geo, grid,
-                                    "strain", "grad")
+    C_num, C_den = korn._mode_forms(grid, modes, geo, "strain", "grad")
     single = [korn.min_rayleigh(korn.assemble_mode_forms(m, n, geo, grid))[0]
               for m, n in modes]
     assert [value for value, _ in korn._solve_stack(C_num, C_den, 0)] == single
@@ -339,8 +360,7 @@ def test_mode_forms_reject_non_axial_modes(geo_thick, modes):
     grid = korn.radial_grid(geo_thick, N=8)
     bad = next(m for m, _ in modes if m < 1)
     with pytest.raises(ParameterError, match=f"m={bad} must be >= 1"):
-        korn._mode_forms(korn._operator_table(grid), modes, geo_thick, grid,
-                         "strain", "grad")
+        korn._mode_forms(grid, modes, geo_thick, "strain", "grad")
     with pytest.raises(ParameterError, match=f"m={bad} must be >= 1"):
         korn.assemble_mode_forms(bad, 3, geo_thick, grid)
 
@@ -382,9 +402,29 @@ def test_component_bound_reference_values(geo_thick):
         assert res.value == pytest.approx(value, rel=rel), group
 
 
-def test_component_bound_unknown_group(geo_thick):
-    with pytest.raises(ParameterError):
+def test_component_bound_unknown_group(geo_thick, monkeypatch):
+    # the group is checked where the form rows are built, before any solve
+    def solve(*args):
+        raise AssertionError("solved before the group was checked")
+
+    monkeypatch.setattr(korn, "_solve_stack", solve)
+    with pytest.raises(ParameterError, match="choose from .*'rthr'"):
         korn.component_bound(geo_thick, "offdiag")
+
+
+@pytest.mark.parametrize("scan", [korn.korn_constant,
+                                  lambda geo, **kw: korn.component_bound(geo, "rthr", **kw)],
+                         ids=["korn", "rthr"])
+def test_scan_admitted_mhat_h_range(scan, monkeypatch):
+    # pi h / L (m_hat h of m = 1) must be at least 1e-10; the check comes
+    # before any grid is built
+    h = 1e-2
+    L = math.pi * h / korn._MHAT_H_MIN
+    assert scan(ShellGeometry(h=h, L=L * (1 - 1e-12)), m_max=3, n_max=3, N=8).value > 0
+    monkeypatch.setattr(korn, "radial_grid", None)
+    for L in (L * (1 + 1e-12), 1e12, 1e300):
+        with pytest.raises(ParameterError, match="pi h / L"):
+            scan(ShellGeometry(h=h, L=L), m_max=3, n_max=3, N=8)
 
 
 def test_unknown_form_kind(geo_thick):
@@ -417,14 +457,10 @@ def test_scan_matches_exhaustive_grid(geo_thick, kind):
         res = korn.component_bound(geo_thick, kind, N=N)
         forms, solve, maximize = (f"component:{kind}", "strain"), korn.max_rayleigh, True
 
-    table = korn._operator_table(grid)
-
     def quotient(m, n):
-        C_num, C_den = korn._mode_forms(table, [(m, n)], geo_thick, grid, *forms)
-        return solve(korn.QuadraticFormPair(C_num[0], C_den[0]))[0]
+        return solve(korn.assemble_mode_forms(m, n, geo_thick, grid, *forms))[0]
 
-    with blas.single_thread_blas():
-        (m, n), value = exhaustive_scan(quotient, m_max, n_max, maximize)
+    (m, n), value = exhaustive_scan(quotient, m_max, n_max, maximize)
     if kind != "ththzz":
         assert (res.m, res.n) == (m, n)
     assert res.value == pytest.approx(value, rel=1e-12)
@@ -526,22 +562,62 @@ def fake_openblas(threads):
                          lambda count: state.update(threads=count))
 
 
+def spy_svd_threads(monkeypatch, libs):
+    """Record the thread counts of libs at every SVD inside the pencil solver."""
+    seen = set()
+    svd = korn._svd
+
+    def spy(B):
+        seen.update(lib.get_num_threads() for lib in libs)
+        return svd(B)
+
+    monkeypatch.setattr(korn, "_svd", spy)
+    return seen
+
+
 def test_single_thread_blas_in_scan(geo_thick, monkeypatch):
     # every loaded OpenBLAS is on one thread while a scan solves, and back
     # at its own count afterwards
     libs = blas.loaded_openblas()
     before = [lib.get_num_threads() for lib in libs]
-    seen = set()
-    solve = korn._solve_stack
-
-    def spy(*args):
-        seen.update(lib.get_num_threads() for lib in libs)
-        return solve(*args)
-
-    monkeypatch.setattr(korn, "_solve_stack", spy)
+    seen = spy_svd_threads(monkeypatch, libs)
     korn.korn_constant(geo_thick, m_max=3, n_max=3, N=8)
     assert seen == ({1} if libs else set())
     assert [lib.get_num_threads() for lib in libs] == before
+
+
+def test_single_thread_blas_in_one_pencil_solve(geo_thick, monkeypatch):
+    # min_rayleigh and max_rayleigh outside any scan pin every loaded
+    # OpenBLAS too; a fake library at 4 threads stands in for a host whose
+    # own libraries already run on one
+    libs = blas.loaded_openblas() + (fake_openblas(4),)
+    monkeypatch.setattr(blas, "_libraries", libs)
+    before = [lib.get_num_threads() for lib in libs]
+    seen = spy_svd_threads(monkeypatch, libs)
+    grid = korn.radial_grid(geo_thick, N=16)
+    korn.min_rayleigh(korn.assemble_mode_forms(1, 5, geo_thick, grid))
+    korn.max_rayleigh(korn.assemble_mode_forms(1, 5, geo_thick, grid, "component:rthr",
+                                               "strain"))
+    assert seen == {1}
+    assert [lib.get_num_threads() for lib in libs] == before
+
+
+def test_single_thread_blas_only_in_the_pencil_solver():
+    # the pin is entered in one place, korn._solve_stack, so no caller of
+    # the solver has to enter it
+    src = pathlib.Path(korn.__file__).parent
+    users = set()
+    for path in sorted(set(src.glob("*.py")) - {src / "blas.py"}):
+        tree = ast.parse(path.read_text())
+        for top in tree.body:
+            for node in ast.walk(top):
+                names = ([alias.name for alias in node.names]
+                         if isinstance(node, ast.ImportFrom) else
+                         [getattr(node, "id", None), getattr(node, "attr", None)])
+                if "single_thread_blas" in names:
+                    users.add((path.name, "import" if isinstance(node, ast.ImportFrom)
+                               else getattr(top, "name", None)))
+    assert users == {("korn.py", "import"), ("korn.py", "_solve_stack")}
 
 
 def test_single_thread_blas_restores_after_exception(monkeypatch):
