@@ -35,7 +35,7 @@ from cylshell.koiter import (
     max_circle_m,
     buckling_mode,
 )
-from cylshell.korn import korn_constant, component_bound, min_rayleigh, max_rayleigh
+from cylshell.korn import korn_constant, component_bound
 from cylshell.ansatz import (
     BumpProfile,
     build_ansatz,
@@ -56,8 +56,6 @@ from cylshell.scaling import ScalingFit, fit_exponent
 __all__ = [
     "korn_constant",
     "component_bound",
-    "min_rayleigh",
-    "max_rayleigh",
     "BumpProfile",
     "build_ansatz",
     "verify_limits",

@@ -10,7 +10,7 @@ derivatives (trig modes, the compressed bending bump; f = 0 is
 ``TrigSurface(amp=0.0)``).  Every field built here -- the Koiter modes, the
 clamped-edge modes, the bending ansatz -- is a ``DisplacementField`` of three
 such profiles, so each component and its r-derivatives are closed-form in
-the profiles, and the reduced forms Q0, Q1, Q1*, B, hence K*, are defined on
+the profiles, and the reduced forms Q0, Q1*, B, hence K*, are defined on
 every field.
 A field's ``partials(r, theta, z)`` returns its three components and their
 first derivatives in r, theta and z; ``cylindrical_gradient`` turns those 12
@@ -298,7 +298,7 @@ def functionals(field, stress, material, grid):
 
 
 def reduced_surface_forms(j, grid):
-    """Q0, Q1, Q1*, B of a U(f)-form field by mid-surface quadrature.
+    """Q0 parts, Q1* core and B of a U(f)-form field by mid-surface quadrature.
 
     The integrals run over the grid's own theta and z rules at the single
     radius r = 1 with unit weight, i.e. with the measure dtheta dz.
@@ -312,15 +312,9 @@ def reduced_surface_forms(j, grid):
         "axial": grid.integrate(j["fz_z"] ** 2),
         "shear": grid.integrate((j["ft_z"] + j["fz_t"]) ** 2),
     }
-    q1_parts = {
-        "trace": grid.integrate((j["fr_zz"] + j["fr_tt"] - j["ft_t"]) ** 2),
-        "hoop": grid.integrate((j["fr_tt"] - j["ft_t"]) ** 2),
-        "axial": grid.integrate(j["fr_zz"] ** 2),
-        "shear": grid.integrate((j["ft_z"] - 2.0 * j["fr_tz"]) ** 2),
-    }
     q1star_core = grid.integrate((j["fr_tt"] + j["fr_zz"]) ** 2)
     B = grid.integrate(j["fr_z"] ** 2)
-    return q0_parts, q1_parts, q1star_core, B
+    return q0_parts, q1star_core, B
 
 
 def combine_q(parts, Lambda):
@@ -353,7 +347,7 @@ def functional_family(field, material, geometry, grid):
     E = symmetrize(simplified_G(g, grid.R))
     K0_num = grid.integrate(stability_integrand(material, E) / grid.R)
 
-    q0p, q1p, q1s_core, B = reduced_surface_forms(j, grid)
+    q0p, q1s_core, B = reduced_surface_forms(j, grid)
     Q0 = combine_q(q0p, material.Lambda)
     Q1star = (material.Lambda + 2.0) * q1s_core
     return {
@@ -364,7 +358,6 @@ def functional_family(field, material, geometry, grid):
         "S": sc.S,
         "C": sc.C,
         "Q0": Q0,
-        "Q1": combine_q(q1p, material.Lambda),
         "Q1star": Q1star,
         "B": B,
     }

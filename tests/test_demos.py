@@ -11,10 +11,8 @@ import cylshell
 DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "demos")
 
 
-# korn_scaling_demo.py is left out: it takes about 4 s, and tests/test_korn.py
-# covers the scans it runs.
 @pytest.mark.parametrize("name", ["rect_inequalities", "ansatz_limits", "classical_load",
-                                  "fixedbc_limit"])
+                                  "fixedbc_limit", "korn_scaling"])
 def test_demo_exits_cleanly(name, tmp_path):
     src = os.path.dirname(os.path.dirname(cylshell.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

@@ -1,6 +1,7 @@
 """Korn constants and gradient-component bounds on the thin cylinder."""
 
 import ast
+import builtins
 import math
 import pathlib
 import threading
@@ -558,48 +559,77 @@ def test_scan_memory():
 
 def fake_openblas(threads):
     state = {"threads": threads}
-    return blas.OpenBLAS("fake", lambda: state["threads"],
+    return blas.OpenBLAS(lambda: state["threads"],
                          lambda count: state.update(threads=count))
 
 
-def spy_svd_threads(monkeypatch, libs):
-    """Record the thread counts of libs at every SVD inside the pencil solver."""
+@pytest.fixture
+def openblas_at_two_threads():
+    """numpy's OpenBLAS at 2 threads, put back to its own count afterwards."""
+    lib = blas.numpy_openblas()
+    if lib is None:
+        pytest.skip("numpy is not on OpenBLAS")
+    before = lib.get_num_threads()
+    lib.set_num_threads(2)
+    yield lib
+    lib.set_num_threads(before)
+
+
+def spy_svd_threads(monkeypatch, lib):
+    """Record the thread counts of lib at every SVD inside the pencil solver."""
     seen = set()
     svd = korn._svd
 
     def spy(B):
-        seen.update(lib.get_num_threads() for lib in libs)
+        seen.add(lib.get_num_threads())
         return svd(B)
 
     monkeypatch.setattr(korn, "_svd", spy)
     return seen
 
 
-def test_single_thread_blas_in_scan(geo_thick, monkeypatch):
-    # every loaded OpenBLAS is on one thread while a scan solves, and back
-    # at its own count afterwards
-    libs = blas.loaded_openblas()
-    before = [lib.get_num_threads() for lib in libs]
-    seen = spy_svd_threads(monkeypatch, libs)
+def test_single_thread_blas_in_scan(geo_thick, monkeypatch, openblas_at_two_threads):
+    # numpy's OpenBLAS is on one thread while a scan solves, and back at its
+    # own count afterwards
+    lib = openblas_at_two_threads
+    seen = spy_svd_threads(monkeypatch, lib)
     korn.korn_constant(geo_thick, m_max=3, n_max=3, N=8)
-    assert seen == ({1} if libs else set())
-    assert [lib.get_num_threads() for lib in libs] == before
+    assert seen == {1}
+    assert lib.get_num_threads() == 2
 
 
 def test_single_thread_blas_in_one_pencil_solve(geo_thick, monkeypatch):
-    # min_rayleigh and max_rayleigh outside any scan pin every loaded
-    # OpenBLAS too; a fake library at 4 threads stands in for a host whose
-    # own libraries already run on one
-    libs = blas.loaded_openblas() + (fake_openblas(4),)
-    monkeypatch.setattr(blas, "_libraries", libs)
-    before = [lib.get_num_threads() for lib in libs]
-    seen = spy_svd_threads(monkeypatch, libs)
+    # min_rayleigh and max_rayleigh outside any scan pin the library too; a
+    # fake one at 4 threads stands in for a host whose own already runs on one
+    lib = fake_openblas(4)
+    monkeypatch.setattr(blas, "numpy_openblas", lambda: lib)
+    seen = spy_svd_threads(monkeypatch, lib)
     grid = korn.radial_grid(geo_thick, N=16)
     korn.min_rayleigh(korn.assemble_mode_forms(1, 5, geo_thick, grid))
     korn.max_rayleigh(korn.assemble_mode_forms(1, 5, geo_thick, grid, "component:rthr",
                                                "strain"))
     assert seen == {1}
-    assert [lib.get_num_threads() for lib in libs] == before
+    assert lib.get_num_threads() == 4
+
+
+def test_single_thread_blas_without_proc(geo_thick, monkeypatch, openblas_at_two_threads):
+    # the library is found through numpy's LAPACK extension, not by reading
+    # /proc/self/maps, so the pin holds where /proc is missing
+    open_ = open
+
+    def open_without_proc(file, *args, **kwargs):
+        if file == "/proc/self/maps":
+            raise OSError("no /proc")
+        return open_(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", open_without_proc)
+    blas.numpy_openblas.cache_clear()
+    lib = openblas_at_two_threads
+    seen = spy_svd_threads(monkeypatch, lib)
+    korn.min_rayleigh(korn.assemble_mode_forms(1, 5, geo_thick,
+                                               korn.radial_grid(geo_thick, N=16)))
+    assert seen == {1}
+    assert lib.get_num_threads() == 2
 
 
 def test_single_thread_blas_only_in_the_pencil_solver():
@@ -621,21 +651,21 @@ def test_single_thread_blas_only_in_the_pencil_solver():
 
 
 def test_single_thread_blas_restores_after_exception(monkeypatch):
-    libs = (fake_openblas(4), fake_openblas(2))
-    monkeypatch.setattr(blas, "_libraries", libs)
+    lib = fake_openblas(4)
+    monkeypatch.setattr(blas, "numpy_openblas", lambda: lib)
     with blas.single_thread_blas():
-        assert [lib.get_num_threads() for lib in libs] == [1, 1]
-    assert [lib.get_num_threads() for lib in libs] == [4, 2]
+        assert lib.get_num_threads() == 1
+    assert lib.get_num_threads() == 4
     with pytest.raises(ZeroDivisionError):
         with blas.single_thread_blas():
-            assert [lib.get_num_threads() for lib in libs] == [1, 1]
+            assert lib.get_num_threads() == 1
             1 / 0
-    assert [lib.get_num_threads() for lib in libs] == [4, 2]
+    assert lib.get_num_threads() == 4
 
 
 def test_single_thread_blas_restores_at_last_exit(monkeypatch):
     lib = fake_openblas(4)
-    monkeypatch.setattr(blas, "_libraries", (lib,))
+    monkeypatch.setattr(blas, "numpy_openblas", lambda: lib)
     with blas.single_thread_blas():
         with blas.single_thread_blas():
             assert lib.get_num_threads() == 1
@@ -663,12 +693,16 @@ def test_single_thread_blas_restores_at_last_exit(monkeypatch):
     assert lib.get_num_threads() == 4
 
 
-def test_single_thread_blas_without_openblas(monkeypatch):
-    real = blas._discover()
-    before = [lib.get_num_threads() for lib in real]
-    monkeypatch.setattr(blas, "_discover", lambda: ())
-    monkeypatch.setattr(blas, "_libraries", None)
-    with blas.single_thread_blas():
-        assert blas.loaded_openblas() == ()
-        assert [lib.get_num_threads() for lib in real] == before
-    assert [lib.get_num_threads() for lib in real] == before
+def test_single_thread_blas_without_openblas(monkeypatch, openblas_at_two_threads):
+    # numpy on another BLAS: its LAPACK extension resolves no OpenBLAS thread
+    # functions, and the pin leaves every thread count alone
+    real = openblas_at_two_threads
+    monkeypatch.setattr(blas.ctypes, "CDLL", lambda path: object())
+    blas.numpy_openblas.cache_clear()
+    try:
+        with blas.single_thread_blas():
+            assert blas.numpy_openblas() is None
+            assert real.get_num_threads() == 2
+    finally:
+        blas.numpy_openblas.cache_clear()
+    assert real.get_num_threads() == 2
