@@ -90,10 +90,16 @@ class RadialGrid:
         return _operator_table(self)
 
 
+# most radial nodes a grid admits: the tracemalloc peak of korn_constant at
+# h = 1e-2, m_max = n_max = 3 is 74 MiB at N = 256 and 296 MiB (5.8 s) at
+# N = 512, growing as N^2
+MAX_RADIAL_N = 512
+
+
 def radial_grid(geometry, N=32):
-    """Chebyshev-Gauss-Lobatto grid with N nodes on I_h."""
-    if N < 3:
-        raise ParameterError(f"need at least 3 radial nodes, got N={N}")
+    """Chebyshev-Gauss-Lobatto grid with 3 <= N <= MAX_RADIAL_N nodes on I_h."""
+    if not 3 <= N <= MAX_RADIAL_N:
+        raise ParameterError(f"need 3 to {MAX_RADIAL_N} radial nodes, got N={N}")
     a, b = geometry.I_h
     x, D, w = _cheb_lobatto(N - 1)
     scale = (b - a) / 2.0
@@ -279,6 +285,10 @@ _MARGIN_TOL = 1e-5
 # to 2.2e-7 relative, at 3e-11 only to 3.6e-6, and near 3e-14 the denominator
 # form is numerically rank-deficient
 _MHAT_H_MIN = 1e-10
+# urrzzr and thzzth need a larger one: at pi h / L = 1e-5 their values on 32
+# and 64 nodes agree to 1.5e-7 relative (h = 0.5, 1e-2, 1e-4; 4.7e-7 at
+# h = 0.9), at 1e-6 only to 1.2e-3 (h = 0.5) and 7e-7 (h = 1e-2)
+_FORM_MHAT_H_MIN = {"component:urrzzr": 1e-5, "component:thzzth": 1e-5}
 
 
 def _geometric_ladder(hi):
@@ -307,8 +317,8 @@ class ScanResult:
     value: float
     m: int
     n: int
-    on_boundary: bool
     evaluations: int
+    on_boundary: bool
     resolution_gap: float | None
     walked_at_N: bool
 
@@ -391,12 +401,18 @@ def _scan_caps(geometry, m_max, n_max):
 
 
 def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
-    """Extremum over modes of the quotient of two forms, ladder on _LADDER_N nodes."""
+    """Extremum over modes of the quotient of two forms, ladder on _LADDER_N nodes.
+
+    Rejects pi h / L below the numerator's floor and N outside the grid's
+    range before any grid is built.
+    """
     mhat_h = geometry.axial_wavenumber(1) * geometry.h
-    if mhat_h < _MHAT_H_MIN:
-        raise ParameterError(f"pi h / L = {mhat_h:.3g} is below {_MHAT_H_MIN:g}, the least "
-                             f"the Korn and component scans resolve")
-    grids = {n_r: radial_grid(geometry, N=n_r) for n_r in {N, min(N, _LADDER_N)}}
+    mhat_h_min = _FORM_MHAT_H_MIN.get(numerator, _MHAT_H_MIN)
+    if mhat_h < mhat_h_min:
+        raise ParameterError(f"pi h / L = {mhat_h:.3g} is below {mhat_h_min:g}, the least "
+                             f"this scan resolves")
+    grids = {n_r: radial_grid(geometry, N=n_r)
+             for n_r in sorted({N, min(N, _LADDER_N)}, reverse=True)}
 
     def quotients(n_r, modes):
         forms = _mode_forms(grids[n_r], modes, geometry, numerator, denominator)
@@ -424,6 +440,7 @@ def component_bound(geometry, group, m_max=None, n_max=None, N=32):
     G_zz = e_zz, and both enter ||e||^2 with weight 1.  Many modes reach 1
     to rounding, so its reported argmin is not unique and moves with N and h;
     the scan's walk stops at the first mode that no neighbour beats by more
-    than 1e-12 relative.
+    than 1e-12 relative.  urrzzr and thzzth admit pi h / L >= 1e-5, the
+    other groups pi h / L >= 1e-10 (``_FORM_MHAT_H_MIN``, ``_MHAT_H_MIN``).
     """
     return _scan_quotient(geometry, f"component:{group}", "strain", True, m_max, n_max, N)

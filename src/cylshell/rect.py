@@ -168,20 +168,25 @@ def _peak(values):
 
 
 def verify_planar_bc(field, h, L):
-    """Check the boundary tag on 33 samples per edge, to relative 1e-9; True or raises.
+    """Check the boundary tag on a 33 x 33 sample of [0, h] x [0, L], to relative 1e-9.
 
-    A stacked field is checked member by member, each against its own scale.
+    The scale is the sample's largest |u| or |v|.  Its first and last columns
+    are the edges y = 0 and y = L (linspace ends on its endpoints), where
+    'zero_horizontal' needs u = 0 and 'periodic_y' equal u and v; the
+    periodic caller passes the period L = 2 pi.  A stacked field is checked
+    member by member, each against its own scale.  True or raises.
     """
     if field.bc_tag is None:
         return True
     xs = np.linspace(0.0, h, 33)[:, None]
     ys = np.linspace(0.0, L, 33)
-    scale = np.maximum(np.maximum(_peak(field.u(xs, ys)), _peak(field.v(xs, ys))), 1e-300)
+    u, v = field.u(xs, ys), field.v(xs, ys)
+    scale = np.maximum(np.maximum(_peak(u), _peak(v)), 1e-300)
     if field.bc_tag == "zero_horizontal":
-        what, err = "horizontal-edge value", _peak(field.u(xs, np.array([0.0, L])))
+        what, err = "horizontal-edge value", _peak(u[..., [0, -1]])
     elif field.bc_tag == "periodic_y":
         what = "period-2pi defect"
-        err = np.maximum(*(_peak(c(xs, 0.0) - c(xs, 2.0 * np.pi)) for c in (field.u, field.v)))
+        err = np.maximum(*(_peak(c[..., :1] - c[..., -1:]) for c in (u, v)))
     else:
         raise ParameterError(f"unknown planar bc tag {field.bc_tag!r}")
     bad = np.flatnonzero(err > 1e-9 * scale)

@@ -1,6 +1,8 @@
 """Command-line interface: outputs, artifacts, and exit codes."""
 
+import argparse
 import csv
+from dataclasses import fields
 import json
 import math
 import os
@@ -13,7 +15,7 @@ import scipy.linalg
 
 import cylshell
 from cylshell import ansatz, fixedbc, korn, rect
-from cylshell.cli import main
+from cylshell.cli import build_parser, main
 from cylshell.material import ShellGeometry
 
 
@@ -99,6 +101,16 @@ def test_bad_artifact_path(tmp_path, capsys, flag):
     assert taken.read_text() == "keep\n" and not missing.exists()
 
 
+@pytest.mark.parametrize("name", ["mode.csv", "mode.CSV"])
+def test_export_onto_its_csv_twin(tmp_path, capsys, name):
+    # the OBJ would be overwritten by its own CSV twin: rejected before any computation
+    code = main(["koiter-modes", "--h", "1e-3", "--m", "1", "--export", str(tmp_path / name)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--export" in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_korn_sweep_artifacts(tmp_path, capsys):
     h_list = "1e-2,7e-3,5e-3,3e-3"
     code, out = run(capsys, "--out", str(tmp_path), "korn", "--h-list", h_list)
@@ -115,10 +127,12 @@ def test_korn_sweep_artifacts(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", [["korn"], ["components", "--which", "rthr"]])
 def test_sweep_reports_each_scan(capsys, command):
-    # one scans entry per h, from the same scan as the row; rows keep their
-    # columns; at N = 8 the ladder grid is the N grid, so there is no gap
+    # one scans entry per h, from the same scan as the row: h, every
+    # ScanResult field but the row's value and mode, and the wall time; rows
+    # keep their columns; at N = 8 the ladder grid is the N grid, so no gap
     geos = [ShellGeometry(h, math.pi) for h in (1e-2, 5e-3)]
-    keys = ("evaluations", "on_boundary", "resolution_gap", "walked_at_N")
+    keys = [f.name for f in fields(korn.ScanResult) if f.name not in ("value", "m", "n")]
+    assert keys == ["evaluations", "on_boundary", "resolution_gap", "walked_at_N"]
     for n_r in (8, 16):
         code, out = run(capsys, *command, "--h-list", "1e-2,5e-3", "--N", str(n_r))
         assert code == 0
@@ -128,6 +142,7 @@ def test_sweep_reports_each_scan(capsys, command):
         assert [row[:4] for row in payload["rows"]] == [[geo.h, r.value, r.m, r.n]
                                                         for geo, r in zip(geos, expected)]
         assert {len(row) for row in payload["rows"]} == {5 if command == ["korn"] else 4}
+        assert all(list(scan) == ["h", *keys, "wall_s"] for scan in payload["scans"])
         assert [[scan["h"], *(scan[k] for k in keys)] for scan in payload["scans"]] == [
             [geo.h, *(getattr(r, k) for k in keys)] for geo, r in zip(geos, expected)]
         assert all((scan["resolution_gap"] is None) == (n_r == 8)
@@ -328,18 +343,24 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
     ["korn", "--h-list", "1e-2", "--L", "1e12", "--N", "8"],
     ["components", "--which", "rthr", "--h-list", "1e-2", "--L", "1e300"],
     ["components", "--which", "thzzth", "--h-list", "1e-2,0.5", "--L", "1e12"],
+    ["components", "--which", "urrzzr", "--h-list", "1e-2", "--L", "1e5"],
+    ["korn", "--h-list", "1e-2", "--N", "513"],
+    ["koiter-modes", "--h", "1e-3", "--m", "1", "--export", "{tmp}/x.obj",
+     "--ntheta", "200000", "--nz", "20000"],
 ], ids=["ansatz-L-tiny", "ansatz-L-huge", "ansatz-h-tiny", "koiter-modes-L-huge",
         "rect-L-1e-30", "rect-L-1e-300", "rect-L-1e30", "rect-L-1e300", "rect-h-1e-30",
         "rect-h-1e-300", "load-L-1e30", "load-L-1e300", "load-h-1e-300", "load-h-1e-30",
         "load-M-overflow", "load-mmax-cap", "korn-L-1e300", "korn-L-1e12",
-        "components-L-1e300", "components-L-1e12"])
-def test_extreme_finite_parameters(capsys, argv):
+        "components-L-1e300", "components-L-1e12", "urrzzr-L-1e5", "korn-N-513",
+        "export-mesh-4e9"])
+def test_extreme_finite_parameters(tmp_path, capsys, argv):
     # finite but out of each formula's admitted range: exit 2 before any
     # large array is made, not a traceback (classical-load --h 1e-30 would
-    # ask for 25 PiB)
-    code, out = run(capsys, *argv)
+    # ask for 25 PiB, the 4e9-vertex surface for 30 GiB)
+    code, out = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_koiter_modes_rejects_nonpositive_m(capsys):
@@ -381,6 +402,31 @@ def test_every_subcommand_writes_its_artifacts(tmp_path, capsys):
             with open(out / f"{name}.csv") as f:
                 first = next(csv.reader(f))[0]
             assert json.loads(first.removeprefix("# config: ")) == json.loads(text)["config"]
+
+
+def _declared(argv):
+    """The parsed namespace of argv and the dests its subcommand declares, in order."""
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    args = parser.parse_args(argv)
+    return args, [a.dest for a in sub.choices[args.command]._actions if a.dest != "help"]
+
+
+@pytest.mark.parametrize("argv", [*ARTIFACT_RUNS.values(),
+                                  ["fixedbc", "--h-list", "1e-3", "--export", "{tmp}/f.obj",
+                                   "--ntheta", "7", "--nz", "5"]],
+                         ids=[*ARTIFACT_RUNS, "fixedbc-export"])
+def test_config_is_every_declared_option(tmp_path, capsys, argv):
+    # every option the subcommand declares, in its order, but --export, and
+    # without unset values
+    argv = [a.format(tmp=tmp_path) for a in argv]
+    args, dests = _declared(argv)
+    expected = {k: getattr(args, k) for k in dests
+                if k != "export" and getattr(args, k) is not None}
+    code, out = run(capsys, *argv)
+    assert code == 0
+    config = json.loads(out)["config"]
+    assert config == expected and list(config) == list(expected)
 
 
 def test_ansatz_modes_share_one_out(tmp_path, capsys):

@@ -413,19 +413,33 @@ def test_component_bound_unknown_group(geo_thick, monkeypatch):
         korn.component_bound(geo_thick, "offdiag")
 
 
-@pytest.mark.parametrize("scan", [korn.korn_constant,
-                                  lambda geo, **kw: korn.component_bound(geo, "rthr", **kw)],
-                         ids=["korn", "rthr"])
-def test_scan_admitted_mhat_h_range(scan, monkeypatch):
-    # pi h / L (m_hat h of m = 1) must be at least 1e-10; the check comes
-    # before any grid is built
+@pytest.mark.parametrize("group, floor", [(None, 1e-10), ("rthr", 1e-10),
+                                          ("urrzzr", 1e-5), ("thzzth", 1e-5)],
+                         ids=["korn", "rthr", "urrzzr", "thzzth"])
+def test_scan_admitted_mhat_h_range(group, floor, monkeypatch):
+    # pi h / L (m_hat h of m = 1) must be at least 1e-10, and 1e-5 for the
+    # urrzzr and thzzth groups; the check comes before any grid is built
+    def scan(geo, **kw):
+        if group is None:
+            return korn.korn_constant(geo, **kw)
+        return korn.component_bound(geo, group, **kw)
+
     h = 1e-2
-    L = math.pi * h / korn._MHAT_H_MIN
+    L = math.pi * h / floor
     assert scan(ShellGeometry(h=h, L=L * (1 - 1e-12)), m_max=3, n_max=3, N=8).value > 0
     monkeypatch.setattr(korn, "radial_grid", None)
     for L in (L * (1 + 1e-12), 1e12, 1e300):
         with pytest.raises(ParameterError, match="pi h / L"):
             scan(ShellGeometry(h=h, L=L), m_max=3, n_max=3, N=8)
+
+
+def test_radial_grid_admits_at_most_512_nodes(geo_thick, monkeypatch):
+    assert korn.radial_grid(geo_thick, N=korn.MAX_RADIAL_N).N == 512
+    # rejected before any grid, the ladder's 8-node one included, is built
+    monkeypatch.setattr(korn, "_cheb_lobatto", None)
+    for scan in (korn.korn_constant, lambda geo, **kw: korn.component_bound(geo, "rthr", **kw)):
+        with pytest.raises(ParameterError, match="N=513"):
+            scan(geo_thick, m_max=3, n_max=3, N=513)
 
 
 def test_unknown_form_kind(geo_thick):

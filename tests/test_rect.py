@@ -201,6 +201,36 @@ def test_verify_planar_bc():
         rect.verify_planar_bc(rect.PlanarField(u, rect.ZERO, bc_tag="mirror"), H, L)
 
 
+def test_verify_planar_bc_periodic_defect():
+    # cos(y / 2) has period 4 pi: its defect 2 sits on the sample's end columns
+    v = rect.PlanarSeries([[1.0]], [0.5], ["cos"])
+    with pytest.raises(ShapeError, match="period-2pi defect"):
+        rect.verify_planar_bc(rect.PlanarField(rect.ZERO, v, bc_tag="periodic_y"),
+                              H, 2.0 * math.pi)
+
+
+def test_verify_planar_bc_samples_each_component_once():
+    # the edges are the end columns of the scale's 33 x 33 sample, so each
+    # component is called once per check, stacked or not
+    rng = np.random.default_rng(5)
+    fields = {"zero_horizontal": (rect.random_zero_horizontal(rng, H, L), L),
+              "periodic_y": (rect.random_periodic(rng, H), 2.0 * math.pi)}
+    for field, length in fields.values():
+        for member in (field, rect.stack_fields([field, field])):
+            calls = []
+
+            def counted(c, name):
+                def component(x, y, dx=0, dy=0):
+                    calls.append(name)
+                    return c(x, y, dx, dy)
+                return component
+
+            spied = rect.PlanarField(counted(member.u, "u"), counted(member.v, "v"),
+                                     bc_tag=member.bc_tag)
+            assert rect.verify_planar_bc(spied, H, length)
+            assert sorted(calls) == ["u", "v"]
+
+
 def test_basic_inequality_parameter_checks():
     u = rect.PlanarSeries([[1.0]], [math.pi / L], ["sin"])
     field = rect.PlanarField(u, rect.ZERO, bc_tag="zero_horizontal")
