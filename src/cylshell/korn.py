@@ -13,6 +13,10 @@ collocation (spectral differentiation + Clenshaw-Curtis weights).  The tests
 keep a uniform first-order nodal grid as an oracle for it.  A grid's mode
 operators are one affine table in (n, m_hat) that the grid builds once; a scan
 solves its modes as stacks of pencils, each solve with BLAS on one thread.
+The Korn scan gives the minimum over the whole mode window: every mode it
+does not solve is excluded by the closed-form lower bound of ``_korn_model``.
+The component scans stay a local search, a ladder and a walk, until each
+group has an upper-bound model.
 
 The modes are m >= 1 (``ShellGeometry.axial_wavenumber``) and n >= 0.  At m = 0
 only u_z = f_z(r) cos(n theta) is left, whose gradient is zr and zt alone: its
@@ -269,15 +273,15 @@ def max_rayleigh(pair):
     return _solve_stack(pair.C_num[None], pair.C_den[None], -1)[0]
 
 
-# radial nodes of the ladder and the coarse walk; at the acceptance sweeps
-# h the coarse walk ends on the N = 32 walk's mode, within 7.5e-8 of its value
+# radial nodes of the coarse scans; at the acceptance sweeps h the coarse
+# scans end on the mode of the scans at N = 32, within 7.5e-8 of its value
 _LADDER_N = 8
-# ladder-grid modes per stacked solve; the tracemalloc peak of korn_constant
-# at h = 1e-4 is 1.2 MB with 16 and 2.0 MB with 32
+# coarse-grid modes per stacked solve; the tracemalloc peak of korn_constant
+# at h = 1e-4 is 1.2 MiB with 16 and 1.7 MiB with 32
 _STACK = 16
-# resolution guard of the coarse walk: the most the N and _LADDER_N quotients
-# of its mode may differ, and the least its best neighbour must fall short
-# by, both relative to the mode's quotient
+# resolution guard of the coarse scans: the most the N and _LADDER_N
+# quotients of the scan's mode may differ, and the least its nearest
+# competitor must fall short by, both relative to the mode's quotient
 _GAP_TOL = 1e-6
 _MARGIN_TOL = 1e-5
 # least m_hat h = pi h / L of the mode m = 1 a scan admits: at 1e-10 the Korn
@@ -289,6 +293,19 @@ _MHAT_H_MIN = 1e-10
 # and 64 nodes agree to 1.5e-7 relative (h = 0.5, 1e-2, 1e-4; 4.7e-7 at
 # h = 0.9), at 1e-6 only to 1.2e-3 (h = 0.5) and 7e-7 (h = 1e-2)
 _FORM_MHAT_H_MIN = {"component:urrzzr": 1e-5, "component:thzzth": 1e-5}
+# proven suprema of component groups: G_tt = e_tt and G_zz = e_zz enter
+# ||e||^2 with weight 1, so the ththzz quotient is at most 1
+_KNOWN_SUP = {"component:ththzz": 1.0}
+# lower-bound factor of the Korn screen: every mode's quotient is at least
+# _BOUND_FACTOR times its ``_korn_model``.  Exhaustive 8- and 32-node windows
+# over h in [1e-3, 0.99] and L in [0.01, 1000] gave a worst quotient/model
+# ratio of 0.188, and every ratio below 0.25 came from a thick or short shell:
+# (h, L) = (0.99, 0.3), (0.5, 0.3), (0.1, 0.1), (0.01, 0.01).  The factor
+# keeps 20% headroom below 0.188; it may rise only with a sharper model.
+_BOUND_FACTOR = 0.15
+# values of m per block of the Korn model, so no array spans the window
+# (90,300 modes at h = 1e-4)
+_MODEL_ROWS = 32
 
 
 def _geometric_ladder(hi):
@@ -307,11 +324,15 @@ class ScanResult:
     """Extremum of a mode scan; ``value`` is one solve at the requested radial N.
 
     ``evaluations`` counts every per-mode solve of the scan on either grid:
-    the ladder and the coarse walk on min(N, _LADDER_N) nodes, the solve of
-    the coarse walk's mode at N and, when the guard fails, the walk at N.
-    ``resolution_gap`` is |K_N - K_ladder| / |K_N| at the coarse walk's mode
-    (None when N <= _LADDER_N, where the two grids are one), and
-    ``walked_at_N`` says that the guard failed and the walk ran again at N.
+    the coarse scan on min(N, _LADDER_N) nodes, the solve of its mode at N
+    and, when the guard fails, the scan at N.  ``resolution_gap`` is
+    |K_N - K_coarse| / |K_N| at the coarse scan's mode (None when
+    N <= _LADDER_N, where the two grids are one), and ``walked_at_N`` says
+    that the guard failed and the scan ran again at N.  A screened scan
+    (``korn_constant``) also reports ``screened_out``, the window's modes its
+    final screen excluded by the bound without a solve, and ``bound_ratio``,
+    the least quotient/model ratio over every mode it solved; both are None
+    for a walked scan (``component_bound``).
     """
 
     value: float
@@ -321,9 +342,11 @@ class ScanResult:
     on_boundary: bool
     resolution_gap: float | None
     walked_at_N: bool
+    screened_out: int | None = None
+    bound_ratio: float | None = None
 
 
-def _scan_extremize(quotients, N, m_max, n_max, maximize):
+def _scan_extremize(quotients, N, m_max, n_max, maximize, known=None):
     """Coarse geometric ladder and local walk, then one solve at N behind a guard.
 
     ``quotients(n_r, modes)`` is the list of quotients of the modes on n_r
@@ -336,10 +359,12 @@ def _scan_extremize(quotients, N, m_max, n_max, maximize):
     once at N, and is the answer when the grids agree there to _GAP_TOL and
     the walk's best neighbour falls short of it by more than _MARGIN_TOL,
     both relative.  Otherwise (thick or short shells, where 8 nodes do not
-    resolve the profile, and ties such as ththzz's plateau at 1) the walk
-    runs again at N from the ladder's pick, one mode per call: at N = 32 a
-    solve is LAPACK time, and a stack of 25 was at most 1.2x faster for about
-    10 MB more memory.  One cache keyed by (n_r, m, n) holds every solve.
+    resolve the profile) the walk runs again at N from the ladder's pick,
+    one mode per call: at N = 32 a solve is LAPACK time, and a stack of 25
+    was at most 1.2x faster for about 10 MB more memory.  With a proven
+    extremum ``known`` the scan stops instead at the first ladder mode whose
+    quotients on both grids are within 1e-12 relative of it, and walks only
+    when no ladder mode is.  One cache keyed by (n_r, m, n) holds every solve.
     """
     cache = {}
     ladder_N = min(N, _LADDER_N)
@@ -370,16 +395,31 @@ def _scan_extremize(quotients, N, m_max, n_max, maximize):
             best = new_best
         return best, -math.inf
 
+    def first_reaching_known():
+        """The first ladder mode within 1e-12 of ``known`` on both grids, or None."""
+        def reaches(value):
+            return sign * (value - known) <= 1e-12 * abs(known)
+
+        for i in range(0, len(candidates), _STACK):
+            chunk = candidates[i:i + _STACK]
+            for mn, value in zip(chunk, solve(ladder_N, chunk)):
+                if reaches(value) and reaches(solve(N, [mn])[0]):
+                    return mn
+        return None
+
     candidates = [(m, n) for m in _geometric_ladder(m_max)
                   for n in _geometric_ladder(n_max) + [0]]
-    ladder = dict(zip(candidates, solve(ladder_N, candidates)))
-    start = min(candidates, key=lambda mn: sign * ladder[mn])
-    best, shortfall = walk(ladder_N, start)
+    best = None if known is None else first_reaching_known()
+    stopped = best is not None
+    if not stopped:
+        ladder = dict(zip(candidates, solve(ladder_N, candidates)))
+        start = min(candidates, key=lambda mn: sign * ladder[mn])
+        best, shortfall = walk(ladder_N, start)
     gap, walked_at_N = None, False
     if N > ladder_N:
         fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
         gap = abs(fine - coarse) / abs(fine)
-        if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
+        if not (stopped or gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
             best, _ = walk(N, start)
             walked_at_N = True
     m0, n0 = best
@@ -387,6 +427,110 @@ def _scan_extremize(quotients, N, m_max, n_max, maximize):
     on_boundary = m0 == m_max or n0 == n_max
     return ScanResult(value=value, m=m0, n=n0, on_boundary=on_boundary,
                       evaluations=len(cache), resolution_gap=gap, walked_at_N=walked_at_N)
+
+
+def _korn_model(geometry, m, n):
+    """Closed-form model of the Korn quotient of the modes (m, n), broadcast.
+
+    K_model = (h^2 s^2 / 12 + m_hat^4 / s^2) / (2 s) with s = n^2 + m_hat^2,
+    capped at 1: the thin-shell reduction of the mode (1, n) with n^2
+    replaced by s.  Two columns take the quotient of a rigid-motion trial
+    field where that is smaller: n = 0 the torsion u_theta = r f(z),
+    m_hat^2 / (2 (2 + m_hat^2)); n = 1 the bending beam w = sin(m_hat z),
+    m_hat^2 / (4 + m_hat^2).  Without the n = 1 term the quotient/model ratio
+    drops to 0.0075 at L = 100 (h = 0.99, mode (1, 1)).
+    """
+    m_hat2 = geometry.axial_wavenumber(m) ** 2
+    s = n**2 + m_hat2
+    model = np.minimum((geometry.h**2 * s**2 / 12.0 + m_hat2**2 / s**2) / (2.0 * s), 1.0)
+    model = np.where(n == 0, np.minimum(model, m_hat2 / (2.0 * (2.0 + m_hat2))), model)
+    return np.where(n == 1, np.minimum(model, m_hat2 / (4.0 + m_hat2)), model)
+
+
+def _screened_minimize(quotients, model, N, m_max, n_max):
+    """Minimum over the whole mode window by a model-screened scan, then one
+    solve at N behind the resolution guard.
+
+    ``quotients`` is as for ``_scan_extremize``; ``model(m, n)`` is a
+    closed-form model of the quotient, broadcast over arrays, whose
+    _BOUND_FACTOR multiple bounds every mode's quotient from below.  The
+    screen on n_r nodes solves the model's argmin, then the modes whose bound
+    is at most best * (1 + _MARGIN_TOL), in increasing order of the model and
+    in stacks of _STACK, lowering ``best`` as it goes, and stops at the first
+    mode whose bound exceeds that.  Every unsolved mode then exceeds the
+    minimum by more than _MARGIN_TOL relative: the result is the minimum over
+    the window, every unsolved mode being excluded by the bound, and the
+    runner-up among the solved modes is the argmin's nearest competitor.  A
+    solved mode whose quotient is below its bound is a failed bound and a
+    ``SolverError``.  The model is built _MODEL_ROWS values of m at a time.
+
+    The screen runs on min(N, _LADDER_N) nodes and its argmin is solved once
+    at N; that answer stands when the grids agree there to _GAP_TOL and the
+    runner-up falls short by more than _MARGIN_TOL, both relative.
+    Otherwise the screen runs again at N, one mode per call, as the walk of
+    ``_scan_extremize`` does.  Ties go to the smallest (m, n).
+    """
+    cache = {}
+    worst = math.inf
+    ladder_N = min(N, _LADDER_N)
+
+    def solve(n_r, modes):
+        """Quotients of the modes on n_r nodes, the unsolved ones as one stack."""
+        nonlocal worst
+        todo = [mn for mn in modes if (n_r, *mn) not in cache]
+        if todo:
+            values = quotients(n_r, todo)
+            ratios = np.array(values) / model(*np.array(todo).T)
+            k = int(np.argmin(ratios))
+            if ratios[k] < _BOUND_FACTOR:
+                raise SolverError(f"Korn model bound fails at mode {todo[k]} on {n_r} nodes: "
+                                  f"quotient/model = {ratios[k]:.3g} < {_BOUND_FACTOR}")
+            worst = min(worst, float(ratios[k]))
+            cache.update(zip([(n_r, *mn) for mn in todo], values))
+        return [cache[(n_r, *mn)] for mn in modes]
+
+    def model_blocks():
+        n = np.arange(n_max + 1)
+        for m0 in range(1, m_max + 1, _MODEL_ROWS):
+            m = np.arange(m0, min(m0 + _MODEL_ROWS, m_max + 1))
+            yield m, n, model(m[:, None], n)
+
+    def screen(n_r):
+        """The argmin on n_r nodes, its runner-up's shortfall, and the modes solved."""
+        seed, seed_model = None, math.inf
+        for m, n, k in model_blocks():
+            i, j = np.unravel_index(np.argmin(k), k.shape)
+            if k[i, j] < seed_model:
+                seed, seed_model = (int(m[i]), int(n[j])), k[i, j]
+        cut = solve(n_r, [seed])[0] * (1.0 + _MARGIN_TOL)
+        order = sorted((k[i, j], int(m[i]), int(n[j])) for m, n, k in model_blocks()
+                       for i, j in zip(*np.nonzero(_BOUND_FACTOR * k <= cut)))
+        values = {seed: cache[(n_r, *seed)]}
+        stack = _STACK if n_r == ladder_N else 1
+        for pos in range(0, len(order), stack):
+            chunk = [(mm, nn) for k, mm, nn in order[pos:pos + stack]
+                     if _BOUND_FACTOR * k <= cut]
+            if not chunk:
+                break
+            values.update(zip(chunk, solve(n_r, chunk)))
+            cut = min(values.values()) * (1.0 + _MARGIN_TOL)
+        ranked = sorted(values, key=lambda mn: (values[mn], mn))
+        shortfall = (values[ranked[1]] - values[ranked[0]]) if len(ranked) > 1 else math.inf
+        return ranked[0], shortfall, len(values)
+
+    best, shortfall, solved = screen(ladder_N)
+    gap, screened_at_N = None, False
+    if N > ladder_N:
+        fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
+        gap = abs(fine - coarse) / abs(fine)
+        if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
+            best, _, solved = screen(N)
+            screened_at_N = True
+    m0, n0 = best
+    return ScanResult(value=cache[(N, *best)], m=m0, n=n0,
+                      on_boundary=m0 == m_max or n0 == n_max, evaluations=len(cache),
+                      resolution_gap=gap, walked_at_N=screened_at_N,
+                      screened_out=m_max * (n_max + 1) - solved, bound_ratio=worst)
 
 
 def _scan_caps(geometry, m_max, n_max):
@@ -400,11 +544,13 @@ def _scan_caps(geometry, m_max, n_max):
     return m_max, n_max
 
 
-def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
-    """Extremum over modes of the quotient of two forms, ladder on _LADDER_N nodes.
+def _scan_quotient(geometry, numerator, denominator, index, m_max, n_max, N):
+    """(quotients, m_max, n_max) of a scan of the quotient of two forms.
 
-    Rejects pi h / L below the numerator's floor and N outside the grid's
-    range before any grid is built.
+    ``quotients(n_r, modes)`` solves the modes' pencils on n_r nodes, N or
+    min(N, _LADDER_N), for the extreme eigenvalue ``index`` (0 the smallest,
+    -1 the largest).  Rejects pi h / L below the numerator's floor and N
+    outside the grid's range before any grid is built.
     """
     mhat_h = geometry.axial_wavenumber(1) * geometry.h
     mhat_h_min = _FORM_MHAT_H_MIN.get(numerator, _MHAT_H_MIN)
@@ -416,31 +562,38 @@ def _scan_quotient(geometry, numerator, denominator, maximize, m_max, n_max, N):
 
     def quotients(n_r, modes):
         forms = _mode_forms(grids[n_r], modes, geometry, numerator, denominator)
-        return [value for value, _ in _solve_stack(*forms, -1 if maximize else 0)]
+        return [value for value, _ in _solve_stack(*forms, index)]
 
-    m_max, n_max = _scan_caps(geometry, m_max, n_max)
-    return _scan_extremize(quotients, N, m_max, n_max, maximize)
+    return (quotients, *_scan_caps(geometry, m_max, n_max))
 
 
 def korn_constant(geometry, m_max=None, n_max=None, N=32):
     """K(V_h) = min over modes of ||e||^2 / ||grad u||^2, with argmin.
 
-    Returns a ScanResult: a local minimum over the 5x5 mode neighbourhood,
-    found on _LADDER_N radial nodes behind the resolution guard of
-    ``_scan_extremize`` or else on N, and valued on N; ``on_boundary`` warns
-    that the scan caps were probably too small.
+    Returns a ScanResult: the minimum over the window 1 <= m <= m_max,
+    0 <= n <= n_max; every unsolved mode is excluded by the bound
+    _BOUND_FACTOR * ``_korn_model``, and a solved mode below it is a
+    ``SolverError``.  The screen of ``_screened_minimize`` runs on _LADDER_N
+    radial nodes behind its resolution guard, or else on N, and the value is
+    a solve on N; ``on_boundary`` warns that the scan caps were probably too
+    small.
     """
-    return _scan_quotient(geometry, "strain", "grad", False, m_max, n_max, N)
+    quotients, m_max, n_max = _scan_quotient(geometry, "strain", "grad", 0, m_max, n_max, N)
+    return _screened_minimize(quotients, functools.partial(_korn_model, geometry), N,
+                              m_max, n_max)
 
 
 def component_bound(geometry, group, m_max=None, n_max=None, N=32):
     """sup over modes of (component-group norm^2) / ||e||^2.
 
-    ``ththzz`` is at most 1 for every mode by definition: G_tt = e_tt and
-    G_zz = e_zz, and both enter ||e||^2 with weight 1.  Many modes reach 1
-    to rounding, so its reported argmin is not unique and moves with N and h;
-    the scan's walk stops at the first mode that no neighbour beats by more
-    than 1e-12 relative.  urrzzr and thzzth admit pi h / L >= 1e-5, the
-    other groups pi h / L >= 1e-10 (``_FORM_MHAT_H_MIN``, ``_MHAT_H_MIN``).
+    Returns a ScanResult of the ladder and walk of ``_scan_extremize``, a
+    local maximum over the 5x5 mode neighbourhood.  ``ththzz`` is at most 1
+    for every mode by definition (``_KNOWN_SUP``), and many modes reach 1 to
+    rounding, so its scan stops at the first ladder mode within 1e-12 of 1 on
+    both grids; its reported argmin is not unique and moves with N and h.
+    urrzzr and thzzth admit pi h / L >= 1e-5, the other groups
+    pi h / L >= 1e-10 (``_FORM_MHAT_H_MIN``, ``_MHAT_H_MIN``).
     """
-    return _scan_quotient(geometry, f"component:{group}", "strain", True, m_max, n_max, N)
+    form = f"component:{group}"
+    quotients, m_max, n_max = _scan_quotient(geometry, form, "strain", -1, m_max, n_max, N)
+    return _scan_extremize(quotients, N, m_max, n_max, True, _KNOWN_SUP.get(form))

@@ -132,7 +132,8 @@ def test_sweep_reports_each_scan(capsys, command):
     # keep their columns; at N = 8 the ladder grid is the N grid, so no gap
     geos = [ShellGeometry(h, math.pi) for h in (1e-2, 5e-3)]
     keys = [f.name for f in fields(korn.ScanResult) if f.name not in ("value", "m", "n")]
-    assert keys == ["evaluations", "on_boundary", "resolution_gap", "walked_at_N"]
+    assert keys == ["evaluations", "on_boundary", "resolution_gap", "walked_at_N",
+                    "screened_out", "bound_ratio"]
     for n_r in (8, 16):
         code, out = run(capsys, *command, "--h-list", "1e-2,5e-3", "--N", str(n_r))
         assert code == 0
@@ -146,6 +147,8 @@ def test_sweep_reports_each_scan(capsys, command):
         assert [[scan["h"], *(scan[k] for k in keys)] for scan in payload["scans"]] == [
             [geo.h, *(getattr(r, k) for k in keys)] for geo, r in zip(geos, expected)]
         assert all((scan["resolution_gap"] is None) == (n_r == 8)
+                   for scan in payload["scans"])
+        assert all((scan["bound_ratio"] is None) == (command != ["korn"])
                    for scan in payload["scans"])
         assert all(scan["wall_s"] > 0 for scan in payload["scans"])
 
@@ -164,6 +167,19 @@ def test_korn_lapack_failure_exits_3(capsys, monkeypatch):
     code = main(["korn", "--h-list", "1e-2", "--mmax", "3", "--nmax", "3", "--N", "8"])
     assert code == 3
     assert "SVD did not converge" in capsys.readouterr().err
+
+
+def test_korn_failed_model_bound_exits_3(capsys, monkeypatch):
+    # pencil quotients a tenth of the true ones undercut the Korn model's bound
+    solve = korn._solve_stack
+
+    def undercut(C_num, C_den, index):
+        return [(0.1 * value, v) for value, v in solve(C_num, C_den, index)]
+
+    monkeypatch.setattr(korn, "_solve_stack", undercut)
+    code = main(["korn", "--h-list", "1e-2", "--N", "8"])
+    assert code == 3
+    assert "bound fails" in capsys.readouterr().err
 
 
 def test_components_subcommand(tmp_path, capsys):

@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import functools
 import math
 import pathlib
 import threading
@@ -489,10 +490,10 @@ def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
     grids = {n_r: korn.radial_grid(geo_thick, N=n_r) for n_r in (N, korn._LADDER_N)}
     if kind == "korn":
         res = korn.korn_constant(geo_thick, N=N)
-        forms, solve, maximize = ("strain", "grad"), korn.min_rayleigh, False
+        forms, solve = ("strain", "grad"), korn.min_rayleigh
     else:
         res = korn.component_bound(geo_thick, kind, N=N)
-        forms, solve, maximize = (f"component:{kind}", "strain"), korn.max_rayleigh, True
+        forms, solve = (f"component:{kind}", "strain"), korn.max_rayleigh
 
     def quotients(n_r, modes):
         return [solve(korn.QuadraticFormPair(*per_mode_forms(m, n, geo_thick, grids[n_r],
@@ -500,7 +501,12 @@ def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
                 for m, n in modes]
 
     m_max, n_max = korn._scan_caps(geo_thick, None, None)
-    assert res == korn._scan_extremize(quotients, N, m_max, n_max, maximize)
+    if kind == "korn":
+        model = functools.partial(korn._korn_model, geo_thick)
+        assert res == korn._screened_minimize(quotients, model, N, m_max, n_max)
+    else:
+        assert res == korn._scan_extremize(quotients, N, m_max, n_max, True,
+                                           korn._KNOWN_SUP.get(forms[0]))
 
 
 def test_scan_walk_stops_on_ties():
@@ -534,8 +540,8 @@ def test_scan_walks_at_N_when_the_grids_disagree():
 
 def test_thick_short_shell_walks_at_N():
     # at L = 0.1, h = 0.5 the 8-node grid is off by 20% at the coarse
-    # walk's mode, which would end at (1, 5) on the search boundary; the
-    # guard sends the walk back to N = 32, which ends at (1, 0)
+    # screen's mode (1, 5), on the search boundary; the guard sends the
+    # screen back to N = 32, which ends at (1, 0)
     res = korn.korn_constant(ShellGeometry(h=0.5, L=0.1), N=32)
     assert (res.m, res.n, res.value) == (1, 0, 0.24690377334287106)
     assert res.walked_at_N and res.resolution_gap > 1e-6
@@ -543,10 +549,10 @@ def test_thick_short_shell_walks_at_N():
 
 
 def test_thin_shell_scan_solves_once_at_N(monkeypatch):
-    # at h = 1e-4 the ladder and the walk run on 8 nodes, and the walk's
-    # mode is the one solve at N = 32
+    # at h = 1e-4 the screen runs on 8 nodes, and its argmin is the one
+    # solve at N = 32
     calls = []
-    scan = korn._scan_extremize
+    scan = korn._screened_minimize
 
     def spy(quotients, *args):
         def counted(n_r, modes):
@@ -554,7 +560,7 @@ def test_thin_shell_scan_solves_once_at_N(monkeypatch):
             return quotients(n_r, modes)
         return scan(counted, *args)
 
-    monkeypatch.setattr(korn, "_scan_extremize", spy)
+    monkeypatch.setattr(korn, "_screened_minimize", spy)
     res = korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))
     assert [call for call in calls if call[0] != korn._LADDER_N] == [(32, 1)]
     assert not res.walked_at_N and res.resolution_gap <= 1e-6
@@ -569,6 +575,96 @@ def test_scan_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2 * 2**20
+
+
+# (h, L) grid of the Korn model's bound check: h >= 1e-2 up to thick shells,
+# from short to long
+BOUND_GRID = [(h, L) for h in (1e-2, 0.1, 0.5, 0.99)
+              for L in (0.01, 0.1, 0.3, math.pi, 100.0, 1000.0)]
+
+
+def test_korn_model_bounds_every_mode():
+    # every mode of the exhaustive 8-node windows, solved in stacks, has a
+    # quotient of at least _BOUND_FACTOR times its model: the screen's bound
+    worst = (math.inf, None)
+    for h, L in BOUND_GRID:
+        geo = ShellGeometry(h, L)
+        quotients, m_max, n_max = korn._scan_quotient(geo, "strain", "grad", 0,
+                                                       None, None, 8)
+        modes = [(m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)]
+        values = [v for i in range(0, len(modes), 64) for v in quotients(8, modes[i:i + 64])]
+        ratios = np.array(values) / korn._korn_model(geo, *np.array(modes).T)
+        k = int(np.argmin(ratios))
+        worst = min(worst, (float(ratios[k]), (h, L, modes[k])))
+    assert worst[0] >= korn._BOUND_FACTOR, worst
+
+
+def test_screen_rejects_a_mode_below_its_bound():
+    # quotients equal to the model but a tenth of it at (1, 6), a mode the
+    # screen solves: a failed bound, not an answer
+    geo = ShellGeometry(h=1e-2, L=math.pi)
+    model = functools.partial(korn._korn_model, geo)
+
+    def quotients(n_r, modes):
+        return [float(model(m, n)) * (0.1 if (m, n) == (1, 6) else 1.0) for m, n in modes]
+
+    with pytest.raises(SolverError, match=r"bound fails at mode \(1, 6\) on 8 nodes"):
+        korn._screened_minimize(quotients, model, 16, 30, 30)
+
+
+def test_screen_finds_an_isolated_minimum():
+    # quotients equal to the model but for a dip at (1, 10), within the bound
+    # and outside the 5x5 neighbourhood of the model's argmin (1, 5), where a
+    # walk stops: the screen solves the dip and returns it, on both grids
+    geo = ShellGeometry(h=1e-2, L=math.pi)
+    model = functools.partial(korn._korn_model, geo)
+    dip = 0.5 * float(model(1, 5))
+    assert korn._BOUND_FACTOR * float(model(1, 10)) < dip
+
+    def quotients(n_r, modes):
+        return [dip if (m, n) == (1, 10) else float(model(m, n)) for m, n in modes]
+
+    res = korn._screened_minimize(quotients, model, 16, 30, 30)
+    assert (res.m, res.n, res.value) == (1, 10, dip)
+    assert not res.walked_at_N and res.resolution_gap == 0.0
+
+
+def test_korn_scan_solve_count():
+    # at h = 1e-4 the screen solves 147 of the window's 90,300 modes on 8
+    # nodes and its argmin once at N = 32 (the ladder and walk made 399)
+    res = korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))
+    assert res.evaluations <= 160
+    assert res.screened_out == 300 * 301 - (res.evaluations - 1)
+    assert korn._BOUND_FACTOR <= res.bound_ratio <= 1.0
+
+
+def test_korn_constant_neither_ladders_nor_walks(geo_thick, monkeypatch):
+    monkeypatch.setattr(korn, "_geometric_ladder", None)
+    monkeypatch.setattr(korn, "_scan_extremize", None)
+    res = korn.korn_constant(geo_thick, N=16)
+    assert (res.m, res.n) == (1, 5)
+
+
+def test_ththzz_scan_stops_at_the_known_bound():
+    # ththzz <= 1 on every mode, and its scan stops at the first ladder mode
+    # within 1e-12 of 1 on both grids: 16 solves on 8 nodes and one at N = 32,
+    # where the ladder and walk made 156 (h = 1e-2) and 426 (h = 1e-4)
+    for h in (1e-2, 1e-4):
+        res = korn.component_bound(ShellGeometry(h, math.pi), "ththzz")
+        assert res.value == pytest.approx(1.0, rel=5e-12) and res.value <= 1.0 + 1e-9
+        assert res.evaluations == 17 and not res.walked_at_N
+
+
+def test_scan_stops_at_a_known_extremum_on_both_grids():
+    # (1, 1) reaches the known maximum on 8 nodes only and does not stop
+    # the scan; (3, 2), in the second ladder stack, reaches it on both
+    def quotients(n_r, modes):
+        return [1.0 if (m, n) == (3, 2) or (m, n) == (1, 1) and n_r == korn._LADDER_N
+                else 0.5 for m, n in modes]
+
+    res = korn._scan_extremize(quotients, 16, 40, 40, True, 1.0)
+    assert (res.m, res.n, res.value) == (3, 2, 1.0)
+    assert res.evaluations == 2 * korn._STACK + 2 and not res.walked_at_N
 
 
 def fake_openblas(threads):
