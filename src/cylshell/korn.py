@@ -16,7 +16,10 @@ solves its modes as stacks of pencils, each solve with BLAS on one thread.
 The Korn scan gives the minimum over the whole mode window: every mode it
 does not solve is excluded by the closed-form lower bound of ``_korn_model``.
 The component scans stay a local search, a ladder and a walk, until each
-group has an upper-bound model.
+group has an upper-bound model.  Both searches run under one resolution guard
+(``_guarded_scan``): on 8 radial nodes, with their mode solved once at the
+requested N, and again at N when the two grids disagree there or a competitor
+comes too close.
 
 The modes are m >= 1 (``ShellGeometry.axial_wavenumber``) and n >= 0.  At m = 0
 only u_z = f_z(r) cos(n theta) is left, whose gradient is zr and zt alone: its
@@ -323,16 +326,14 @@ def _geometric_ladder(hi):
 class ScanResult:
     """Extremum of a mode scan; ``value`` is one solve at the requested radial N.
 
-    ``evaluations`` counts every per-mode solve of the scan on either grid:
-    the coarse scan on min(N, _LADDER_N) nodes, the solve of its mode at N
-    and, when the guard fails, the scan at N.  ``resolution_gap`` is
-    |K_N - K_coarse| / |K_N| at the coarse scan's mode (None when
-    N <= _LADDER_N, where the two grids are one), and ``walked_at_N`` says
-    that the guard failed and the scan ran again at N.  A screened scan
-    (``korn_constant``) also reports ``screened_out``, the window's modes its
-    final screen excluded by the bound without a solve, and ``bound_ratio``,
-    the least quotient/model ratio over every mode it solved; both are None
-    for a walked scan (``component_bound``).
+    ``evaluations`` counts the per-mode solves of ``_guarded_scan`` on either
+    grid.  ``resolution_gap`` is |K_N - K_coarse| / |K_N| at the coarse
+    search's mode (None when N <= _LADDER_N, where the grids are one), and
+    ``walked_at_N`` says that the guard failed and the search ran again at N.
+    A screened scan (``korn_constant``) also reports ``screened_out``, the
+    window's modes its final screen excluded by the bound without a solve,
+    and ``bound_ratio``, the least quotient/model ratio over every mode it
+    solved; both are None for a walked scan (``component_bound``).
     """
 
     value: float
@@ -346,87 +347,109 @@ class ScanResult:
     bound_ratio: float | None = None
 
 
-def _scan_extremize(quotients, N, m_max, n_max, maximize, known=None):
-    """Coarse geometric ladder and local walk, then one solve at N behind a guard.
+def _guarded_scan(quotients, N, m_max, n_max, search, model=None):
+    """A search on min(N, _LADDER_N) radial nodes, its mode solved once at N behind a guard.
 
-    ``quotients(n_r, modes)`` is the list of quotients of the modes on n_r
-    radial nodes.  Modes range over 1 <= m <= m_max, 0 <= n <= n_max.  The
-    ladder and the walk run on min(N, _LADDER_N) nodes, in stacks of _STACK
-    modes.  Each walk step solves the 5x5 neighbourhood of the current mode
-    and moves to its best mode only when that beats the current value by
-    more than 1e-12 relative; otherwise it stops, so it does not wander
-    across modes that tie to rounding.  The mode the walk stops at is solved
-    once at N, and is the answer when the grids agree there to _GAP_TOL and
-    the walk's best neighbour falls short of it by more than _MARGIN_TOL,
-    both relative.  Otherwise (thick or short shells, where 8 nodes do not
-    resolve the profile) the walk runs again at N from the ladder's pick,
-    one mode per call: at N = 32 a solve is LAPACK time, and a stack of 25
-    was at most 1.2x faster for about 10 MB more memory.  With a proven
-    extremum ``known`` the scan stops instead at the first ladder mode whose
-    quotients on both grids are within 1e-12 relative of it, and walks only
-    when no ladder mode is.  One cache keyed by (n_r, m, n) holds every solve.
+    ``search(n_r, solve, stack)`` returns the mode it picks on n_r nodes, by
+    how much the nearest competitor falls short of it, and the window's modes
+    it excluded unsolved (None for a local search).  ``solve(n_r, modes)``
+    serves their ``quotients(n_r, modes)`` from one cache keyed by
+    (n_r, m, n), solving new ones ``stack`` at a time: _STACK on the coarse
+    grid, one at N, where a solve is LAPACK time (a stack of 25 at N = 32 was
+    at most 1.2x faster for 10 MB more).  A solved mode below _BOUND_FACTOR
+    times its ``model`` is a failed bound and a ``SolverError``.  The coarse
+    answer stands when the grids agree at its mode to _GAP_TOL and its
+    competitor falls short by more than _MARGIN_TOL, both relative; otherwise
+    (thick or short shells, where 8 nodes do not resolve the profile) the
+    search runs again at N.
     """
-    cache = {}
+    cache, worst = {}, math.inf
     ladder_N = min(N, _LADDER_N)
-    sign = -1.0 if maximize else 1.0
+    stacks = {N: 1, ladder_N: _STACK}     # the coarse grid's when the two are one
 
     def solve(n_r, modes):
+        nonlocal worst
         todo = [mn for mn in modes if (n_r, *mn) not in cache]
-        stack = _STACK if n_r == ladder_N else 1
-        for i in range(0, len(todo), stack):
-            chunk = todo[i:i + stack]
-            cache.update(zip([(n_r, *mn) for mn in chunk], quotients(n_r, chunk)))
+        for i in range(0, len(todo), stacks[n_r]):
+            chunk = todo[i:i + stacks[n_r]]
+            values = quotients(n_r, chunk)
+            if model is not None:
+                ratios = np.array(values) / model(*np.array(chunk).T)
+                k = int(np.argmin(ratios))
+                if ratios[k] < _BOUND_FACTOR:
+                    raise SolverError(f"Korn model bound fails at mode {chunk[k]} on {n_r} "
+                                      f"nodes: quotient/model = {ratios[k]:.3g} < {_BOUND_FACTOR}")
+                worst = min(worst, float(ratios[k]))
+            cache.update(zip([(n_r, *mn) for mn in chunk], values))
         return [cache[(n_r, *mn)] for mn in modes]
 
-    def walk(n_r, best):
-        """The mode where the walk on n_r nodes stops, and by how much its
-        best neighbour falls short of it (-inf when it does not stop)."""
+    best, shortfall, screened_out = search(ladder_N, solve, stacks[ladder_N])
+    gap, rerun = None, False
+    if N > ladder_N:
+        fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
+        gap = abs(fine - coarse) / abs(fine)
+        if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
+            best, _, screened_out = search(N, solve, stacks[N])
+            rerun = True
+    m0, n0 = best
+    return ScanResult(value=solve(N, [best])[0], m=m0, n=n0,
+                      on_boundary=m0 == m_max or n0 == n_max, evaluations=len(cache),
+                      resolution_gap=gap, walked_at_N=rerun, screened_out=screened_out,
+                      bound_ratio=None if model is None else worst)
+
+
+def _scan_extremize(quotients, N, m_max, n_max, maximize, known=None):
+    """Extremum by a geometric ladder and a local walk from its pick, under
+    ``_guarded_scan``, which reruns the walk at N from the same pick.
+
+    Each walk step solves the 5x5 neighbourhood of the current mode and moves
+    to its best mode only when that beats the current value by more than
+    1e-12 relative; otherwise it stops, so it does not wander across modes
+    that tie to rounding, and its best neighbour is the competitor.  With a
+    proven extremum ``known`` the ladder stops instead at its first mode
+    within 1e-12 relative of it on both grids, which has no competitor, and
+    walks only when no ladder mode is.
+    """
+    sign = -1.0 if maximize else 1.0
+    candidates = [(m, n) for m in _geometric_ladder(m_max)
+                  for n in _geometric_ladder(n_max) + [0]]
+    start = None
+
+    def reaches(value):
+        return sign * (value - known) <= 1e-12 * abs(known)
+
+    def walk(n_r, best, solve):
+        """Where the walk on n_r nodes stops, and by how much its best
+        neighbour falls short (-inf when it does not stop)."""
         for _ in range(200):
-            m0, n0 = best
-            neigh = [(m0 + dm, n0 + dn)
-                     for dm in (-2, -1, 0, 1, 2) for dn in (-2, -1, 0, 1, 2)
-                     if 1 <= m0 + dm <= m_max and 0 <= n0 + dn <= n_max]
+            neigh = [(m, n) for m in range(best[0] - 2, best[0] + 3)
+                     for n in range(best[1] - 2, best[1] + 3)
+                     if 1 <= m <= m_max and 0 <= n <= n_max]
             values = dict(zip(neigh, solve(n_r, neigh)))
             current = values[best]
             new_best = min(neigh, key=lambda mn: sign * values[mn])
             if sign * (values[new_best] - current) >= -1e-12 * abs(current):
                 return best, min((sign * (v - current) for mn, v in values.items()
-                                  if mn != best), default=math.inf)
+                                  if mn != best), default=math.inf), None
             best = new_best
-        return best, -math.inf
+        return best, -math.inf, None
 
-    def first_reaching_known():
-        """The first ladder mode within 1e-12 of ``known`` on both grids, or None."""
-        def reaches(value):
-            return sign * (value - known) <= 1e-12 * abs(known)
-
-        for i in range(0, len(candidates), _STACK):
-            chunk = candidates[i:i + _STACK]
-            for mn, value in zip(chunk, solve(ladder_N, chunk)):
-                if reaches(value) and reaches(solve(N, [mn])[0]):
-                    return mn
-        return None
-
-    candidates = [(m, n) for m in _geometric_ladder(m_max)
-                  for n in _geometric_ladder(n_max) + [0]]
-    best = None if known is None else first_reaching_known()
-    stopped = best is not None
-    if not stopped:
-        ladder = dict(zip(candidates, solve(ladder_N, candidates)))
+    def search(n_r, solve, stack):
+        nonlocal start
+        if start is not None:              # the search again at N
+            return walk(n_r, start, solve)
+        if known is not None:
+            for i in range(0, len(candidates), stack):
+                chunk = candidates[i:i + stack]
+                for mn, value in zip(chunk, solve(n_r, chunk)):
+                    if reaches(value) and reaches(solve(N, [mn])[0]):
+                        start = mn
+                        return mn, math.inf, None
+        ladder = dict(zip(candidates, solve(n_r, candidates)))
         start = min(candidates, key=lambda mn: sign * ladder[mn])
-        best, shortfall = walk(ladder_N, start)
-    gap, walked_at_N = None, False
-    if N > ladder_N:
-        fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
-        gap = abs(fine - coarse) / abs(fine)
-        if not (stopped or gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
-            best, _ = walk(N, start)
-            walked_at_N = True
-    m0, n0 = best
-    value = solve(N, [best])[0]
-    on_boundary = m0 == m_max or n0 == n_max
-    return ScanResult(value=value, m=m0, n=n0, on_boundary=on_boundary,
-                      evaluations=len(cache), resolution_gap=gap, walked_at_N=walked_at_N)
+        return walk(n_r, start, solve)
+
+    return _guarded_scan(quotients, N, m_max, n_max, search)
 
 
 def _korn_model(geometry, m, n):
@@ -448,65 +471,34 @@ def _korn_model(geometry, m, n):
 
 
 def _screened_minimize(quotients, model, N, m_max, n_max):
-    """Minimum over the whole mode window by a model-screened scan, then one
-    solve at N behind the resolution guard.
+    """Minimum over the whole mode window by a model-screened search, under
+    ``_guarded_scan``, whose gate is the bound _BOUND_FACTOR * ``model``.
 
-    ``quotients`` is as for ``_scan_extremize``; ``model(m, n)`` is a
-    closed-form model of the quotient, broadcast over arrays, whose
-    _BOUND_FACTOR multiple bounds every mode's quotient from below.  The
-    screen on n_r nodes solves the model's argmin, then the modes whose bound
-    is at most best * (1 + _MARGIN_TOL), in increasing order of the model and
-    in stacks of _STACK, lowering ``best`` as it goes, and stops at the first
-    mode whose bound exceeds that.  Every unsolved mode then exceeds the
-    minimum by more than _MARGIN_TOL relative: the result is the minimum over
-    the window, every unsolved mode being excluded by the bound, and the
-    runner-up among the solved modes is the argmin's nearest competitor.  A
-    solved mode whose quotient is below its bound is a failed bound and a
-    ``SolverError``.  The model is built _MODEL_ROWS values of m at a time.
-
-    The screen runs on min(N, _LADDER_N) nodes and its argmin is solved once
-    at N; that answer stands when the grids agree there to _GAP_TOL and the
-    runner-up falls short by more than _MARGIN_TOL, both relative.
-    Otherwise the screen runs again at N, one mode per call, as the walk of
-    ``_scan_extremize`` does.  Ties go to the smallest (m, n).
+    ``model(m, n)`` models the quotient, broadcast, and is built _MODEL_ROWS
+    values of m at a time.  The screen solves the model's argmin, then, a
+    stack at a time and in increasing order of the model, the modes whose
+    bound is at most best * (1 + _MARGIN_TOL), lowering ``best`` as it goes,
+    and stops at the first mode whose bound exceeds that.  Every unsolved mode
+    then exceeds the minimum by more than _MARGIN_TOL relative, and the
+    runner-up among the solved modes is the nearest competitor.  Ties go to
+    the smallest (m, n).
     """
-    cache = {}
-    worst = math.inf
-    ladder_N = min(N, _LADDER_N)
-
-    def solve(n_r, modes):
-        """Quotients of the modes on n_r nodes, the unsolved ones as one stack."""
-        nonlocal worst
-        todo = [mn for mn in modes if (n_r, *mn) not in cache]
-        if todo:
-            values = quotients(n_r, todo)
-            ratios = np.array(values) / model(*np.array(todo).T)
-            k = int(np.argmin(ratios))
-            if ratios[k] < _BOUND_FACTOR:
-                raise SolverError(f"Korn model bound fails at mode {todo[k]} on {n_r} nodes: "
-                                  f"quotient/model = {ratios[k]:.3g} < {_BOUND_FACTOR}")
-            worst = min(worst, float(ratios[k]))
-            cache.update(zip([(n_r, *mn) for mn in todo], values))
-        return [cache[(n_r, *mn)] for mn in modes]
-
     def model_blocks():
         n = np.arange(n_max + 1)
         for m0 in range(1, m_max + 1, _MODEL_ROWS):
             m = np.arange(m0, min(m0 + _MODEL_ROWS, m_max + 1))
             yield m, n, model(m[:, None], n)
 
-    def screen(n_r):
-        """The argmin on n_r nodes, its runner-up's shortfall, and the modes solved."""
+    def screen(n_r, solve, stack):
         seed, seed_model = None, math.inf
         for m, n, k in model_blocks():
             i, j = np.unravel_index(np.argmin(k), k.shape)
             if k[i, j] < seed_model:
                 seed, seed_model = (int(m[i]), int(n[j])), k[i, j]
-        cut = solve(n_r, [seed])[0] * (1.0 + _MARGIN_TOL)
+        values = {seed: solve(n_r, [seed])[0]}
+        cut = values[seed] * (1.0 + _MARGIN_TOL)
         order = sorted((k[i, j], int(m[i]), int(n[j])) for m, n, k in model_blocks()
                        for i, j in zip(*np.nonzero(_BOUND_FACTOR * k <= cut)))
-        values = {seed: cache[(n_r, *seed)]}
-        stack = _STACK if n_r == ladder_N else 1
         for pos in range(0, len(order), stack):
             chunk = [(mm, nn) for k, mm, nn in order[pos:pos + stack]
                      if _BOUND_FACTOR * k <= cut]
@@ -516,31 +508,31 @@ def _screened_minimize(quotients, model, N, m_max, n_max):
             cut = min(values.values()) * (1.0 + _MARGIN_TOL)
         ranked = sorted(values, key=lambda mn: (values[mn], mn))
         shortfall = (values[ranked[1]] - values[ranked[0]]) if len(ranked) > 1 else math.inf
-        return ranked[0], shortfall, len(values)
+        return ranked[0], shortfall, m_max * (n_max + 1) - len(values)
 
-    best, shortfall, solved = screen(ladder_N)
-    gap, screened_at_N = None, False
-    if N > ladder_N:
-        fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
-        gap = abs(fine - coarse) / abs(fine)
-        if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
-            best, _, solved = screen(N)
-            screened_at_N = True
-    m0, n0 = best
-    return ScanResult(value=cache[(N, *best)], m=m0, n=n0,
-                      on_boundary=m0 == m_max or n0 == n_max, evaluations=len(cache),
-                      resolution_gap=gap, walked_at_N=screened_at_N,
-                      screened_out=m_max * (n_max + 1) - solved, bound_ratio=worst)
+    return _guarded_scan(quotients, N, m_max, n_max, screen, model)
+
+
+# most modes m_max (n_max + 1) a scan window admits (the default caps reach
+# 512 x 513).  At h = 1e-2, N = 8 the Korn screen's model blocks peak at
+# 54 MiB (tracemalloc) for m_max = 1, n_max = 999,999, and m_max = 1,000,000,
+# n_max = 0 takes 2.9 s.  On a thick short shell (h = 0.5, L = 0.1) the screen
+# solves every mode: 99,856 in 42 s for a 41 MiB peak, growing linearly.
+MAX_SCAN_MODES = 1_000_000
 
 
 def _scan_caps(geometry, m_max, n_max):
-    """Scan caps, min(ceil(3/sqrt(h)), 512) unless given; rejects an empty window."""
+    """Scan caps, min(ceil(3/sqrt(h)), 512) unless given; rejects an empty
+    window and one of more than MAX_SCAN_MODES modes."""
     cap = min(int(math.ceil(3.0 / math.sqrt(geometry.h))), 512)
     m_max = cap if m_max is None else m_max
     n_max = cap if n_max is None else n_max
     if m_max < 1 or n_max < 0:
         raise ParameterError(f"empty scan window: need m_max >= 1 and n_max >= 0, "
                              f"got m_max={m_max}, n_max={n_max}")
+    if m_max * (n_max + 1) > MAX_SCAN_MODES:
+        raise ParameterError(f"scan window of m_max (n_max + 1) = {m_max * (n_max + 1)} "
+                             f"modes exceeds {MAX_SCAN_MODES}")
     return m_max, n_max
 
 
@@ -549,14 +541,20 @@ def _scan_quotient(geometry, numerator, denominator, index, m_max, n_max, N):
 
     ``quotients(n_r, modes)`` solves the modes' pencils on n_r nodes, N or
     min(N, _LADDER_N), for the extreme eigenvalue ``index`` (0 the smallest,
-    -1 the largest).  Rejects pi h / L below the numerator's floor and N
-    outside the grid's range before any grid is built.
+    -1 the largest).  Rejects pi h / L below the numerator's floor, the
+    window of ``_scan_caps``, pi m_max / L above 1e75 (past about 1.2e77 the
+    Korn model's m_hat^4 overflows) and N outside the grid's range before
+    any grid is built.
     """
     mhat_h = geometry.axial_wavenumber(1) * geometry.h
     mhat_h_min = _FORM_MHAT_H_MIN.get(numerator, _MHAT_H_MIN)
     if mhat_h < mhat_h_min:
         raise ParameterError(f"pi h / L = {mhat_h:.3g} is below {mhat_h_min:g}, the least "
                              f"this scan resolves")
+    m_max, n_max = _scan_caps(geometry, m_max, n_max)
+    if geometry.axial_wavenumber(m_max) > 1e75:
+        raise ParameterError(f"pi m_max / L = {geometry.axial_wavenumber(m_max):.3g} > 1e75: "
+                             f"L = {geometry.L:g} is too short for the scan window")
     grids = {n_r: radial_grid(geometry, N=n_r)
              for n_r in sorted({N, min(N, _LADDER_N)}, reverse=True)}
 
@@ -564,7 +562,7 @@ def _scan_quotient(geometry, numerator, denominator, index, m_max, n_max, N):
         forms = _mode_forms(grids[n_r], modes, geometry, numerator, denominator)
         return [value for value, _ in _solve_stack(*forms, index)]
 
-    return (quotients, *_scan_caps(geometry, m_max, n_max))
+    return quotients, m_max, n_max
 
 
 def korn_constant(geometry, m_max=None, n_max=None, N=32):
@@ -574,9 +572,9 @@ def korn_constant(geometry, m_max=None, n_max=None, N=32):
     0 <= n <= n_max; every unsolved mode is excluded by the bound
     _BOUND_FACTOR * ``_korn_model``, and a solved mode below it is a
     ``SolverError``.  The screen of ``_screened_minimize`` runs on _LADDER_N
-    radial nodes behind its resolution guard, or else on N, and the value is
-    a solve on N; ``on_boundary`` warns that the scan caps were probably too
-    small.
+    radial nodes behind the resolution guard of ``_guarded_scan``, or else on
+    N, and the value is a solve on N; ``on_boundary`` warns that the scan
+    caps were probably too small.
     """
     quotients, m_max, n_max = _scan_quotient(geometry, "strain", "grad", 0, m_max, n_max, N)
     return _screened_minimize(quotients, functools.partial(_korn_model, geometry), N,

@@ -87,10 +87,14 @@ class ShellGeometry:
 
 
 def shell_sweep(h_list, L):
-    """The validated shells of a non-empty h-sweep at length L, largest h first."""
+    """The validated shells of a non-empty h-sweep of distinct h at length L,
+    largest h first."""
     if len(h_list) == 0:
         raise ParameterError("h_list must be non-empty")
-    return [ShellGeometry(h=h, L=L) for h in sorted(h_list, reverse=True)]
+    shells = [ShellGeometry(h=h, L=L) for h in sorted(h_list, reverse=True)]
+    if len({geo.h for geo in shells}) < len(shells):
+        raise ParameterError(f"h values must be distinct, got h_list={list(h_list)}")
+    return shells
 
 
 # Largest admissible b on the trivial branch: b < 1 - 1/sqrt(3).

@@ -310,8 +310,12 @@ def test_bad_h_list(capsys, argv):
     ["korn", "--h-list", "1e-2", "--L", "inf"],
     ["ansatz", "--h-list", "1e-2", "--skew", "nan"],
     ["ansatz", "--h-list", "1e-2", "--skew", "inf"],
+    ["korn", "--h-list", "1e-2,1e-2,1e-2,1e-2"],
+    ["fixedbc", "--h-list", "1e-3,1e-4,1e-3"],
+    ["ansatz", "--h-list", "0.0016,0.0016"],
 ], ids=["ansatz-h", "fixedbc-h", "ansatz-L", "fixedbc-L", "korn-h", "components-h",
-        "ansatz-L-inf", "fixedbc-L-inf", "korn-L-inf", "ansatz-skew-nan", "ansatz-skew-inf"])
+        "ansatz-L-inf", "fixedbc-L-inf", "korn-L-inf", "ansatz-skew-nan", "ansatz-skew-inf",
+        "korn-h-repeated", "fixedbc-h-repeated", "ansatz-h-repeated"])
 def test_bad_sweep_geometry(capsys, monkeypatch, argv):
     # every h, L and skew is validated before the first solve: nothing is computed
     def computed(*args, **kwargs):
@@ -361,6 +365,9 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
     ["components", "--which", "thzzth", "--h-list", "1e-2,0.5", "--L", "1e12"],
     ["components", "--which", "urrzzr", "--h-list", "1e-2", "--L", "1e5"],
     ["korn", "--h-list", "1e-2", "--N", "513"],
+    ["korn", "--h-list", "1e-2", "--L", "1e-100"],
+    ["korn", "--h-list", "1e-2", "--L", "5e-77"],
+    ["korn", "--h-list", "1e-2", "--nmax", "1000000000"],
     ["koiter-modes", "--h", "1e-3", "--m", "1", "--export", "{tmp}/x.obj",
      "--ntheta", "200000", "--nz", "20000"],
 ], ids=["ansatz-L-tiny", "ansatz-L-huge", "ansatz-h-tiny", "koiter-modes-L-huge",
@@ -368,11 +375,12 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
         "rect-h-1e-300", "load-L-1e30", "load-L-1e300", "load-h-1e-300", "load-h-1e-30",
         "load-M-overflow", "load-mmax-cap", "korn-L-1e300", "korn-L-1e12",
         "components-L-1e300", "components-L-1e12", "urrzzr-L-1e5", "korn-N-513",
-        "export-mesh-4e9"])
+        "korn-L-1e-100", "korn-L-5e-77", "korn-nmax-1e9", "export-mesh-4e9"])
 def test_extreme_finite_parameters(tmp_path, capsys, argv):
     # finite but out of each formula's admitted range: exit 2 before any
     # large array is made, not a traceback (classical-load --h 1e-30 would
-    # ask for 25 PiB, the 4e9-vertex surface for 30 GiB)
+    # ask for 25 PiB, the 4e9-vertex surface for 30 GiB, the Korn model of
+    # --nmax 1e9 about 1.5 TB)
     code, out = run(capsys, *(a.format(tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""

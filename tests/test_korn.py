@@ -434,6 +434,29 @@ def test_scan_admitted_mhat_h_range(group, floor, monkeypatch):
             scan(ShellGeometry(h=h, L=L), m_max=3, n_max=3, N=8)
 
 
+@pytest.mark.parametrize("group", [None, "rthr"], ids=["korn", "rthr"])
+def test_scan_admitted_window(group, monkeypatch):
+    # a window of at most MAX_SCAN_MODES modes m_max (n_max + 1), and
+    # pi m_max / L at most 1e75, where the Korn model's m_hat^4 is finite;
+    # both are checked before any grid or model array is made
+    def scan(geo, **kw):
+        if group is None:
+            return korn.korn_constant(geo, **kw)
+        return korn.component_bound(geo, group, **kw)
+
+    geo = ShellGeometry(h=1e-2, L=math.pi)
+    assert korn._scan_caps(geo, 1, korn.MAX_SCAN_MODES - 1) == (1, korn.MAX_SCAN_MODES - 1)
+    L = math.pi * 3 / 1e75
+    assert scan(ShellGeometry(h=1e-2, L=L * (1 + 1e-12)), m_max=3, n_max=3, N=8).value > 0
+    monkeypatch.setattr(korn, "radial_grid", None)
+    monkeypatch.setattr(korn, "_korn_model", None)
+    with pytest.raises(ParameterError, match="modes exceeds 1000000"):
+        scan(geo, m_max=2, n_max=korn.MAX_SCAN_MODES // 2)
+    for L in (L * (1 - 1e-12), 5e-77, 1e-100):
+        with pytest.raises(ParameterError, match="pi m_max / L"):
+            scan(ShellGeometry(h=1e-2, L=L), m_max=3, n_max=3, N=8)
+
+
 def test_radial_grid_admits_at_most_512_nodes(geo_thick, monkeypatch):
     assert korn.radial_grid(geo_thick, N=korn.MAX_RADIAL_N).N == 512
     # rejected before any grid, the ladder's 8-node one included, is built
@@ -648,11 +671,13 @@ def test_korn_constant_neither_ladders_nor_walks(geo_thick, monkeypatch):
 def test_ththzz_scan_stops_at_the_known_bound():
     # ththzz <= 1 on every mode, and its scan stops at the first ladder mode
     # within 1e-12 of 1 on both grids: 16 solves on 8 nodes and one at N = 32,
-    # where the ladder and walk made 156 (h = 1e-2) and 426 (h = 1e-4)
+    # where the ladder and walk made 156 (h = 1e-2) and 426 (h = 1e-4); the
+    # stop passes the resolution guard, the two grids agreeing to 2e-12
     for h in (1e-2, 1e-4):
         res = korn.component_bound(ShellGeometry(h, math.pi), "ththzz")
         assert res.value == pytest.approx(1.0, rel=5e-12) and res.value <= 1.0 + 1e-9
         assert res.evaluations == 17 and not res.walked_at_N
+        assert res.resolution_gap <= 2e-12
 
 
 def test_scan_stops_at_a_known_extremum_on_both_grids():
