@@ -14,7 +14,8 @@ keep a uniform first-order nodal grid as an oracle for it.  A grid's mode
 operators are one affine table in (n, m_hat) that the grid builds once; a scan
 solves its modes as stacks of pencils, each solve with BLAS on one thread.
 The Korn scan gives the minimum over the whole mode window: every mode it
-does not solve is excluded by the closed-form lower bound of ``_korn_model``.
+does not solve is excluded by the lower bound of ``_korn_bound``, the
+closed-form ``_korn_model`` times a factor set by the mode's thinness.
 The component scans stay a local search, a ladder and a walk, until each
 group has an upper-bound model.  Both searches run under one resolution guard
 (``_guarded_scan``): on 8 radial nodes, with their mode solved once at the
@@ -299,16 +300,23 @@ _FORM_MHAT_H_MIN = {"component:urrzzr": 1e-5, "component:thzzth": 1e-5}
 # proven suprema of component groups: G_tt = e_tt and G_zz = e_zz enter
 # ||e||^2 with weight 1, so the ththzz quotient is at most 1
 _KNOWN_SUP = {"component:ththzz": 1.0}
-# lower-bound factor of the Korn screen: every mode's quotient is at least
-# _BOUND_FACTOR times its ``_korn_model``.  Exhaustive 8- and 32-node windows
-# over h in [1e-3, 0.99] and L in [0.01, 1000] gave a worst quotient/model
-# ratio of 0.188, and every ratio below 0.25 came from a thick or short shell:
-# (h, L) = (0.99, 0.3), (0.5, 0.3), (0.1, 0.1), (0.01, 0.01).  The factor
-# keeps 20% headroom below 0.188; it may rise only with a sharper model.
+# lower-bound factors of the Korn screen: every mode's quotient is at least
+# its factor times its ``_korn_model``, the factor depending on the mode's
+# thinness t = h sqrt(n^2 + m_hat^2), h times its wavenumber:
+# _THIN_BOUND_FACTOR where t <= _THIN_T, _BOUND_FACTOR elsewhere.  Exhaustive
+# 8-node windows over h in [1e-6, 0.99] and L in [0.01, 1000] gave a worst
+# quotient/model ratio of 0.667 where t <= 1/2 (n = 0 at h = 1e-3, L = 100,
+# m = 45; 0.946 at n >= 1), 0.894 where 1/2 < t <= 1, 0.673 where
+# 1 < t <= 2 and 0.188 where t > 2, every ratio below 0.25 from a thick or
+# short shell: (h, L) = (0.99, 0.3), (0.5, 0.3), (0.1, 0.1), (0.01, 0.01).
+# Each factor keeps 20-25% headroom below the worst ratio of its region; a
+# factor may rise only with a sharper model.
+_THIN_T = 0.5
+_THIN_BOUND_FACTOR = 0.5
 _BOUND_FACTOR = 0.15
-# values of m per block of the Korn model, so no array spans the window
+# window modes per block of the Korn bound, so no array spans the window
 # (90,300 modes at h = 1e-4)
-_MODEL_ROWS = 32
+_BOUND_BLOCK = 10_000
 
 
 def _geometric_ladder(hi):
@@ -333,7 +341,8 @@ class ScanResult:
     A screened scan (``korn_constant``) also reports ``screened_out``, the
     window's modes its final screen excluded by the bound without a solve,
     and ``bound_ratio``, the least quotient/model ratio over every mode it
-    solved; both are None for a walked scan (``component_bound``).
+    solved, on either grid; both are None for a walked scan
+    (``component_bound``).
     """
 
     value: float
@@ -347,7 +356,7 @@ class ScanResult:
     bound_ratio: float | None = None
 
 
-def _guarded_scan(quotients, N, m_max, n_max, search, model=None):
+def _guarded_scan(quotients, N, m_max, n_max, search, bound=None):
     """A search on min(N, _LADDER_N) radial nodes, its mode solved once at N behind a guard.
 
     ``search(n_r, solve, stack)`` returns the mode it picks on n_r nodes, by
@@ -356,8 +365,9 @@ def _guarded_scan(quotients, N, m_max, n_max, search, model=None):
     serves their ``quotients(n_r, modes)`` from one cache keyed by
     (n_r, m, n), solving new ones ``stack`` at a time: _STACK on the coarse
     grid, one at N, where a solve is LAPACK time (a stack of 25 at N = 32 was
-    at most 1.2x faster for 10 MB more).  A solved mode below _BOUND_FACTOR
-    times its ``model`` is a failed bound and a ``SolverError``.  The coarse
+    at most 1.2x faster for 10 MB more).  ``bound(m, n)`` gives the lower
+    bounds of the quotients and the models they scale, broadcast; a solved
+    mode below its bound is a failed bound and a ``SolverError``.  The coarse
     answer stands when the grids agree at its mode to _GAP_TOL and its
     competitor falls short by more than _MARGIN_TOL, both relative; otherwise
     (thick or short shells, where 8 nodes do not resolve the profile) the
@@ -373,13 +383,16 @@ def _guarded_scan(quotients, N, m_max, n_max, search, model=None):
         for i in range(0, len(todo), stacks[n_r]):
             chunk = todo[i:i + stacks[n_r]]
             values = quotients(n_r, chunk)
-            if model is not None:
-                ratios = np.array(values) / model(*np.array(chunk).T)
-                k = int(np.argmin(ratios))
-                if ratios[k] < _BOUND_FACTOR:
+            if bound is not None:
+                q = np.array(values)
+                low, model = bound(*np.array(chunk).T)
+                bad = np.flatnonzero(q < low)
+                if bad.size:
+                    k = bad[0]
                     raise SolverError(f"Korn model bound fails at mode {chunk[k]} on {n_r} "
-                                      f"nodes: quotient/model = {ratios[k]:.3g} < {_BOUND_FACTOR}")
-                worst = min(worst, float(ratios[k]))
+                                      f"nodes: quotient/model = {q[k] / model[k]:.3g} < "
+                                      f"{low[k] / model[k]:.3g}")
+                worst = min(worst, float((q / model).min()))
             cache.update(zip([(n_r, *mn) for mn in chunk], values))
         return [cache[(n_r, *mn)] for mn in modes]
 
@@ -395,7 +408,7 @@ def _guarded_scan(quotients, N, m_max, n_max, search, model=None):
     return ScanResult(value=solve(N, [best])[0], m=m0, n=n0,
                       on_boundary=m0 == m_max or n0 == n_max, evaluations=len(cache),
                       resolution_gap=gap, walked_at_N=rerun, screened_out=screened_out,
-                      bound_ratio=None if model is None else worst)
+                      bound_ratio=None if bound is None else worst)
 
 
 def _scan_extremize(quotients, N, m_max, n_max, maximize, known=None):
@@ -470,38 +483,51 @@ def _korn_model(geometry, m, n):
     return np.where(n == 1, np.minimum(model, m_hat2 / (4.0 + m_hat2)), model)
 
 
-def _screened_minimize(quotients, model, N, m_max, n_max):
-    """Minimum over the whole mode window by a model-screened search, under
-    ``_guarded_scan``, whose gate is the bound _BOUND_FACTOR * ``model``.
+def _korn_bound(geometry, m, n):
+    """(bound, model) of the Korn quotient of the modes (m, n), broadcast.
 
-    ``model(m, n)`` models the quotient, broadcast, and is built _MODEL_ROWS
-    values of m at a time.  The screen solves the model's argmin, then, a
-    stack at a time and in increasing order of the model, the modes whose
-    bound is at most best * (1 + _MARGIN_TOL), lowering ``best`` as it goes,
-    and stops at the first mode whose bound exceeds that.  Every unsolved mode
-    then exceeds the minimum by more than _MARGIN_TOL relative, and the
-    runner-up among the solved modes is the nearest competitor.  Ties go to
-    the smallest (m, n).
+    The model is ``_korn_model``, and the bound is _THIN_BOUND_FACTOR times it
+    where the mode's thinness h sqrt(n^2 + m_hat^2) is at most _THIN_T,
+    _BOUND_FACTOR times it elsewhere.
     """
-    def model_blocks():
-        n = np.arange(n_max + 1)
-        for m0 in range(1, m_max + 1, _MODEL_ROWS):
-            m = np.arange(m0, min(m0 + _MODEL_ROWS, m_max + 1))
-            yield m, n, model(m[:, None], n)
+    model = _korn_model(geometry, m, n)
+    thin = geometry.h * np.sqrt(n**2 + geometry.axial_wavenumber(m) ** 2) <= _THIN_T
+    return np.where(thin, _THIN_BOUND_FACTOR, _BOUND_FACTOR) * model, model
+
+
+def _screened_minimize(quotients, bound, N, m_max, n_max):
+    """Minimum over the whole mode window by a bound-screened search, under
+    ``_guarded_scan``, whose gate is the same ``bound``.
+
+    ``bound(m, n)`` gives each mode's lower bound of the quotient and the
+    model it scales, broadcast, and is built _BOUND_BLOCK modes at a time.
+    The screen solves the model's argmin, then, a stack at a time and in
+    increasing order of the bound, the modes whose bound is at most
+    best * (1 + _MARGIN_TOL), lowering ``best`` as it goes, and stops at the
+    first mode whose bound exceeds that.  Every unsolved mode then exceeds
+    the minimum by more than _MARGIN_TOL relative, and the runner-up among
+    the solved modes is the nearest competitor.  Ties go to the smallest
+    (m, n).
+    """
+    def bound_blocks():
+        size = m_max * (n_max + 1)
+        for start in range(0, size, _BOUND_BLOCK):
+            m, n = np.divmod(np.arange(start, min(start + _BOUND_BLOCK, size)), n_max + 1)
+            m += 1
+            yield (m, n, *bound(m, n))
 
     def screen(n_r, solve, stack):
         seed, seed_model = None, math.inf
-        for m, n, k in model_blocks():
-            i, j = np.unravel_index(np.argmin(k), k.shape)
-            if k[i, j] < seed_model:
-                seed, seed_model = (int(m[i]), int(n[j])), k[i, j]
+        for m, n, _, model in bound_blocks():
+            i = np.argmin(model)
+            if model[i] < seed_model:
+                seed, seed_model = (int(m[i]), int(n[i])), model[i]
         values = {seed: solve(n_r, [seed])[0]}
         cut = values[seed] * (1.0 + _MARGIN_TOL)
-        order = sorted((k[i, j], int(m[i]), int(n[j])) for m, n, k in model_blocks()
-                       for i, j in zip(*np.nonzero(_BOUND_FACTOR * k <= cut)))
+        order = sorted((low[i], int(m[i]), int(n[i])) for m, n, low, _ in bound_blocks()
+                       for i in np.flatnonzero(low <= cut))
         for pos in range(0, len(order), stack):
-            chunk = [(mm, nn) for k, mm, nn in order[pos:pos + stack]
-                     if _BOUND_FACTOR * k <= cut]
+            chunk = [(mm, nn) for low, mm, nn in order[pos:pos + stack] if low <= cut]
             if not chunk:
                 break
             values.update(zip(chunk, solve(n_r, chunk)))
@@ -510,14 +536,14 @@ def _screened_minimize(quotients, model, N, m_max, n_max):
         shortfall = (values[ranked[1]] - values[ranked[0]]) if len(ranked) > 1 else math.inf
         return ranked[0], shortfall, m_max * (n_max + 1) - len(values)
 
-    return _guarded_scan(quotients, N, m_max, n_max, screen, model)
+    return _guarded_scan(quotients, N, m_max, n_max, screen, bound)
 
 
 # most modes m_max (n_max + 1) a scan window admits (the default caps reach
-# 512 x 513).  At h = 1e-2, N = 8 the Korn screen's model blocks peak at
-# 54 MiB (tracemalloc) for m_max = 1, n_max = 999,999, and m_max = 1,000,000,
-# n_max = 0 takes 2.9 s.  On a thick short shell (h = 0.5, L = 0.1) the screen
-# solves every mode: 99,856 in 42 s for a 41 MiB peak, growing linearly.
+# 512 x 513).  At h = 1e-2, N = 8 a Korn scan of m_max = 1,000,000, n_max = 0
+# takes 0.07 s (1.4 MiB tracemalloc peak), as does the transposed window.  On
+# a thick short shell (h = 0.5, L = 0.1) the screen solves every mode: 99,856
+# in 42 s for a 41 MiB peak, growing linearly.
 MAX_SCAN_MODES = 1_000_000
 
 
@@ -569,15 +595,15 @@ def korn_constant(geometry, m_max=None, n_max=None, N=32):
     """K(V_h) = min over modes of ||e||^2 / ||grad u||^2, with argmin.
 
     Returns a ScanResult: the minimum over the window 1 <= m <= m_max,
-    0 <= n <= n_max; every unsolved mode is excluded by the bound
-    _BOUND_FACTOR * ``_korn_model``, and a solved mode below it is a
+    0 <= n <= n_max; every unsolved mode is excluded by its bound
+    ``_korn_bound``, and a solved mode below its bound is a
     ``SolverError``.  The screen of ``_screened_minimize`` runs on _LADDER_N
     radial nodes behind the resolution guard of ``_guarded_scan``, or else on
     N, and the value is a solve on N; ``on_boundary`` warns that the scan
     caps were probably too small.
     """
     quotients, m_max, n_max = _scan_quotient(geometry, "strain", "grad", 0, m_max, n_max, N)
-    return _screened_minimize(quotients, functools.partial(_korn_model, geometry), N,
+    return _screened_minimize(quotients, functools.partial(_korn_bound, geometry), N,
                               m_max, n_max)
 
 

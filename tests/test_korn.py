@@ -525,8 +525,8 @@ def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
 
     m_max, n_max = korn._scan_caps(geo_thick, None, None)
     if kind == "korn":
-        model = functools.partial(korn._korn_model, geo_thick)
-        assert res == korn._screened_minimize(quotients, model, N, m_max, n_max)
+        bound = functools.partial(korn._korn_bound, geo_thick)
+        assert res == korn._screened_minimize(quotients, bound, N, m_max, n_max)
     else:
         assert res == korn._scan_extremize(quotients, N, m_max, n_max, True,
                                            korn._KNOWN_SUP.get(forms[0]))
@@ -600,65 +600,115 @@ def test_scan_memory():
     assert peak <= 2 * 2**20
 
 
-# (h, L) grid of the Korn model's bound check: h >= 1e-2 up to thick shells,
-# from short to long
+# (h, L) grid of the Korn bound check: h >= 1e-2 up to thick shells, from
+# short to long
 BOUND_GRID = [(h, L) for h in (1e-2, 0.1, 0.5, 0.99)
               for L in (0.01, 0.1, 0.3, math.pi, 100.0, 1000.0)]
+# (h, L, N, keep) of the bound check: the exhaustive 8-node windows of
+# BOUND_GRID, and the window modes for which keep(n, t) holds, t the thinness
+BOUND_CASES = [(h, L, 8, None) for h, L in BOUND_GRID] + [
+    # the thin regime's least quotient/model, 0.667 at (45, 0)
+    (1e-3, 100.0, 8, lambda n, t: n == 0),
+    # around t = 1/2, where the factor changes, on a window reaching t = 1;
+    # its least thin quotient/model is 0.972, at (47, 88) and t = 0.49999
+    (1e-3, 0.3, 8, lambda n, t: abs(t - 0.5) <= 0.05),
+    # the grid of the rerun at N of a shell whose scan reruns there
+    (0.1, math.pi, 32, None),
+]
 
 
 def test_korn_model_bounds_every_mode():
-    # every mode of the exhaustive 8-node windows, solved in stacks, has a
-    # quotient of at least _BOUND_FACTOR times its model: the screen's bound
+    # every mode checked, solved in stacks, has a quotient of at least its
+    # ``_korn_bound``, the factor of its thinness times its model: the
+    # screen's bound
     worst = (math.inf, None)
-    for h, L in BOUND_GRID:
+    for h, L, N, keep in BOUND_CASES:
         geo = ShellGeometry(h, L)
         quotients, m_max, n_max = korn._scan_quotient(geo, "strain", "grad", 0,
-                                                       None, None, 8)
-        modes = [(m, n) for m in range(1, m_max + 1) for n in range(n_max + 1)]
-        values = [v for i in range(0, len(modes), 64) for v in quotients(8, modes[i:i + 64])]
-        ratios = np.array(values) / korn._korn_model(geo, *np.array(modes).T)
+                                                       None, None, N)
+        m, n = np.divmod(np.arange(m_max * (n_max + 1)), n_max + 1)
+        m += 1
+        if keep is not None:
+            kept = keep(n, h * np.hypot(n, geo.axial_wavenumber(m)))
+            m, n = m[kept], n[kept]
+        modes = list(zip(m.tolist(), n.tolist()))
+        values = [v for i in range(0, len(modes), 64) for v in quotients(N, modes[i:i + 64])]
+        ratios = np.array(values) / korn._korn_bound(geo, m, n)[0]
         k = int(np.argmin(ratios))
-        worst = min(worst, (float(ratios[k]), (h, L, modes[k])))
-    assert worst[0] >= korn._BOUND_FACTOR, worst
+        worst = min(worst, (float(ratios[k]), (h, L, N, modes[k])))
+    assert worst[0] >= 1.0, worst
 
 
 def test_screen_rejects_a_mode_below_its_bound():
     # quotients equal to the model but a tenth of it at (1, 6), a mode the
-    # screen solves: a failed bound, not an answer
+    # screen solves: a failed bound, not an answer; so is 0.3 of it, above
+    # 0.15 but below the factor 1/2 of this thin mode
     geo = ShellGeometry(h=1e-2, L=math.pi)
     model = functools.partial(korn._korn_model, geo)
+    for scale in (0.1, 0.3):
+        def quotients(n_r, modes):
+            return [float(model(m, n)) * (scale if (m, n) == (1, 6) else 1.0)
+                    for m, n in modes]
 
-    def quotients(n_r, modes):
-        return [float(model(m, n)) * (0.1 if (m, n) == (1, 6) else 1.0) for m, n in modes]
-
-    with pytest.raises(SolverError, match=r"bound fails at mode \(1, 6\) on 8 nodes"):
-        korn._screened_minimize(quotients, model, 16, 30, 30)
+        with pytest.raises(SolverError, match=r"bound fails at mode \(1, 6\) on 8 nodes: "
+                                              r"quotient/model = %g < 0.5" % scale):
+            korn._screened_minimize(quotients, functools.partial(korn._korn_bound, geo),
+                                    16, 30, 30)
 
 
 def test_screen_finds_an_isolated_minimum():
-    # quotients equal to the model but for a dip at (1, 10), within the bound
-    # and outside the 5x5 neighbourhood of the model's argmin (1, 5), where a
+    # quotients equal to the model but for a dip at (1, 7), within the bound
+    # and outside the 5x5 neighbourhood of the model's argmin (1, 3), where a
     # walk stops: the screen solves the dip and returns it, on both grids
-    geo = ShellGeometry(h=1e-2, L=math.pi)
+    geo = ShellGeometry(h=0.1, L=math.pi)
     model = functools.partial(korn._korn_model, geo)
-    dip = 0.5 * float(model(1, 5))
-    assert korn._BOUND_FACTOR * float(model(1, 10)) < dip
+    bound = functools.partial(korn._korn_bound, geo)
+    res = korn._screened_minimize(lambda n_r, modes: [float(model(*mn)) for mn in modes],
+                                  bound, 16, 30, 30)
+    assert (res.m, res.n) == (1, 3)
+    dip = 0.9 * float(model(1, 3))
+    assert float(bound(1, 7)[0]) < dip
 
     def quotients(n_r, modes):
-        return [dip if (m, n) == (1, 10) else float(model(m, n)) for m, n in modes]
+        return [dip if (m, n) == (1, 7) else float(model(m, n)) for m, n in modes]
 
-    res = korn._screened_minimize(quotients, model, 16, 30, 30)
-    assert (res.m, res.n, res.value) == (1, 10, dip)
+    res = korn._screened_minimize(quotients, bound, 16, 30, 30)
+    assert (res.m, res.n, res.value) == (1, 7, dip)
     assert not res.walked_at_N and res.resolution_gap == 0.0
 
 
+def test_screen_orders_the_window_by_the_bound():
+    # the mode (40, 0) has the window's largest model but one of its least
+    # bounds, as a thick mode can among thin ones: in the order of the bound
+    # the screen solves it in its second stack, after (2, 0) has lowered the
+    # cut to 5, and the bound 6 of the modes 17 to 32 then ends the screen;
+    # in the order of the model those would end it before (40, 0)
+    def bound(m, n):
+        return np.select([m == 1, m <= 16, m <= 32, m == 40], [0.1, 1.0, 6.0, 4.0], 100.0), m * 1.0
+
+    def quotients(n_r, modes):
+        return [{1: 10.0, 2: 5.0, 40: 4.5}.get(m, 200.0) for m, n in modes]
+
+    res = korn._screened_minimize(quotients, bound, 16, 40, 0)
+    assert (res.m, res.n, res.value) == (40, 0, 4.5)
+    assert res.evaluations == korn._STACK + 2 and res.screened_out == 40 - 17
+
+
 def test_korn_scan_solve_count():
-    # at h = 1e-4 the screen solves 147 of the window's 90,300 modes on 8
-    # nodes and its argmin once at N = 32 (the ladder and walk made 399)
-    res = korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))
-    assert res.evaluations <= 160
-    assert res.screened_out == 300 * 301 - (res.evaluations - 1)
-    assert korn._BOUND_FACTOR <= res.bound_ratio <= 1.0
+    # the screen solves 15 of the window's 90,300 modes on 8 nodes at
+    # h = 1e-4 and 79 of 262,656 at h = 1e-7, and its argmin once at N = 32
+    # (with the factor 0.15 on every mode it solved 147 and 824; the ladder
+    # and walk made 399 and 496); every mode it solves is thin, so the least
+    # quotient/model is at least the thin factor, and at most that of the
+    # argmin at N
+    for h, most in ((1e-4, 20), (1e-7, 100)):
+        geo = ShellGeometry(h=h, L=math.pi)
+        res = korn.korn_constant(geo)
+        assert res.evaluations <= most
+        m_max, n_max = korn._scan_caps(geo, None, None)
+        assert res.screened_out == m_max * (n_max + 1) - (res.evaluations - 1)
+        at_argmin = res.value / float(korn._korn_model(geo, res.m, res.n))
+        assert korn._THIN_BOUND_FACTOR <= res.bound_ratio <= at_argmin
 
 
 def test_korn_constant_neither_ladders_nor_walks(geo_thick, monkeypatch):
