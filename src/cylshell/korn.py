@@ -13,14 +13,14 @@ collocation (spectral differentiation + Clenshaw-Curtis weights).  The tests
 keep a uniform first-order nodal grid as an oracle for it.  A grid's mode
 operators are one affine table in (n, m_hat) that the grid builds once; a scan
 solves its modes as stacks of pencils, each solve with BLAS on one thread.
-The Korn scan gives the minimum over the whole mode window: every mode it
-does not solve is excluded by the lower bound of ``_korn_bound``, the
-closed-form ``_korn_model`` times a factor set by the mode's thinness.
-The component scans stay a local search, a ladder and a walk, until each
-group has an upper-bound model.  Both searches run under one resolution guard
-(``_guarded_scan``): on 8 radial nodes, with their mode solved once at the
-requested N, and again at N when the two grids disagree there or a competitor
-comes too close.
+Every scan gives the extremum over the whole mode window: each mode it does
+not solve is excluded by a closed-form bound, for the Korn scan the lower
+bound of ``_korn_bound``, the model ``_korn_model`` times a factor set by the
+mode's thinness, and for the component scans the upper bounds of
+``_component_bound`` that follow from it.  One function, ``_guarded_scan``,
+runs the screen and its resolution guard: on 8 radial nodes, with its mode
+solved once at the requested N, and again at N when the two grids disagree
+there or a competitor comes too close.
 
 The modes are m >= 1 (``ShellGeometry.axial_wavenumber``) and n >= 0.  At m = 0
 only u_z = f_z(r) cos(n theta) is left, whose gradient is zr and zt alone: its
@@ -279,15 +279,19 @@ def max_rayleigh(pair):
 
 # radial nodes of the coarse scans; at the acceptance sweeps h the coarse
 # scans end on the mode of the scans at N = 32, within 7.5e-8 of its value
-_LADDER_N = 8
+_COARSE_N = 8
 # coarse-grid modes per stacked solve; the tracemalloc peak of korn_constant
 # at h = 1e-4 is 1.2 MiB with 16 and 1.7 MiB with 32
 _STACK = 16
-# resolution guard of the coarse scans: the most the N and _LADDER_N
+# resolution guard of the coarse scans: the most the N and _COARSE_N
 # quotients of the scan's mode may differ, and the least its nearest
 # competitor must fall short by, both relative to the mode's quotient
 _GAP_TOL = 1e-6
 _MARGIN_TOL = 1e-5
+# relative slack of the screen's bounds: a solved mode may pass its bound by
+# this much (ththzz reaches its bound 1 as 1 + O(1e-16)), and a value this
+# close to the window's extreme bound ends the screen
+_BOUND_SLACK = 1e-12
 # least m_hat h = pi h / L of the mode m = 1 a scan admits: at 1e-10 the Korn
 # and rthr values on N and 2N nodes (N = 8, 16, 32; h = 0.5, 1e-2, 1e-4) agree
 # to 2.2e-7 relative, at 3e-11 only to 3.6e-6, and near 3e-14 the denominator
@@ -297,37 +301,26 @@ _MHAT_H_MIN = 1e-10
 # and 64 nodes agree to 1.5e-7 relative (h = 0.5, 1e-2, 1e-4; 4.7e-7 at
 # h = 0.9), at 1e-6 only to 1.2e-3 (h = 0.5) and 7e-7 (h = 1e-2)
 _FORM_MHAT_H_MIN = {"component:urrzzr": 1e-5, "component:thzzth": 1e-5}
-# proven suprema of component groups: G_tt = e_tt and G_zz = e_zz enter
-# ||e||^2 with weight 1, so the ththzz quotient is at most 1
-_KNOWN_SUP = {"component:ththzz": 1.0}
 # lower-bound factors of the Korn screen: every mode's quotient is at least
 # its factor times its ``_korn_model``, the factor depending on the mode's
 # thinness t = h sqrt(n^2 + m_hat^2), h times its wavenumber:
-# _THIN_BOUND_FACTOR where t <= _THIN_T, _BOUND_FACTOR elsewhere.  Exhaustive
-# 8-node windows over h in [1e-6, 0.99] and L in [0.01, 1000] gave a worst
-# quotient/model ratio of 0.667 where t <= 1/2 (n = 0 at h = 1e-3, L = 100,
-# m = 45; 0.946 at n >= 1), 0.894 where 1/2 < t <= 1, 0.673 where
-# 1 < t <= 2 and 0.188 where t > 2, every ratio below 0.25 from a thick or
-# short shell: (h, L) = (0.99, 0.3), (0.5, 0.3), (0.1, 0.1), (0.01, 0.01).
-# Each factor keeps 20-25% headroom below the worst ratio of its region; a
-# factor may rise only with a sharper model.
+# _THIN_BOUND_FACTOR where t <= _THIN_T and n >= 1, _THIN_N0_BOUND_FACTOR
+# where t <= _THIN_T and n = 0, _BOUND_FACTOR elsewhere.  Exhaustive 8-node
+# windows over h in [1e-6, 0.99] and L in [0.01, 1000] gave a worst
+# quotient/model ratio of 0.946 where t <= 1/2 and n >= 1 (n = 1; 0.967 at
+# n >= 2), 0.667 where t <= 1/2 and n = 0 (h = 1e-3, L = 100, m = 45), 0.894
+# where 1/2 < t <= 1, 0.673 where 1 < t <= 2 and 0.188 where t > 2, every
+# ratio below 0.25 from a thick or short shell: (h, L) = (0.99, 0.3),
+# (0.5, 0.3), (0.1, 0.1), (0.01, 0.01).  Each factor keeps 20-25% headroom
+# below the worst ratio of its region; a factor may rise only with a sharper
+# model.
 _THIN_T = 0.5
-_THIN_BOUND_FACTOR = 0.5
+_THIN_BOUND_FACTOR = 0.75
+_THIN_N0_BOUND_FACTOR = 0.5
 _BOUND_FACTOR = 0.15
-# window modes per block of the Korn bound, so no array spans the window
+# window modes per block of the screen's bound, so no array spans the window
 # (90,300 modes at h = 1e-4)
 _BOUND_BLOCK = 10_000
-
-
-def _geometric_ladder(hi):
-    """Integers from 1 to hi in steps of about 1.35x (empty when hi < 1)."""
-    vals = []
-    x = 1.0
-    while x <= hi:
-        vals.append(int(round(x)))
-        x = max(x * 1.35, x + 1.0)
-    vals.append(int(hi))
-    return sorted(set(v for v in vals if 1 <= v <= hi))
 
 
 @dataclass(frozen=True)
@@ -336,13 +329,12 @@ class ScanResult:
 
     ``evaluations`` counts the per-mode solves of ``_guarded_scan`` on either
     grid.  ``resolution_gap`` is |K_N - K_coarse| / |K_N| at the coarse
-    search's mode (None when N <= _LADDER_N, where the grids are one), and
-    ``walked_at_N`` says that the guard failed and the search ran again at N.
-    A screened scan (``korn_constant``) also reports ``screened_out``, the
-    window's modes its final screen excluded by the bound without a solve,
-    and ``bound_ratio``, the least quotient/model ratio over every mode it
-    solved, on either grid; both are None for a walked scan
-    (``component_bound``).
+    screen's mode (None when N <= _COARSE_N, where the grids are one), and
+    ``walked_at_N`` says that the guard failed and the screen ran again at N.
+    ``screened_out`` counts the window's modes the final screen excluded by
+    the bound without a solve, and ``bound_ratio`` is the extreme
+    quotient/model ratio over every mode the scan solved, on either grid: the
+    least for ``korn_constant``, the greatest for ``component_bound``.
     """
 
     value: float
@@ -352,30 +344,41 @@ class ScanResult:
     on_boundary: bool
     resolution_gap: float | None
     walked_at_N: bool
-    screened_out: int | None = None
-    bound_ratio: float | None = None
+    screened_out: int
+    bound_ratio: float
 
 
-def _guarded_scan(quotients, N, m_max, n_max, search, bound=None):
-    """A search on min(N, _LADDER_N) radial nodes, its mode solved once at N behind a guard.
+def _guarded_scan(quotients, bound, sign, N, m_max, n_max):
+    """Extremum over the whole mode window by a bound-screened search on
+    min(N, _COARSE_N) radial nodes, its mode solved once at N behind a guard.
 
-    ``search(n_r, solve, stack)`` returns the mode it picks on n_r nodes, by
-    how much the nearest competitor falls short of it, and the window's modes
-    it excluded unsolved (None for a local search).  ``solve(n_r, modes)``
-    serves their ``quotients(n_r, modes)`` from one cache keyed by
-    (n_r, m, n), solving new ones ``stack`` at a time: _STACK on the coarse
-    grid, one at N, where a solve is LAPACK time (a stack of 25 at N = 32 was
-    at most 1.2x faster for 10 MB more).  ``bound(m, n)`` gives the lower
-    bounds of the quotients and the models they scale, broadcast; a solved
-    mode below its bound is a failed bound and a ``SolverError``.  The coarse
-    answer stands when the grids agree at its mode to _GAP_TOL and its
-    competitor falls short by more than _MARGIN_TOL, both relative; otherwise
-    (thick or short shells, where 8 nodes do not resolve the profile) the
-    search runs again at N.
+    The screen minimizes the key sign * quotient: ``sign`` is +1 for the
+    minimum, -1 for the maximum.  ``bound(m, n)`` gives each mode's bound of
+    the quotient, lower for a minimum and upper for a maximum, and the model
+    it scales, broadcast, built _BOUND_BLOCK modes at a time.  The screen
+    solves the model's extreme mode, then, a stack at a time and in the
+    order of the bound's key, the modes whose bound's key is within
+    _MARGIN_TOL relative of the best key so far, and stops at the first
+    mode whose is not: every unsolved mode falls short of the extremum by
+    more than _MARGIN_TOL relative, and the runner-up is the nearest
+    competitor.  Once the best value reaches the window's extreme bound to
+    _BOUND_SLACK relative no mode can beat it, and the screen stops with no
+    competitor.  Ties go to the smallest (m, n).
+
+    ``quotients(n_r, modes)`` are served from one cache keyed by
+    (n_r, m, n), new ones solved _STACK at a time on the coarse grid and one
+    at a time at N, where a solve is LAPACK time (a stack of 25 at N = 32 was
+    at most 1.2x faster for 10 MB more).  A solved mode past its bound by
+    more than _BOUND_SLACK relative is a failed bound and a ``SolverError``.
+    The coarse answer stands when the grids agree at its mode to _GAP_TOL
+    and its competitor falls short by more than _MARGIN_TOL, both relative;
+    otherwise (thick or short shells, where 8 nodes do not resolve the
+    profile) the screen runs again at N.
     """
     cache, worst = {}, math.inf
-    ladder_N = min(N, _LADDER_N)
-    stacks = {N: 1, ladder_N: _STACK}     # the coarse grid's when the two are one
+    coarse_N = min(N, _COARSE_N)
+    stacks = {N: 1, coarse_N: _STACK}     # the coarse grid's when the two are one
+    size = m_max * (n_max + 1)
 
     def solve(n_r, modes):
         nonlocal worst
@@ -383,86 +386,67 @@ def _guarded_scan(quotients, N, m_max, n_max, search, bound=None):
         for i in range(0, len(todo), stacks[n_r]):
             chunk = todo[i:i + stacks[n_r]]
             values = quotients(n_r, chunk)
-            if bound is not None:
-                q = np.array(values)
-                low, model = bound(*np.array(chunk).T)
-                bad = np.flatnonzero(q < low)
-                if bad.size:
-                    k = bad[0]
-                    raise SolverError(f"Korn model bound fails at mode {chunk[k]} on {n_r} "
-                                      f"nodes: quotient/model = {q[k] / model[k]:.3g} < "
-                                      f"{low[k] / model[k]:.3g}")
-                worst = min(worst, float((q / model).min()))
+            q = np.array(values)
+            limit, model = bound(*np.array(chunk).T)
+            bad = np.flatnonzero(sign * (limit - q) > _BOUND_SLACK * limit)
+            if bad.size:
+                k = bad[0]
+                raise SolverError(f"model bound fails at mode {chunk[k]} on {n_r} nodes: "
+                                  f"quotient/model = {q[k] / model[k]:.12g} "
+                                  f"{'<' if sign > 0 else '>'} {limit[k] / model[k]:.12g}")
+            worst = min(worst, float((sign * q / model).min()))
             cache.update(zip([(n_r, *mn) for mn in chunk], values))
         return [cache[(n_r, *mn)] for mn in modes]
 
-    best, shortfall, screened_out = search(ladder_N, solve, stacks[ladder_N])
+    def bound_blocks():
+        for start in range(0, size, _BOUND_BLOCK):
+            m, n = np.divmod(np.arange(start, min(start + _BOUND_BLOCK, size)), n_max + 1)
+            m += 1
+            yield (m, n, *bound(m, n))
+
+    def screen(n_r):
+        """(mode, competitor's shortfall, modes left unsolved) on n_r nodes."""
+        seed, seed_key, floor = None, math.inf, math.inf
+        for m, n, limit, model in bound_blocks():
+            i = np.argmin(sign * model)
+            if sign * model[i] < seed_key:
+                seed, seed_key = (int(m[i]), int(n[i])), sign * model[i]
+            floor = min(floor, float((sign * limit).min()))
+        keys = {seed: sign * solve(n_r, [seed])[0]}
+
+        def cut():         # -inf once the best key reaches the floor of the bound
+            best = min(keys.values())
+            reached = best - floor <= _BOUND_SLACK * abs(floor)
+            return -math.inf if reached else best + _MARGIN_TOL * abs(best)
+
+        order = np.concatenate([np.column_stack([sign * limit, m, n])[sign * limit <= cut()]
+                                for m, n, limit, _ in bound_blocks()])
+        order = order[np.lexsort(order.T[::-1])]        # rows (key, m, n), sorted
+        for pos in range(0, len(order), stacks[n_r]):
+            top = cut()
+            chunk = [(int(mm), int(nn)) for key, mm, nn in order[pos:pos + stacks[n_r]]
+                     if key <= top]
+            if not chunk:
+                break
+            keys.update(zip(chunk, (sign * value for value in solve(n_r, chunk))))
+        ranked = sorted(keys, key=lambda mn: (keys[mn], mn))
+        shortfall = (keys[ranked[1]] - keys[ranked[0]]
+                     if len(ranked) > 1 and cut() > -math.inf else math.inf)
+        return ranked[0], shortfall, size - len(keys)
+
+    best, shortfall, screened_out = screen(coarse_N)
     gap, rerun = None, False
-    if N > ladder_N:
-        fine, coarse = solve(N, [best])[0], cache[(ladder_N, *best)]
+    if N > coarse_N:
+        fine, coarse = solve(N, [best])[0], cache[(coarse_N, *best)]
         gap = abs(fine - coarse) / abs(fine)
         if not (gap <= _GAP_TOL and shortfall > _MARGIN_TOL * abs(coarse)):
-            best, _, screened_out = search(N, solve, stacks[N])
+            best, _, screened_out = screen(N)
             rerun = True
     m0, n0 = best
     return ScanResult(value=solve(N, [best])[0], m=m0, n=n0,
                       on_boundary=m0 == m_max or n0 == n_max, evaluations=len(cache),
                       resolution_gap=gap, walked_at_N=rerun, screened_out=screened_out,
-                      bound_ratio=None if bound is None else worst)
-
-
-def _scan_extremize(quotients, N, m_max, n_max, maximize, known=None):
-    """Extremum by a geometric ladder and a local walk from its pick, under
-    ``_guarded_scan``, which reruns the walk at N from the same pick.
-
-    Each walk step solves the 5x5 neighbourhood of the current mode and moves
-    to its best mode only when that beats the current value by more than
-    1e-12 relative; otherwise it stops, so it does not wander across modes
-    that tie to rounding, and its best neighbour is the competitor.  With a
-    proven extremum ``known`` the ladder stops instead at its first mode
-    within 1e-12 relative of it on both grids, which has no competitor, and
-    walks only when no ladder mode is.
-    """
-    sign = -1.0 if maximize else 1.0
-    candidates = [(m, n) for m in _geometric_ladder(m_max)
-                  for n in _geometric_ladder(n_max) + [0]]
-    start = None
-
-    def reaches(value):
-        return sign * (value - known) <= 1e-12 * abs(known)
-
-    def walk(n_r, best, solve):
-        """Where the walk on n_r nodes stops, and by how much its best
-        neighbour falls short (-inf when it does not stop)."""
-        for _ in range(200):
-            neigh = [(m, n) for m in range(best[0] - 2, best[0] + 3)
-                     for n in range(best[1] - 2, best[1] + 3)
-                     if 1 <= m <= m_max and 0 <= n <= n_max]
-            values = dict(zip(neigh, solve(n_r, neigh)))
-            current = values[best]
-            new_best = min(neigh, key=lambda mn: sign * values[mn])
-            if sign * (values[new_best] - current) >= -1e-12 * abs(current):
-                return best, min((sign * (v - current) for mn, v in values.items()
-                                  if mn != best), default=math.inf), None
-            best = new_best
-        return best, -math.inf, None
-
-    def search(n_r, solve, stack):
-        nonlocal start
-        if start is not None:              # the search again at N
-            return walk(n_r, start, solve)
-        if known is not None:
-            for i in range(0, len(candidates), stack):
-                chunk = candidates[i:i + stack]
-                for mn, value in zip(chunk, solve(n_r, chunk)):
-                    if reaches(value) and reaches(solve(N, [mn])[0]):
-                        start = mn
-                        return mn, math.inf, None
-        ladder = dict(zip(candidates, solve(n_r, candidates)))
-        start = min(candidates, key=lambda mn: sign * ladder[mn])
-        return walk(n_r, start, solve)
-
-    return _guarded_scan(quotients, N, m_max, n_max, search)
+                      bound_ratio=sign * worst)
 
 
 def _korn_model(geometry, m, n):
@@ -486,57 +470,46 @@ def _korn_model(geometry, m, n):
 def _korn_bound(geometry, m, n):
     """(bound, model) of the Korn quotient of the modes (m, n), broadcast.
 
-    The model is ``_korn_model``, and the bound is _THIN_BOUND_FACTOR times it
-    where the mode's thinness h sqrt(n^2 + m_hat^2) is at most _THIN_T,
-    _BOUND_FACTOR times it elsewhere.
+    The model is ``_korn_model``, and the bound is the model times the factor
+    of the mode's thinness h sqrt(n^2 + m_hat^2): where that is at most
+    _THIN_T, _THIN_BOUND_FACTOR (n >= 1) or _THIN_N0_BOUND_FACTOR (n = 0),
+    elsewhere _BOUND_FACTOR.
     """
     model = _korn_model(geometry, m, n)
     thin = geometry.h * np.sqrt(n**2 + geometry.axial_wavenumber(m) ** 2) <= _THIN_T
-    return np.where(thin, _THIN_BOUND_FACTOR, _BOUND_FACTOR) * model, model
+    factor = np.where(n == 0, _THIN_N0_BOUND_FACTOR, _THIN_BOUND_FACTOR)
+    return np.where(thin, factor, _BOUND_FACTOR) * model, model
 
 
-def _screened_minimize(quotients, bound, N, m_max, n_max):
-    """Minimum over the whole mode window by a bound-screened search, under
-    ``_guarded_scan``, whose gate is the same ``bound``.
+def _component_bound(geometry, group, m, n):
+    """(bound, model) of the component quotient of ``group`` at the modes (m, n), broadcast.
 
-    ``bound(m, n)`` gives each mode's lower bound of the quotient and the
-    model it scales, broadcast, and is built _BOUND_BLOCK modes at a time.
-    The screen solves the model's argmin, then, a stack at a time and in
-    increasing order of the bound, the modes whose bound is at most
-    best * (1 + _MARGIN_TOL), lowering ``best`` as it goes, and stops at the
-    first mode whose bound exceeds that.  Every unsolved mode then exceeds
-    the minimum by more than _MARGIN_TOL relative, and the runner-up among
-    the solved modes is the nearest competitor.  Ties go to the smallest
-    (m, n).
+    The group's norm^2 is at most a share of ||grad u||^2 <= ||e||^2 / K_low,
+    K_low the bound of ``_korn_bound``, so the bound is share / K_low and
+    the model share / K_model: the share is 1 for rthr and thzzth, entries
+    of grad u, and 1 + 1/m_hat^2 for urrzzr, whose ||u_r||^2 is
+    ||u_r,z||^2 / m_hat^2.  At n >= 2 it is at most (1 + m_hat^2) / s + tau
+    for urrzzr and m_hat^2 (n^2 / (n^2 - 1))^2 / s^2 + tau for thzzth, with
+    s = n^2 + m_hat^2 and tau = h^2 s / 12, empirical shares like the Korn
+    factors (the README gives the worst measured quotient/bound).  ththzz is
+    at most 1, its bound and model: G_tt = e_tt and G_zz = e_zz enter
+    ||e||^2 with weight 1.
     """
-    def bound_blocks():
-        size = m_max * (n_max + 1)
-        for start in range(0, size, _BOUND_BLOCK):
-            m, n = np.divmod(np.arange(start, min(start + _BOUND_BLOCK, size)), n_max + 1)
-            m += 1
-            yield (m, n, *bound(m, n))
-
-    def screen(n_r, solve, stack):
-        seed, seed_model = None, math.inf
-        for m, n, _, model in bound_blocks():
-            i = np.argmin(model)
-            if model[i] < seed_model:
-                seed, seed_model = (int(m[i]), int(n[i])), model[i]
-        values = {seed: solve(n_r, [seed])[0]}
-        cut = values[seed] * (1.0 + _MARGIN_TOL)
-        order = sorted((low[i], int(m[i]), int(n[i])) for m, n, low, _ in bound_blocks()
-                       for i in np.flatnonzero(low <= cut))
-        for pos in range(0, len(order), stack):
-            chunk = [(mm, nn) for low, mm, nn in order[pos:pos + stack] if low <= cut]
-            if not chunk:
-                break
-            values.update(zip(chunk, solve(n_r, chunk)))
-            cut = min(values.values()) * (1.0 + _MARGIN_TOL)
-        ranked = sorted(values, key=lambda mn: (values[mn], mn))
-        shortfall = (values[ranked[1]] - values[ranked[0]]) if len(ranked) > 1 else math.inf
-        return ranked[0], shortfall, m_max * (n_max + 1) - len(values)
-
-    return _guarded_scan(quotients, N, m_max, n_max, screen, bound)
+    if group == "ththzz":
+        one = np.ones(np.broadcast(m, n).shape)
+        return one, one
+    low, model = _korn_bound(geometry, m, n)
+    m_hat2 = geometry.axial_wavenumber(m) ** 2
+    s = n**2 + m_hat2
+    tau = geometry.h**2 * s / 12.0
+    share = 1.0                                             # rthr
+    if group == "urrzzr":
+        share = 1.0 + 1.0 / m_hat2
+        share = np.where(n <= 1, share, np.minimum(share, (1.0 + m_hat2) / s + tau))
+    elif group == "thzzth":
+        ring = n**2 / np.maximum(n**2 - 1, 1)
+        share = np.where(n <= 1, 1.0, np.minimum(1.0, m_hat2 * ring**2 / s**2 + tau))
+    return share / low, share / model
 
 
 # most modes m_max (n_max + 1) a scan window admits (the default caps reach
@@ -566,7 +539,7 @@ def _scan_quotient(geometry, numerator, denominator, index, m_max, n_max, N):
     """(quotients, m_max, n_max) of a scan of the quotient of two forms.
 
     ``quotients(n_r, modes)`` solves the modes' pencils on n_r nodes, N or
-    min(N, _LADDER_N), for the extreme eigenvalue ``index`` (0 the smallest,
+    min(N, _COARSE_N), for the extreme eigenvalue ``index`` (0 the smallest,
     -1 the largest).  Rejects pi h / L below the numerator's floor, the
     window of ``_scan_caps``, pi m_max / L above 1e75 (past about 1.2e77 the
     Korn model's m_hat^4 overflows) and N outside the grid's range before
@@ -582,7 +555,7 @@ def _scan_quotient(geometry, numerator, denominator, index, m_max, n_max, N):
         raise ParameterError(f"pi m_max / L = {geometry.axial_wavenumber(m_max):.3g} > 1e75: "
                              f"L = {geometry.L:g} is too short for the scan window")
     grids = {n_r: radial_grid(geometry, N=n_r)
-             for n_r in sorted({N, min(N, _LADDER_N)}, reverse=True)}
+             for n_r in sorted({N, min(N, _COARSE_N)}, reverse=True)}
 
     def quotients(n_r, modes):
         forms = _mode_forms(grids[n_r], modes, geometry, numerator, denominator)
@@ -595,29 +568,30 @@ def korn_constant(geometry, m_max=None, n_max=None, N=32):
     """K(V_h) = min over modes of ||e||^2 / ||grad u||^2, with argmin.
 
     Returns a ScanResult: the minimum over the window 1 <= m <= m_max,
-    0 <= n <= n_max; every unsolved mode is excluded by its bound
+    0 <= n <= n_max; every unsolved mode is excluded by its lower bound
     ``_korn_bound``, and a solved mode below its bound is a
-    ``SolverError``.  The screen of ``_screened_minimize`` runs on _LADDER_N
-    radial nodes behind the resolution guard of ``_guarded_scan``, or else on
-    N, and the value is a solve on N; ``on_boundary`` warns that the scan
-    caps were probably too small.
+    ``SolverError``.  The screen of ``_guarded_scan`` runs on _COARSE_N
+    radial nodes behind its resolution guard, or else on N, and the value is
+    a solve on N; ``on_boundary`` warns that the scan caps were probably too
+    small.
     """
     quotients, m_max, n_max = _scan_quotient(geometry, "strain", "grad", 0, m_max, n_max, N)
-    return _screened_minimize(quotients, functools.partial(_korn_bound, geometry), N,
-                              m_max, n_max)
+    return _guarded_scan(quotients, functools.partial(_korn_bound, geometry), 1.0, N,
+                         m_max, n_max)
 
 
 def component_bound(geometry, group, m_max=None, n_max=None, N=32):
     """sup over modes of (component-group norm^2) / ||e||^2.
 
-    Returns a ScanResult of the ladder and walk of ``_scan_extremize``, a
-    local maximum over the 5x5 mode neighbourhood.  ``ththzz`` is at most 1
-    for every mode by definition (``_KNOWN_SUP``), and many modes reach 1 to
-    rounding, so its scan stops at the first ladder mode within 1e-12 of 1 on
-    both grids; its reported argmin is not unique and moves with N and h.
+    Returns a ScanResult: the maximum over the window of ``korn_constant``,
+    by the same screen, with the upper bounds of ``_component_bound``; a
+    solved mode above its bound is a ``SolverError``.  ``ththzz`` is at most
+    1 on every mode, and many modes reach 1 to rounding, so its screen stops
+    at the first mode within 1e-12 of 1; its reported argmin is not unique.
     urrzzr and thzzth admit pi h / L >= 1e-5, the other groups
     pi h / L >= 1e-10 (``_FORM_MHAT_H_MIN``, ``_MHAT_H_MIN``).
     """
-    form = f"component:{group}"
-    quotients, m_max, n_max = _scan_quotient(geometry, form, "strain", -1, m_max, n_max, N)
-    return _scan_extremize(quotients, N, m_max, n_max, True, _KNOWN_SUP.get(form))
+    quotients, m_max, n_max = _scan_quotient(geometry, f"component:{group}", "strain", -1,
+                                             m_max, n_max, N)
+    return _guarded_scan(quotients, functools.partial(_component_bound, geometry, group),
+                         -1.0, N, m_max, n_max)

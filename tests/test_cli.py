@@ -129,7 +129,7 @@ def test_korn_sweep_artifacts(tmp_path, capsys):
 def test_sweep_reports_each_scan(capsys, command):
     # one scans entry per h, from the same scan as the row: h, every
     # ScanResult field but the row's value and mode, and the wall time; rows
-    # keep their columns; at N = 8 the ladder grid is the N grid, so no gap
+    # keep their columns; at N = 8 the coarse grid is the N grid, so no gap
     geos = [ShellGeometry(h, math.pi) for h in (1e-2, 5e-3)]
     keys = [f.name for f in fields(korn.ScanResult) if f.name not in ("value", "m", "n")]
     assert keys == ["evaluations", "on_boundary", "resolution_gap", "walked_at_N",
@@ -148,7 +148,7 @@ def test_sweep_reports_each_scan(capsys, command):
             [geo.h, *(getattr(r, k) for k in keys)] for geo, r in zip(geos, expected)]
         assert all((scan["resolution_gap"] is None) == (n_r == 8)
                    for scan in payload["scans"])
-        assert all((scan["bound_ratio"] is None) == (command != ["korn"])
+        assert all(scan["screened_out"] > 0 and scan["bound_ratio"] > 0
                    for scan in payload["scans"])
         assert all(scan["wall_s"] > 0 for scan in payload["scans"])
 
@@ -178,6 +178,22 @@ def test_korn_failed_model_bound_exits_3(capsys, monkeypatch):
 
     monkeypatch.setattr(korn, "_solve_stack", undercut)
     code = main(["korn", "--h-list", "1e-2", "--N", "8"])
+    assert code == 3
+    assert "bound fails" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("group, scale", [("rthr", 10.0), ("ththzz", 1.0 + 1e-9)])
+def test_component_failed_model_bound_exits_3(capsys, monkeypatch, group, scale):
+    # pencil quotients above the group's upper bound: ten times the true
+    # rthr ones, and ththzz ones 1e-9 above its proven bound 1, beyond the
+    # bound's 1e-12 slack
+    solve = korn._solve_stack
+
+    def overshoot(C_num, C_den, index):
+        return [(scale * value, v) for value, v in solve(C_num, C_den, index)]
+
+    monkeypatch.setattr(korn, "_solve_stack", overshoot)
+    code = main(["components", "--which", group, "--h-list", "1e-2", "--N", "8"])
     assert code == 3
     assert "bound fails" in capsys.readouterr().err
 

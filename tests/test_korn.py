@@ -459,7 +459,7 @@ def test_scan_admitted_window(group, monkeypatch):
 
 def test_radial_grid_admits_at_most_512_nodes(geo_thick, monkeypatch):
     assert korn.radial_grid(geo_thick, N=korn.MAX_RADIAL_N).N == 512
-    # rejected before any grid, the ladder's 8-node one included, is built
+    # rejected before any grid, the coarse 8-node one included, is built
     monkeypatch.setattr(korn, "_cheb_lobatto", None)
     for scan in (korn.korn_constant, lambda geo, **kw: korn.component_bound(geo, "rthr", **kw)):
         with pytest.raises(ParameterError, match="N=513"):
@@ -482,9 +482,9 @@ def exhaustive_scan(quotient, m_max, n_max, maximize):
 
 @pytest.mark.parametrize("kind", ["korn", "rthr", "urrzzr", "thzzth", "ththzz"])
 def test_scan_matches_exhaustive_grid(geo_thick, kind):
-    # the ladder-then-walk heuristic finds the extremum of the full 30 x 31
-    # window at h = 1e-2, not just a local one; ththzz ties at 1 on many
-    # modes, so only its value is compared
+    # the screen gives the extremum of a solve of every mode of the full
+    # 30 x 31 window at h = 1e-2; ththzz ties at 1 on many modes, so only its
+    # value is compared
     N = 16
     grid = korn.radial_grid(geo_thick, N=N)
     m_max, n_max = korn._scan_caps(geo_thick, None, None)
@@ -507,16 +507,18 @@ def test_scan_matches_exhaustive_grid(geo_thick, kind):
 
 @pytest.mark.parametrize("kind", ["korn", "rthr", "urrzzr", "thzzth", "ththzz"])
 def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
-    # the ladder's stacked solves pick the same modes, with the same bits,
+    # the screen's stacked solves pick the same modes, with the same bits,
     # as one per-mode solve of the oracle forms each
     N = 16
-    grids = {n_r: korn.radial_grid(geo_thick, N=n_r) for n_r in (N, korn._LADDER_N)}
+    grids = {n_r: korn.radial_grid(geo_thick, N=n_r) for n_r in (N, korn._COARSE_N)}
     if kind == "korn":
         res = korn.korn_constant(geo_thick, N=N)
-        forms, solve = ("strain", "grad"), korn.min_rayleigh
+        forms, solve, sign = ("strain", "grad"), korn.min_rayleigh, 1.0
+        bound = functools.partial(korn._korn_bound, geo_thick)
     else:
         res = korn.component_bound(geo_thick, kind, N=N)
-        forms, solve = (f"component:{kind}", "strain"), korn.max_rayleigh
+        forms, solve, sign = (f"component:{kind}", "strain"), korn.max_rayleigh, -1.0
+        bound = functools.partial(korn._component_bound, geo_thick, kind)
 
     def quotients(n_r, modes):
         return [solve(korn.QuadraticFormPair(*per_mode_forms(m, n, geo_thick, grids[n_r],
@@ -524,41 +526,26 @@ def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
                 for m, n in modes]
 
     m_max, n_max = korn._scan_caps(geo_thick, None, None)
-    if kind == "korn":
-        bound = functools.partial(korn._korn_bound, geo_thick)
-        assert res == korn._screened_minimize(quotients, bound, N, m_max, n_max)
-    else:
-        assert res == korn._scan_extremize(quotients, N, m_max, n_max, True,
-                                           korn._KNOWN_SUP.get(forms[0]))
-
-
-def test_scan_walk_stops_on_ties():
-    # a plateau whose quotients differ only in the last bits: the walk stays
-    # at the ladder's pick (45, 33) instead of following rounding to (47, 33);
-    # 182 ladder solves on 8 nodes, 24 more for its 5x5 neighbourhood, and,
-    # as no neighbour falls short by the guard's margin, the neighbourhood
-    # again on 16 nodes
-    def quotients(n_r, modes):
-        return [1.0 - 2.0**-52 * (abs(m - 47) + abs(n - 33)) for m, n in modes]
-
-    res = korn._scan_extremize(quotients, 16, 60, 60, True)
-    assert (res.m, res.n) == (45, 33)
-    assert res.evaluations == 182 + 24 + 25
-    assert res.walked_at_N and res.resolution_gap == 0.0
+    assert res == korn._guarded_scan(quotients, bound, sign, N, m_max, n_max)
 
 
 def test_scan_walks_at_N_when_the_grids_disagree():
-    # the 8-node quotients have their minimum at (10, 10) and the 16-node
-    # ones at (14, 12): the gap at the coarse walk's mode fails the guard,
-    # and the walk at N from the ladder's pick gives the N-grid minimum
+    # a maximum: the 8-node quotients peak at (10, 10) and the 16-node ones
+    # at (14, 12), under an upper bound valid on both grids; the gap at the
+    # coarse screen's mode fails the guard, and the screen at N gives the
+    # N-grid maximum
     def quotients(n_r, modes):
-        m0, n0 = (10, 10) if n_r == korn._LADDER_N else (14, 12)
-        return [1.0 + (m - m0) ** 2 + (n - n0) ** 2 for m, n in modes]
+        m0, n0 = (10, 10) if n_r == korn._COARSE_N else (14, 12)
+        return [1.0 / (1.0 + (m - m0) ** 2 + (n - n0) ** 2) for m, n in modes]
 
-    res = korn._scan_extremize(quotients, 16, 40, 40, False)
+    def bound(m, n):
+        model = 1.0 / (1.0 + ((m - 12) ** 2 + (n - 11) ** 2) / 4.0)
+        return 3.0 * model, model
+
+    res = korn._guarded_scan(quotients, bound, -1.0, 16, 40, 40)
     assert (res.m, res.n, res.value) == (14, 12, 1.0)
-    assert res.walked_at_N and res.resolution_gap == 20.0 / 21.0
-    assert not res.on_boundary
+    assert res.walked_at_N and res.resolution_gap == pytest.approx(20.0, rel=1e-12)
+    assert not res.on_boundary and res.bound_ratio == 2.25     # 1 / model(14, 12)
 
 
 def test_thick_short_shell_walks_at_N():
@@ -575,7 +562,7 @@ def test_thin_shell_scan_solves_once_at_N(monkeypatch):
     # at h = 1e-4 the screen runs on 8 nodes, and its argmin is the one
     # solve at N = 32
     calls = []
-    scan = korn._screened_minimize
+    scan = korn._guarded_scan
 
     def spy(quotients, *args):
         def counted(n_r, modes):
@@ -583,14 +570,14 @@ def test_thin_shell_scan_solves_once_at_N(monkeypatch):
             return quotients(n_r, modes)
         return scan(counted, *args)
 
-    monkeypatch.setattr(korn, "_screened_minimize", spy)
+    monkeypatch.setattr(korn, "_guarded_scan", spy)
     res = korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))
-    assert [call for call in calls if call[0] != korn._LADDER_N] == [(32, 1)]
+    assert [call for call in calls if call[0] != korn._COARSE_N] == [(32, 1)]
     assert not res.walked_at_N and res.resolution_gap <= 1e-6
 
 
 def test_scan_memory():
-    # the operator table at N = 32 and one stack of ladder pencils
+    # the operator table at N = 32 and one stack of coarse pencils
     tracemalloc.start()
     try:
         korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))
@@ -617,6 +604,20 @@ BOUND_CASES = [(h, L, 8, None) for h, L in BOUND_GRID] + [
 ]
 
 
+def window_quotients(geo, forms, index, N, keep=None):
+    """The modes (m, n) of the default scan window for which keep(n, t)
+    holds, t the thinness, and their quotients on N nodes, solved in stacks."""
+    quotients, m_max, n_max = korn._scan_quotient(geo, *forms, index, None, None, N)
+    m, n = np.divmod(np.arange(m_max * (n_max + 1)), n_max + 1)
+    m += 1
+    if keep is not None:
+        kept = keep(n, geo.h * np.hypot(n, geo.axial_wavenumber(m)))
+        m, n = m[kept], n[kept]
+    modes = list(zip(m.tolist(), n.tolist()))
+    return m, n, np.array([v for i in range(0, len(modes), 64)
+                           for v in quotients(N, modes[i:i + 64])])
+
+
 def test_korn_model_bounds_every_mode():
     # every mode checked, solved in stacks, has a quotient of at least its
     # ``_korn_bound``, the factor of its thinness times its model: the
@@ -624,47 +625,63 @@ def test_korn_model_bounds_every_mode():
     worst = (math.inf, None)
     for h, L, N, keep in BOUND_CASES:
         geo = ShellGeometry(h, L)
-        quotients, m_max, n_max = korn._scan_quotient(geo, "strain", "grad", 0,
-                                                       None, None, N)
-        m, n = np.divmod(np.arange(m_max * (n_max + 1)), n_max + 1)
-        m += 1
-        if keep is not None:
-            kept = keep(n, h * np.hypot(n, geo.axial_wavenumber(m)))
-            m, n = m[kept], n[kept]
-        modes = list(zip(m.tolist(), n.tolist()))
-        values = [v for i in range(0, len(modes), 64) for v in quotients(N, modes[i:i + 64])]
-        ratios = np.array(values) / korn._korn_bound(geo, m, n)[0]
+        m, n, values = window_quotients(geo, ("strain", "grad"), 0, N, keep)
+        ratios = values / korn._korn_bound(geo, m, n)[0]
         k = int(np.argmin(ratios))
-        worst = min(worst, (float(ratios[k]), (h, L, N, modes[k])))
+        worst = min(worst, (float(ratios[k]), (h, L, N, (int(m[k]), int(n[k])))))
     assert worst[0] >= 1.0, worst
+
+
+# (h, L, keep) of the component bound check: the exhaustive 8-node windows of
+# the h = 1e-2 and 0.1 rows of BOUND_GRID, and the modes n <= 3 of a thin
+# long shell, where thzzth's quotient/bound would be 1.28 at (1, 2) without
+# the factor (n^2 / (n^2 - 1))^2 of its share
+COMPONENT_BOUND_CASES = [(h, L, None) for h, L in BOUND_GRID if h <= 0.1] + [
+    (1e-3, 100.0, lambda n, t: n <= 3)]
+
+
+def test_component_models_bound_every_mode():
+    # every mode checked has a component quotient of at most its
+    # ``_component_bound``, the group's share over the Korn bound: the
+    # screen's bound
+    worst = (0.0, None)
+    for h, L, keep in COMPONENT_BOUND_CASES:
+        geo = ShellGeometry(h, L)
+        for group in ("rthr", "urrzzr", "thzzth"):
+            m, n, values = window_quotients(geo, (f"component:{group}", "strain"), -1, 8, keep)
+            ratios = values / korn._component_bound(geo, group, m, n)[0]
+            k = int(np.argmax(ratios))
+            worst = max(worst, (float(ratios[k]), (h, L, group, (int(m[k]), int(n[k])))))
+    assert worst[0] <= 1.0, worst
 
 
 def test_screen_rejects_a_mode_below_its_bound():
     # quotients equal to the model but a tenth of it at (1, 6), a mode the
-    # screen solves: a failed bound, not an answer; so is 0.3 of it, above
-    # 0.15 but below the factor 1/2 of this thin mode
+    # screen solves: a failed bound, not an answer; so is 0.6 of it, above
+    # the factor 1/2 of thin n = 0 modes but below the 3/4 of this thin mode
     geo = ShellGeometry(h=1e-2, L=math.pi)
     model = functools.partial(korn._korn_model, geo)
-    for scale in (0.1, 0.3):
+    for scale in (0.1, 0.6):
         def quotients(n_r, modes):
             return [float(model(m, n)) * (scale if (m, n) == (1, 6) else 1.0)
                     for m, n in modes]
 
         with pytest.raises(SolverError, match=r"bound fails at mode \(1, 6\) on 8 nodes: "
-                                              r"quotient/model = %g < 0.5" % scale):
-            korn._screened_minimize(quotients, functools.partial(korn._korn_bound, geo),
-                                    16, 30, 30)
+                                              r"quotient/model = %g < 0.75" % scale):
+            korn._guarded_scan(quotients, functools.partial(korn._korn_bound, geo), 1.0,
+                               16, 30, 30)
 
 
 def test_screen_finds_an_isolated_minimum():
     # quotients equal to the model but for a dip at (1, 7), within the bound
     # and outside the 5x5 neighbourhood of the model's argmin (1, 3), where a
-    # walk stops: the screen solves the dip and returns it, on both grids
+    # local search stops: the screen solves the dip and returns it, on both
+    # grids
     geo = ShellGeometry(h=0.1, L=math.pi)
     model = functools.partial(korn._korn_model, geo)
     bound = functools.partial(korn._korn_bound, geo)
-    res = korn._screened_minimize(lambda n_r, modes: [float(model(*mn)) for mn in modes],
-                                  bound, 16, 30, 30)
+    res = korn._guarded_scan(lambda n_r, modes: [float(model(*mn)) for mn in modes],
+                             bound, 1.0, 16, 30, 30)
     assert (res.m, res.n) == (1, 3)
     dip = 0.9 * float(model(1, 3))
     assert float(bound(1, 7)[0]) < dip
@@ -672,7 +689,7 @@ def test_screen_finds_an_isolated_minimum():
     def quotients(n_r, modes):
         return [dip if (m, n) == (1, 7) else float(model(m, n)) for m, n in modes]
 
-    res = korn._screened_minimize(quotients, bound, 16, 30, 30)
+    res = korn._guarded_scan(quotients, bound, 1.0, 16, 30, 30)
     assert (res.m, res.n, res.value) == (1, 7, dip)
     assert not res.walked_at_N and res.resolution_gap == 0.0
 
@@ -689,19 +706,19 @@ def test_screen_orders_the_window_by_the_bound():
     def quotients(n_r, modes):
         return [{1: 10.0, 2: 5.0, 40: 4.5}.get(m, 200.0) for m, n in modes]
 
-    res = korn._screened_minimize(quotients, bound, 16, 40, 0)
+    res = korn._guarded_scan(quotients, bound, 1.0, 16, 40, 0)
     assert (res.m, res.n, res.value) == (40, 0, 4.5)
     assert res.evaluations == korn._STACK + 2 and res.screened_out == 40 - 17
 
 
 def test_korn_scan_solve_count():
-    # the screen solves 15 of the window's 90,300 modes on 8 nodes at
-    # h = 1e-4 and 79 of 262,656 at h = 1e-7, and its argmin once at N = 32
-    # (with the factor 0.15 on every mode it solved 147 and 824; the ladder
-    # and walk made 399 and 496); every mode it solves is thin, so the least
-    # quotient/model is at least the thin factor, and at most that of the
-    # argmin at N
-    for h, most in ((1e-4, 20), (1e-7, 100)):
+    # the screen solves 8 of the window's 90,300 modes on 8 nodes at
+    # h = 1e-4 and 43 of 262,656 at h = 1e-7, and its argmin once at N = 32
+    # (with the factor 0.15 on every mode it solved 147 and 824, with 1/2 on
+    # every thin mode 15 and 79); every mode it solves is thin with n >= 1,
+    # so the least quotient/model is at least the thin factor, and at most
+    # that of the argmin at N
+    for h, most in ((1e-4, 12), (1e-7, 55)):
         geo = ShellGeometry(h=h, L=math.pi)
         res = korn.korn_constant(geo)
         assert res.evaluations <= most
@@ -711,35 +728,53 @@ def test_korn_scan_solve_count():
         assert korn._THIN_BOUND_FACTOR <= res.bound_ratio <= at_argmin
 
 
-def test_korn_constant_neither_ladders_nor_walks(geo_thick, monkeypatch):
-    monkeypatch.setattr(korn, "_geometric_ladder", None)
-    monkeypatch.setattr(korn, "_scan_extremize", None)
-    res = korn.korn_constant(geo_thick, N=16)
-    assert (res.m, res.n) == (1, 5)
+def test_component_scan_solve_count():
+    # solves on 8 nodes and at N = 32 together, at h = 1e-2 and 1e-3 (L = pi):
+    # rthr 4 and 5, urrzzr 18 and 57, thzzth 65 and 193, ththzz 2 and 2; the
+    # greatest quotient/model of the solved modes is at least that of the
+    # argmin and at most the argmin's bound/model
+    most = {"rthr": (6, 7), "urrzzr": (23, 72), "thzzth": (82, 242), "ththzz": (2, 2)}
+    for k, h in enumerate((1e-2, 1e-3)):
+        geo = ShellGeometry(h=h, L=math.pi)
+        m_max, n_max = korn._scan_caps(geo, None, None)
+        for group, limits in most.items():
+            res = korn.component_bound(geo, group)
+            assert res.evaluations <= limits[k], (h, group)
+            assert res.screened_out == m_max * (n_max + 1) - (res.evaluations - 1)
+            upper, model = korn._component_bound(geo, group, res.m, res.n)
+            assert res.value / float(model) <= res.bound_ratio <= float(upper / model)
 
 
 def test_ththzz_scan_stops_at_the_known_bound():
-    # ththzz <= 1 on every mode, and its scan stops at the first ladder mode
-    # within 1e-12 of 1 on both grids: 16 solves on 8 nodes and one at N = 32,
-    # where the ladder and walk made 156 (h = 1e-2) and 426 (h = 1e-4); the
-    # stop passes the resolution guard, the two grids agreeing to 2e-12
+    # ththzz <= 1 on every mode, and its screen stops at its first mode, the
+    # model's extreme (1, 0), within 1e-12 of 1: one solve on 8 nodes and one
+    # at N = 32; the stop passes the resolution guard, the two grids agreeing
+    # to 2e-12
     for h in (1e-2, 1e-4):
         res = korn.component_bound(ShellGeometry(h, math.pi), "ththzz")
         assert res.value == pytest.approx(1.0, rel=5e-12) and res.value <= 1.0 + 1e-9
-        assert res.evaluations == 17 and not res.walked_at_N
+        assert (res.m, res.n) == (1, 0)
+        assert res.evaluations == 2 and not res.walked_at_N
         assert res.resolution_gap <= 2e-12
 
 
 def test_scan_stops_at_a_known_extremum_on_both_grids():
-    # (1, 1) reaches the known maximum on 8 nodes only and does not stop
-    # the scan; (3, 2), in the second ladder stack, reaches it on both
+    # under the upper bound 1 of every mode, (1, 1) reaches it on 8 nodes
+    # only: the coarse screen stops there, in its first stack, and the guard
+    # sends it to N, where it stops at (3, 2), the 13th mode in its order,
+    # leaving the rest of the window unsolved
     def quotients(n_r, modes):
-        return [1.0 if (m, n) == (3, 2) or (m, n) == (1, 1) and n_r == korn._LADDER_N
+        return [1.0 if (m, n) == (3, 2) or (m, n) == (1, 1) and n_r == korn._COARSE_N
                 else 0.5 for m, n in modes]
 
-    res = korn._scan_extremize(quotients, 16, 40, 40, True, 1.0)
+    def bound(m, n):
+        one = np.ones(np.broadcast(m, n).shape)
+        return one, one
+
+    res = korn._guarded_scan(quotients, bound, -1.0, 16, 4, 4)
     assert (res.m, res.n, res.value) == (3, 2, 1.0)
-    assert res.evaluations == 2 * korn._STACK + 2 and not res.walked_at_N
+    assert res.walked_at_N and res.resolution_gap == 1.0
+    assert res.evaluations == korn._STACK + 13 and res.screened_out == 20 - 13
 
 
 def fake_openblas(threads):
