@@ -13,6 +13,7 @@ inequality.
 import argparse
 import csv
 from dataclasses import asdict
+import functools
 import json
 import math
 import os
@@ -297,7 +298,9 @@ def _options(*specs):
     return p
 
 
+@functools.cache
 def build_parser():
+    """The command-line parser, built once per process: parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="cylshell",
                                      description="Cylindrical-shell buckling studies")
     parser.add_argument("--out", type=_out_dir, default=None,

@@ -289,8 +289,10 @@ _STACK = 16
 _GAP_TOL = 1e-6
 _MARGIN_TOL = 1e-5
 # relative slack of the screen's bounds: a solved mode may pass its bound by
-# this much (ththzz reaches its bound 1 as 1 + O(1e-16)), and a value this
-# close to the window's extreme bound ends the screen
+# this much (ththzz reaches its bound 1 as 1 + O(1e-16)), a value this close
+# to the window's extreme bound ends the screen, and keys this close to the
+# best one are ties (thzzth's n = 0 column equals 2 to rounding on short or
+# thick shells)
 _BOUND_SLACK = 1e-12
 # least m_hat h = pi h / L of the mode m = 1 a scan admits: at 1e-10 the Korn
 # and rthr values on N and 2N nodes (N = 8, 16, 32; h = 0.5, 1e-2, 1e-4) agree
@@ -363,7 +365,8 @@ def _guarded_scan(quotients, bound, sign, N, m_max, n_max):
     more than _MARGIN_TOL relative, and the runner-up is the nearest
     competitor.  Once the best value reaches the window's extreme bound to
     _BOUND_SLACK relative no mode can beat it, and the screen stops with no
-    competitor.  Ties go to the smallest (m, n).
+    competitor.  Keys within _BOUND_SLACK relative of the best are ties, and
+    ties go to the smallest (m, n).
 
     ``quotients(n_r, modes)`` are served from one cache keyed by
     (n_r, m, n), new ones solved _STACK at a time on the coarse grid and one
@@ -429,10 +432,12 @@ def _guarded_scan(quotients, bound, sign, N, m_max, n_max):
             if not chunk:
                 break
             keys.update(zip(chunk, (sign * value for value in solve(n_r, chunk))))
-        ranked = sorted(keys, key=lambda mn: (keys[mn], mn))
-        shortfall = (keys[ranked[1]] - keys[ranked[0]]
+        ranked = sorted(keys.values())
+        tie = _BOUND_SLACK * abs(ranked[0])
+        mode = min(mn for mn, key in keys.items() if key - ranked[0] <= tie)
+        shortfall = (ranked[1] - ranked[0]
                      if len(ranked) > 1 and cut() > -math.inf else math.inf)
-        return ranked[0], shortfall, size - len(keys)
+        return mode, shortfall, size - len(keys)
 
     best, shortfall, screened_out = screen(coarse_N)
     gap, rerun = None, False

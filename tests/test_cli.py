@@ -469,6 +469,20 @@ def test_config_is_every_declared_option(tmp_path, capsys, argv):
     assert config == expected and list(config) == list(expected)
 
 
+def test_successive_runs_share_no_options(capsys):
+    # the parser is built once per process, so an option given to one run
+    # must not carry over to the next
+    assert build_parser() is build_parser()
+    argv = ["korn", "--h-list", "1e-2", "--N", "8"]
+    configs = []
+    for extra in (["--mmax", "3"], []):
+        code, out = run(capsys, *argv, *extra)
+        assert code == 0
+        configs.append(json.loads(out)["config"])
+    assert configs[0]["mmax"] == 3 and "mmax" not in configs[1]
+    assert configs[1] == {k: v for k, v in configs[0].items() if k != "mmax"}
+
+
 def test_ansatz_modes_share_one_out(tmp_path, capsys):
     assert run(capsys, "--out", str(tmp_path), "ansatz", "--h-list", "0.0016,0.0001")[0] == 0
     assert run(capsys, "--out", str(tmp_path), "ansatz", "--h-list", "1e-2,3e-3",

@@ -758,6 +758,30 @@ def test_ththzz_scan_stops_at_the_known_bound():
         assert res.resolution_gap <= 2e-12
 
 
+def test_scan_ties_go_to_the_smallest_mode():
+    # keys within _BOUND_SLACK relative of the best are ties: (1, 0) wins
+    # over (3, 0), which is larger by 2 ulp, and over (4, 0), on the edge
+    def quotients(n_r, modes):
+        return [{(1, 0): 2.0, (3, 0): 2.0 + 4.4e-16, (4, 0): 2.0 + 2.2e-16}.get(mn, 1.0)
+                for mn in modes]
+
+    def bound(m, n):
+        three = np.full(np.broadcast(m, n).shape, 3.0)
+        return three, three
+
+    res = korn._guarded_scan(quotients, bound, -1.0, 8, 4, 4)
+    assert (res.m, res.n, res.value, res.on_boundary) == (1, 0, 2.0, False)
+
+
+def test_thzzth_n0_ties_stay_off_the_window_edge():
+    # on short or thick shells thzzth's n = 0 column equals 2 to rounding;
+    # the tie rule reports (1, 0), not a mode on the window's edge
+    for h, L, N in ((0.5, 0.01, 32), (0.99, 0.01, 16)):
+        res = korn.component_bound(ShellGeometry(h, L), "thzzth", N=N)
+        assert (res.m, res.n, res.on_boundary) == (1, 0, False)
+        assert res.value == pytest.approx(2.0, rel=korn._BOUND_SLACK)
+
+
 def test_scan_stops_at_a_known_extremum_on_both_grids():
     # under the upper bound 1 of every mode, (1, 1) reaches it on 8 nodes
     # only: the coarse screen stops there, in its first stack, and the guard

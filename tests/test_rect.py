@@ -52,28 +52,45 @@ def test_planar_series_matches_polynomial_reference():
     coef = [[0.3, -1.0, 0.5, 2.0], [1.5, 0.0, 0.0, 0.0], [-0.2, 0.7, 0.0, 0.0]]
     freq, kind, rate = [2.0, 3.0, 0.0], ["sin", "cos", "one"], [0.0, -4.0, 1.5]
     series = rect.PlanarSeries(coef, freq, kind, rate=rate)
-    x, y = np.linspace(0.0, H, 7)[:, None], np.linspace(0.0, L, 5)[None, :]
 
-    def trig(kd, k, dy):
+    def trig(kd, k, y, dy):
         if kd == "one":
             return np.full_like(y, 1.0 if dy == 0 else 0.0)
         return k**dy * {"sin": np.sin, "cos": np.cos}[kd](k * y + dy * math.pi / 2.0)
 
-    for dx in range(3):
-        for dy in range(2):
-            want = np.zeros((7, 5))
-            for c, k, kd, a in zip(coef, freq, kind, rate):
-                p = np.polynomial.Polynomial(c)
-                # d^dx (p e^{a x}) = e^{a x} sum_j C(dx, j) a^(dx - j) p^(j)
-                px = sum(math.comb(dx, j) * a ** (dx - j) * p.deriv(j)(x)
-                         for j in range(dx + 1)) * np.exp(a * x)
-                want = want + px * trig(kd, k, dy)
-            got = series(x, y, dx, dy)
-            assert got.shape == (7, 5)
-            assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
-    assert rect.ZERO(x, y, 1, 1).shape == (7, 5) and not rect.ZERO(x, y).any()
+    # the 1 x n_y and n_x x 1 grids are the degenerate tensor grids
+    for n_x, n_y in ((7, 5), (1, 5), (7, 1)):
+        x, y = np.linspace(0.0, H, n_x)[:, None], np.linspace(0.0, L, n_y)[None, :]
+        for dx in range(3):
+            for dy in range(2):
+                want = np.zeros((n_x, n_y))
+                for c, k, kd, a in zip(coef, freq, kind, rate):
+                    p = np.polynomial.Polynomial(c)
+                    # d^dx (p e^{a x}) = e^{a x} sum_j C(dx, j) a^(dx - j) p^(j)
+                    px = sum(math.comb(dx, j) * a ** (dx - j) * p.deriv(j)(x)
+                             for j in range(dx + 1)) * np.exp(a * x)
+                    want = want + px * trig(kd, k, y, dy)
+                got = series(x, y, dx, dy)
+                assert got.shape == (n_x, n_y)
+                assert np.allclose(got, want, rtol=1e-13, atol=1e-13 * np.max(np.abs(want)))
+        assert rect.ZERO(x, y, 1, 1).shape == (n_x, n_y) and not rect.ZERO(x, y).any()
     with pytest.raises(ShapeError):
         rect.PlanarSeries(coef, freq[:2], kind)
+    with pytest.raises(ParameterError, match="tan"):
+        rect.PlanarSeries(coef, freq, ["sin", "tan", "one"])
+
+
+def test_planar_series_takes_a_tensor_grid():
+    # x must be a column and y a row: any other shape is refused, not flattened
+    series = rect.PlanarSeries([[1.0, 2.0]], [3.0], ["sin"])
+    col, row = np.linspace(0.0, H, 4)[:, None], np.linspace(0.0, L, 6)[None, :]
+    assert series(col, row).shape == (4, 6)
+    for x, y in ((col.ravel(), row), (col, row.ravel()), (row, col), (col, col),
+                 (0.5 * H, row), (col, 0.5 * L), (col[None], row), (col, row[None])):
+        with pytest.raises(ShapeError, match="x column and a y row"):
+            series(x, y)
+        with pytest.raises(ShapeError, match="x column and a y row"):
+            rect.stack_series([series, series])(x, y)
 
 
 def test_stacked_series_equals_each_member():
@@ -175,9 +192,10 @@ def test_stack_with_one_bad_member_raises():
     (rect.periodic_inequality_trials, (H,)),
 ], ids=["basic", "harmonic", "periodic"])
 def test_trial_scan_memory(scan, args):
-    # one stack of random fields at a time: 0.4-0.8 MB at 10 fields a stack,
-    # 1.5-1.8 MB for the basic and periodic scans at 25; a one-trial run first
-    # keeps one-time allocations out of the peak
+    # one stack of random fields at a time: peaks of 0.61, 0.43 and 0.73 MiB
+    # (basic, harmonic, periodic) at 10 fields a stack, 1.49 and 1.79 MiB for
+    # the basic and periodic scans at 25; a one-trial run first keeps one-time
+    # allocations out of the peak
     scan(*args, trials=1)
     tracemalloc.start()
     try:
