@@ -167,9 +167,10 @@ def _cmd_koiter_modes(args):
         n = koiter.koiter_circle_n(m, geometry, material.Lambda)
         lam = koiter.lambda_star(geometry, material, m, n)
         rows.append([m, n, lam, koiter.circle_residual(geometry, material.Lambda, m, n)])
-        if args.export:
+    if args.export:     # after every m has its row, so a bad m writes no file
+        stem, ext = os.path.splitext(args.export)
+        for m, n, *_ in rows:
             mode = koiter.buckling_mode(m, geometry, material, n=n)
-            stem, ext = os.path.splitext(args.export)
             path = args.export if len(args.m) == 1 else f"{stem}_m{m}{ext}"
             export_surface(mode, args.amplitude, geometry, path,
                            n_th=args.ntheta, n_z=args.nz)
@@ -178,15 +179,19 @@ def _cmd_koiter_modes(args):
                    header, rows)
 
 
-def _h_sweep(args, name, header, one, **extra):
+def _h_sweep(args, name, header, one, group=None, **extra):
     """Rows of ``one(geometry) -> (row, scan)`` over the h-list, largest h first.
 
-    ``scans`` reports, per h, every field of the scan's ``ScanResult`` but the
-    value and mode the row already holds, and its wall time; the exponent is
-    fitted from 4 rows.
+    Every h is checked by ``korn.scan_window`` (of ``group``) before the
+    first scan.  ``scans`` reports, per h, every field of the scan's
+    ``ScanResult`` but the value and mode the row already holds, and its wall
+    time; the exponent is fitted from 4 rows.
     """
+    shells = shell_sweep(args.h_list, args.L)
+    for geo in shells:
+        korn.scan_window(geo, group, args.mmax, args.nmax)
     rows, scans = [], []
-    for geo in shell_sweep(args.h_list, args.L):
+    for geo in shells:
         start = time.perf_counter()
         row, res = one(geo)
         rows.append(row)
@@ -215,7 +220,7 @@ def _cmd_components(args):
         return (geo.h, res.value, res.m, res.n), res
 
     return _h_sweep(args, f"components_{args.which}", ["h", "bound", "m_star", "n_star"], one,
-                    target_exponent=korn.COMPONENT_EXPONENTS[args.which])
+                    args.which, target_exponent=korn.COMPONENT_EXPONENTS[args.which])
 
 
 def _cmd_ansatz(args):

@@ -228,9 +228,10 @@ def _svd(B):
 
 
 @single_thread_blas()
-def _solve_stack(C_num, C_den, index):
+def _solve_stack(C_num, C_den, sign):
     """(quotient, v) of one extreme eigenpair per pencil, by a one-sided QR/SVD reduction.
 
+    ``sign`` is +1 for the least quotient and -1 for the greatest.
     C_num and C_den are stacks (pencils, rows, dofs) of weighted row stacks,
     never squared into matrices.  C_den = Q R, and the extreme quotients are
     the squared extreme singular values of B = C_num R^{-1}, formed by a
@@ -255,7 +256,7 @@ def _solve_stack(C_num, C_den, index):
         s, Vt = _svd(B)
     except np.linalg.LinAlgError as exc:
         raise SolverError(f"pencil reduction failed: {exc}") from exc
-    pick = -1 if index == 0 else 0           # singular values sort descending
+    pick = -1 if sign > 0 else 0             # singular values sort descending
     y, lam = Vt[:, pick], s[:, pick] ** 2
     res = np.linalg.norm((np.swapaxes(B, -1, -2) @ (B @ y[..., None]))[..., 0]
                          - lam[:, None] * y, axis=-1)
@@ -269,7 +270,7 @@ def _solve_stack(C_num, C_den, index):
 
 def min_rayleigh(pair):
     """Smallest quotient ||C_num v||^2 / ||C_den v||^2 with its minimizer v."""
-    return _solve_stack(pair.C_num[None], pair.C_den[None], 0)[0]
+    return _solve_stack(pair.C_num[None], pair.C_den[None], 1)[0]
 
 
 def max_rayleigh(pair):
@@ -302,7 +303,7 @@ _MHAT_H_MIN = 1e-10
 # urrzzr and thzzth need a larger one: at pi h / L = 1e-5 their values on 32
 # and 64 nodes agree to 1.5e-7 relative (h = 0.5, 1e-2, 1e-4; 4.7e-7 at
 # h = 0.9), at 1e-6 only to 1.2e-3 (h = 0.5) and 7e-7 (h = 1e-2)
-_FORM_MHAT_H_MIN = {"component:urrzzr": 1e-5, "component:thzzth": 1e-5}
+_FORM_MHAT_H_MIN = {"urrzzr": 1e-5, "thzzth": 1e-5}
 # lower-bound factors of the Korn screen: every mode's quotient is at least
 # its factor times its ``_korn_model``, the factor depending on the mode's
 # thinness t = h sqrt(n^2 + m_hat^2), h times its wavenumber:
@@ -525,9 +526,17 @@ def _component_bound(geometry, group, m, n):
 MAX_SCAN_MODES = 1_000_000
 
 
-def _scan_caps(geometry, m_max, n_max):
-    """Scan caps, min(ceil(3/sqrt(h)), 512) unless given; rejects an empty
-    window and one of more than MAX_SCAN_MODES modes."""
+def scan_window(geometry, group=None, m_max=None, n_max=None):
+    """(m_max, n_max) of a Korn (group None) or component scan, the caps
+    min(ceil(3/sqrt(h)), 512) unless given, after every check that needs no grid:
+    pi h / L below the group's floor (``_FORM_MHAT_H_MIN``, else ``_MHAT_H_MIN``),
+    an empty window, more than MAX_SCAN_MODES modes, and pi m_max / L above 1e75
+    (past about 1.2e77 the Korn model's m_hat^4 overflows)."""
+    mhat_h = geometry.axial_wavenumber(1) * geometry.h
+    mhat_h_min = _FORM_MHAT_H_MIN.get(group, _MHAT_H_MIN)
+    if mhat_h < mhat_h_min:
+        raise ParameterError(f"pi h / L = {mhat_h:.3g} is below {mhat_h_min:g}, the least "
+                             f"this scan resolves")
     cap = min(int(math.ceil(3.0 / math.sqrt(geometry.h))), 512)
     m_max = cap if m_max is None else m_max
     n_max = cap if n_max is None else n_max
@@ -537,36 +546,23 @@ def _scan_caps(geometry, m_max, n_max):
     if m_max * (n_max + 1) > MAX_SCAN_MODES:
         raise ParameterError(f"scan window of m_max (n_max + 1) = {m_max * (n_max + 1)} "
                              f"modes exceeds {MAX_SCAN_MODES}")
-    return m_max, n_max
-
-
-def _scan_quotient(geometry, numerator, denominator, index, m_max, n_max, N):
-    """(quotients, m_max, n_max) of a scan of the quotient of two forms.
-
-    ``quotients(n_r, modes)`` solves the modes' pencils on n_r nodes, N or
-    min(N, _COARSE_N), for the extreme eigenvalue ``index`` (0 the smallest,
-    -1 the largest).  Rejects pi h / L below the numerator's floor, the
-    window of ``_scan_caps``, pi m_max / L above 1e75 (past about 1.2e77 the
-    Korn model's m_hat^4 overflows) and N outside the grid's range before
-    any grid is built.
-    """
-    mhat_h = geometry.axial_wavenumber(1) * geometry.h
-    mhat_h_min = _FORM_MHAT_H_MIN.get(numerator, _MHAT_H_MIN)
-    if mhat_h < mhat_h_min:
-        raise ParameterError(f"pi h / L = {mhat_h:.3g} is below {mhat_h_min:g}, the least "
-                             f"this scan resolves")
-    m_max, n_max = _scan_caps(geometry, m_max, n_max)
     if geometry.axial_wavenumber(m_max) > 1e75:
         raise ParameterError(f"pi m_max / L = {geometry.axial_wavenumber(m_max):.3g} > 1e75: "
                              f"L = {geometry.L:g} is too short for the scan window")
+    return m_max, n_max
+
+
+def _scan(geometry, forms, bound, sign, m_max, n_max, N):
+    """``_guarded_scan`` of the quotient of ``forms`` (numerator, denominator),
+    the least for sign +1 and the greatest for -1, on N and min(N, _COARSE_N) nodes."""
     grids = {n_r: radial_grid(geometry, N=n_r)
              for n_r in sorted({N, min(N, _COARSE_N)}, reverse=True)}
 
     def quotients(n_r, modes):
-        forms = _mode_forms(grids[n_r], modes, geometry, numerator, denominator)
-        return [value for value, _ in _solve_stack(*forms, index)]
+        pencils = _mode_forms(grids[n_r], modes, geometry, *forms)
+        return [value for value, _ in _solve_stack(*pencils, sign)]
 
-    return quotients, m_max, n_max
+    return _guarded_scan(quotients, bound, sign, N, m_max, n_max)
 
 
 def korn_constant(geometry, m_max=None, n_max=None, N=32):
@@ -580,9 +576,9 @@ def korn_constant(geometry, m_max=None, n_max=None, N=32):
     a solve on N; ``on_boundary`` warns that the scan caps were probably too
     small.
     """
-    quotients, m_max, n_max = _scan_quotient(geometry, "strain", "grad", 0, m_max, n_max, N)
-    return _guarded_scan(quotients, functools.partial(_korn_bound, geometry), 1.0, N,
-                         m_max, n_max)
+    m_max, n_max = scan_window(geometry, None, m_max, n_max)
+    return _scan(geometry, ("strain", "grad"), functools.partial(_korn_bound, geometry), 1.0,
+                 m_max, n_max, N)
 
 
 def component_bound(geometry, group, m_max=None, n_max=None, N=32):
@@ -596,7 +592,6 @@ def component_bound(geometry, group, m_max=None, n_max=None, N=32):
     urrzzr and thzzth admit pi h / L >= 1e-5, the other groups
     pi h / L >= 1e-10 (``_FORM_MHAT_H_MIN``, ``_MHAT_H_MIN``).
     """
-    quotients, m_max, n_max = _scan_quotient(geometry, f"component:{group}", "strain", -1,
-                                             m_max, n_max, N)
-    return _guarded_scan(quotients, functools.partial(_component_bound, geometry, group),
-                         -1.0, N, m_max, n_max)
+    m_max, n_max = scan_window(geometry, group, m_max, n_max)
+    return _scan(geometry, (f"component:{group}", "strain"),
+                 functools.partial(_component_bound, geometry, group), -1.0, m_max, n_max, N)

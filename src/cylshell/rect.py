@@ -137,15 +137,6 @@ class PlanarSeries:
         return p @ t
 
 
-def stack_series(series):
-    """The series as the members of one PlanarSeries; rows and degree must agree."""
-    try:
-        parts = [np.stack(a) for a in zip(*((s.coef, s.freq, s.kind, s.rate) for s in series))]
-    except ValueError as exc:
-        raise ShapeError(f"cannot stack planar series: {exc}") from None
-    return PlanarSeries(*parts)
-
-
 ZERO = PlanarSeries(np.zeros((0, 1)), (), ())
 
 
@@ -157,21 +148,12 @@ class PlanarField:
     partial derivative, broadcast over x and y; every field the module
     generates has PlanarSeries components.  bc_tag: 'zero_horizontal'
     (u = 0 at y in {0, L}) or 'periodic_y' (period 2 pi in y).  With
-    stacked series (``stack_fields``) the field is a stack of members.
+    stacked series the field is a stack of members.
     """
 
     u: object
     v: object
     bc_tag: str = None
-
-
-def stack_fields(fields):
-    """The fields as the members of one PlanarField of stacked series."""
-    tags = {f.bc_tag for f in fields}
-    if len(tags) != 1:
-        raise ShapeError(f"cannot stack fields of bc tags {sorted(map(str, tags))}")
-    return PlanarField(stack_series([f.u for f in fields]),
-                       stack_series([f.v for f in fields]), bc_tag=tags.pop())
 
 
 def _peak(values):
@@ -327,17 +309,14 @@ def check_basic_inequality(field, alpha, h, L, grid=None):
             _reports(g_sq, 99.0 * e_sq + 57.0 / h * u_norm * e))
 
 
-def random_zero_horizontal(rng, h, L):
+def random_zero_horizontal(rng, h, L, shape=()):
     """Seeded random field vanishing on the horizontal edges.
 
     u is a sine series in y with random x-polynomial coefficients; v is an
     unconstrained trig series of the same type; 6 cubic-in-x terms each.
+    ``shape=(k,)`` gives a stack of k fields: member by member, bit for bit,
+    the fields of k successive single draws.
     """
-    return _random_zero_horizontal(rng, L, ())
-
-
-def _random_zero_horizontal(rng, L, shape):
-    """An array ``shape`` of random_zero_horizontal fields, drawn in C order."""
     cu, cv = np.empty((2, *shape, 6, 4))
     k_u, k_v, coin = np.empty((3, *shape, 6))
     for t in np.ndindex(*shape, 6):
@@ -380,7 +359,7 @@ def basic_inequality_trials(h, L, trials=200, seed=1234):
     grid = planar_grid(h, L, n_x=16, n_y=48)
     return _trial_scan(
         trials, seed,
-        lambda rng, count: _random_zero_horizontal(rng, L, (count,)),
+        lambda rng, count: random_zero_horizontal(rng, h, L, (count,)),
         lambda field, alphas: check_basic_inequality(field, alphas, h, L, grid=grid))
 
 
@@ -405,13 +384,9 @@ def extremal_harmonic(h, L):
     return PlanarSeries(amp, [a, a], ["sin"] * 2, rate=[a, -a])
 
 
-def random_harmonic(rng, h, L):
-    """Random harmonic function vanishing on the horizontal edges (modes 1..8)."""
-    return _random_harmonic(rng, h, L, ())
-
-
-def _random_harmonic(rng, h, L, shape):
-    """An array ``shape`` of random_harmonic series, drawn in C order."""
+def random_harmonic(rng, h, L, shape=()):
+    """Random harmonic function vanishing on the horizontal edges (modes 1..8),
+    stacked by ``shape`` as in random_zero_horizontal."""
     a = math.pi * np.arange(1, 9) / L
     # keep the growing exponential O(1) on [0, h]
     scale = np.column_stack([[math.exp(-a_ * h) for a_ in a], np.ones(8)])
@@ -460,7 +435,7 @@ def harmonic_lemma_check(h, L, trials=20, seed=1234):
 
     violations, min_margin = _trial_scan(
         trials, seed,
-        lambda rng, count: _random_harmonic(rng, h, L, (count,)),
+        lambda rng, count: random_harmonic(rng, h, L, (count,)),
         reports)
 
     n0, nx, ny = norms(extremal_harmonic(h, L))
@@ -589,13 +564,9 @@ def projection_estimates(field, alpha, h, L, allowance=0.05):
 # periodic variants
 
 
-def random_periodic(rng, h):
-    """Seeded random field with period 2 pi in y: 6 cubic-in-x terms per component."""
-    return _random_periodic(rng, ())
-
-
-def _random_periodic(rng, shape):
-    """An array ``shape`` of random_periodic fields, drawn in C order."""
+def random_periodic(rng, h, shape=()):
+    """Seeded random field with period 2 pi in y: 6 cubic-in-x terms per
+    component, stacked by ``shape`` as in random_zero_horizontal."""
     coef = np.empty((*shape, 2, 6, 4))
     k, coin = np.empty((2, *shape, 2, 6))
     for t in np.ndindex(*shape, 2, 6):
@@ -641,5 +612,5 @@ def periodic_inequality_trials(h, trials=200, seed=1234):
     grid = planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
     return _trial_scan(
         trials, seed,
-        lambda rng, count: _random_periodic(rng, (count,)),
+        lambda rng, count: random_periodic(rng, h, (count,)),
         lambda field, alphas: check_periodic_inequalities(field, h, alpha=alphas, grid=grid))

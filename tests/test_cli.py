@@ -173,8 +173,8 @@ def test_korn_failed_model_bound_exits_3(capsys, monkeypatch):
     # pencil quotients a tenth of the true ones undercut the Korn model's bound
     solve = korn._solve_stack
 
-    def undercut(C_num, C_den, index):
-        return [(0.1 * value, v) for value, v in solve(C_num, C_den, index)]
+    def undercut(C_num, C_den, sign):
+        return [(0.1 * value, v) for value, v in solve(C_num, C_den, sign)]
 
     monkeypatch.setattr(korn, "_solve_stack", undercut)
     code = main(["korn", "--h-list", "1e-2", "--N", "8"])
@@ -189,8 +189,8 @@ def test_component_failed_model_bound_exits_3(capsys, monkeypatch, group, scale)
     # bound's 1e-12 slack
     solve = korn._solve_stack
 
-    def overshoot(C_num, C_den, index):
-        return [(scale * value, v) for value, v in solve(C_num, C_den, index)]
+    def overshoot(C_num, C_den, sign):
+        return [(scale * value, v) for value, v in solve(C_num, C_den, sign)]
 
     monkeypatch.setattr(korn, "_solve_stack", overshoot)
     code = main(["components", "--which", group, "--h-list", "1e-2", "--N", "8"])
@@ -329,15 +329,20 @@ def test_bad_h_list(capsys, argv):
     ["korn", "--h-list", "1e-2,1e-2,1e-2,1e-2"],
     ["fixedbc", "--h-list", "1e-3,1e-4,1e-3"],
     ["ansatz", "--h-list", "0.0016,0.0016"],
+    # the second h is below its scan's pi h / L floor
+    ["components", "--which", "urrzzr", "--h-list", "1e-2,1e-7"],
+    ["korn", "--h-list", "1e-2,1e-11"],
+    ["korn", "--h-list", "0.5,1e-11", "--L", "1", "--mmax", "60", "--nmax", "60"],
 ], ids=["ansatz-h", "fixedbc-h", "ansatz-L", "fixedbc-L", "korn-h", "components-h",
         "ansatz-L-inf", "fixedbc-L-inf", "korn-L-inf", "ansatz-skew-nan", "ansatz-skew-inf",
-        "korn-h-repeated", "fixedbc-h-repeated", "ansatz-h-repeated"])
+        "korn-h-repeated", "fixedbc-h-repeated", "ansatz-h-repeated", "urrzzr-h-floor",
+        "korn-h-floor", "korn-h-floor-window"])
 def test_bad_sweep_geometry(capsys, monkeypatch, argv):
     # every h, L and skew is validated before the first solve: nothing is computed
     def computed(*args, **kwargs):
         raise AssertionError("a sweep computed before validating its h-list")
 
-    for module, name in ((korn, "_scan_quotient"), (ansatz, "build_ansatz"),
+    for module, name in ((korn, "_scan"), (ansatz, "build_ansatz"),
                          (fixedbc, "classical_ratio")):
         monkeypatch.setattr(module, name, computed)
     code, out = run(capsys, *argv)
@@ -386,12 +391,16 @@ def test_non_finite_parameters(tmp_path, capsys, argv):
     ["korn", "--h-list", "1e-2", "--nmax", "1000000000"],
     ["koiter-modes", "--h", "1e-3", "--m", "1", "--export", "{tmp}/x.obj",
      "--ntheta", "200000", "--nz", "20000"],
+    # a bad second m: no surface of the first is written
+    ["koiter-modes", "--h", "1e-4", "--m", "1,100000", "--export", "{tmp}/x.obj"],
+    ["koiter-modes", "--h", "1e-4", "--m", "1,-3", "--export", "{tmp}/x.obj"],
 ], ids=["ansatz-L-tiny", "ansatz-L-huge", "ansatz-h-tiny", "koiter-modes-L-huge",
         "rect-L-1e-30", "rect-L-1e-300", "rect-L-1e30", "rect-L-1e300", "rect-h-1e-30",
         "rect-h-1e-300", "load-L-1e30", "load-L-1e300", "load-h-1e-300", "load-h-1e-30",
         "load-M-overflow", "load-mmax-cap", "korn-L-1e300", "korn-L-1e12",
         "components-L-1e300", "components-L-1e12", "urrzzr-L-1e5", "korn-N-513",
-        "korn-L-1e-100", "korn-L-5e-77", "korn-nmax-1e9", "export-mesh-4e9"])
+        "korn-L-1e-100", "korn-L-5e-77", "korn-nmax-1e9", "export-mesh-4e9",
+        "export-m-outside-circle", "export-m-negative"])
 def test_extreme_finite_parameters(tmp_path, capsys, argv):
     # finite but out of each formula's admitted range: exit 2 before any
     # large array is made, not a traceback (classical-load --h 1e-30 would

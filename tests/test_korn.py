@@ -307,7 +307,7 @@ def test_stack_falls_back_pencil_by_pencil():
     C_num, C_den = korn._mode_forms(grid, modes, geo, "strain", "grad")
     single = [korn.min_rayleigh(korn.assemble_mode_forms(m, n, geo, grid))[0]
               for m, n in modes]
-    assert [value for value, _ in korn._solve_stack(C_num, C_den, 0)] == single
+    assert [value for value, _ in korn._solve_stack(C_num, C_den, 1)] == single
 
 
 def test_rank_deficient_member_of_a_stack_is_solver_error():
@@ -317,7 +317,7 @@ def test_rank_deficient_member_of_a_stack_is_solver_error():
     C_den = np.array([p.C_den for p in pairs])
     C_den[1][:, 2] = 0.0
     with pytest.raises(SolverError, match="rank-deficient"):
-        korn._solve_stack(C_num, C_den, 0)
+        korn._solve_stack(C_num, C_den, 1)
 
 
 def test_korn_constant_reference(geo_thick):
@@ -445,7 +445,7 @@ def test_scan_admitted_window(group, monkeypatch):
         return korn.component_bound(geo, group, **kw)
 
     geo = ShellGeometry(h=1e-2, L=math.pi)
-    assert korn._scan_caps(geo, 1, korn.MAX_SCAN_MODES - 1) == (1, korn.MAX_SCAN_MODES - 1)
+    assert korn.scan_window(geo, None, 1, korn.MAX_SCAN_MODES - 1) == (1, korn.MAX_SCAN_MODES - 1)
     L = math.pi * 3 / 1e75
     assert scan(ShellGeometry(h=1e-2, L=L * (1 + 1e-12)), m_max=3, n_max=3, N=8).value > 0
     monkeypatch.setattr(korn, "radial_grid", None)
@@ -487,7 +487,7 @@ def test_scan_matches_exhaustive_grid(geo_thick, kind):
     # value is compared
     N = 16
     grid = korn.radial_grid(geo_thick, N=N)
-    m_max, n_max = korn._scan_caps(geo_thick, None, None)
+    m_max, n_max = korn.scan_window(geo_thick)
     assert (m_max, n_max) == (30, 30)
     if kind == "korn":
         res = korn.korn_constant(geo_thick, N=N)
@@ -525,7 +525,7 @@ def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
                                                              *forms)))[0]
                 for m, n in modes]
 
-    m_max, n_max = korn._scan_caps(geo_thick, None, None)
+    m_max, n_max = korn.scan_window(geo_thick)
     assert res == korn._guarded_scan(quotients, bound, sign, N, m_max, n_max)
 
 
@@ -604,10 +604,14 @@ BOUND_CASES = [(h, L, 8, None) for h, L in BOUND_GRID] + [
 ]
 
 
-def window_quotients(geo, forms, index, N, keep=None):
-    """The modes (m, n) of the default scan window for which keep(n, t)
-    holds, t the thinness, and their quotients on N nodes, solved in stacks."""
-    quotients, m_max, n_max = korn._scan_quotient(geo, *forms, index, None, None, N)
+def window_quotients(geo, group, N, keep=None):
+    """The modes (m, n) of the default window of the Korn scan (group None)
+    or of a component scan for which keep(n, t) holds, t the thinness, and
+    their quotients on N nodes, solved in stacks."""
+    m_max, n_max = korn.scan_window(geo, group)
+    forms, sign = ((("strain", "grad"), 1) if group is None
+                   else ((f"component:{group}", "strain"), -1))
+    grid = korn.radial_grid(geo, N=N)
     m, n = np.divmod(np.arange(m_max * (n_max + 1)), n_max + 1)
     m += 1
     if keep is not None:
@@ -615,7 +619,8 @@ def window_quotients(geo, forms, index, N, keep=None):
         m, n = m[kept], n[kept]
     modes = list(zip(m.tolist(), n.tolist()))
     return m, n, np.array([v for i in range(0, len(modes), 64)
-                           for v in quotients(N, modes[i:i + 64])])
+                           for v, _ in korn._solve_stack(
+                               *korn._mode_forms(grid, modes[i:i + 64], geo, *forms), sign)])
 
 
 def test_korn_model_bounds_every_mode():
@@ -625,7 +630,7 @@ def test_korn_model_bounds_every_mode():
     worst = (math.inf, None)
     for h, L, N, keep in BOUND_CASES:
         geo = ShellGeometry(h, L)
-        m, n, values = window_quotients(geo, ("strain", "grad"), 0, N, keep)
+        m, n, values = window_quotients(geo, None, N, keep)
         ratios = values / korn._korn_bound(geo, m, n)[0]
         k = int(np.argmin(ratios))
         worst = min(worst, (float(ratios[k]), (h, L, N, (int(m[k]), int(n[k])))))
@@ -648,7 +653,7 @@ def test_component_models_bound_every_mode():
     for h, L, keep in COMPONENT_BOUND_CASES:
         geo = ShellGeometry(h, L)
         for group in ("rthr", "urrzzr", "thzzth"):
-            m, n, values = window_quotients(geo, (f"component:{group}", "strain"), -1, 8, keep)
+            m, n, values = window_quotients(geo, group, 8, keep)
             ratios = values / korn._component_bound(geo, group, m, n)[0]
             k = int(np.argmax(ratios))
             worst = max(worst, (float(ratios[k]), (h, L, group, (int(m[k]), int(n[k])))))
@@ -722,7 +727,7 @@ def test_korn_scan_solve_count():
         geo = ShellGeometry(h=h, L=math.pi)
         res = korn.korn_constant(geo)
         assert res.evaluations <= most
-        m_max, n_max = korn._scan_caps(geo, None, None)
+        m_max, n_max = korn.scan_window(geo)
         assert res.screened_out == m_max * (n_max + 1) - (res.evaluations - 1)
         at_argmin = res.value / float(korn._korn_model(geo, res.m, res.n))
         assert korn._THIN_BOUND_FACTOR <= res.bound_ratio <= at_argmin
@@ -736,7 +741,7 @@ def test_component_scan_solve_count():
     most = {"rthr": (6, 7), "urrzzr": (23, 72), "thzzth": (82, 242), "ththzz": (2, 2)}
     for k, h in enumerate((1e-2, 1e-3)):
         geo = ShellGeometry(h=h, L=math.pi)
-        m_max, n_max = korn._scan_caps(geo, None, None)
+        m_max, n_max = korn.scan_window(geo)
         for group, limits in most.items():
             res = korn.component_bound(geo, group)
             assert res.evaluations <= limits[k], (h, group)

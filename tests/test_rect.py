@@ -83,6 +83,7 @@ def test_planar_series_matches_polynomial_reference():
 def test_planar_series_takes_a_tensor_grid():
     # x must be a column and y a row: any other shape is refused, not flattened
     series = rect.PlanarSeries([[1.0, 2.0]], [3.0], ["sin"])
+    stack = rect.PlanarSeries([[[1.0, 2.0]]] * 2, [[3.0]] * 2, [["sin"]] * 2)
     col, row = np.linspace(0.0, H, 4)[:, None], np.linspace(0.0, L, 6)[None, :]
     assert series(col, row).shape == (4, 6)
     for x, y in ((col.ravel(), row), (col, row.ravel()), (row, col), (col, col),
@@ -90,7 +91,7 @@ def test_planar_series_takes_a_tensor_grid():
         with pytest.raises(ShapeError, match="x column and a y row"):
             series(x, y)
         with pytest.raises(ShapeError, match="x column and a y row"):
-            rect.stack_series([series, series])(x, y)
+            stack(x, y)
 
 
 def test_stacked_series_equals_each_member():
@@ -98,9 +99,10 @@ def test_stacked_series_equals_each_member():
     # stack must give exactly what it gives alone
     rng = np.random.default_rng(5)
     kinds = np.array([["sin", "cos", "one"], ["one", "sin", "sin"], ["cos", "cos", "one"]])
-    members = [rect.PlanarSeries(rng.uniform(-1.0, 1.0, (3, 4)), rng.uniform(0.0, 9.0, 3),
-                                 kind, rate=rng.uniform(-4.0, 4.0, 3)) for kind in kinds]
-    stack = rect.stack_series(members)
+    coef, freq = rng.uniform(-1.0, 1.0, (3, 3, 4)), rng.uniform(0.0, 9.0, (3, 3))
+    rate = rng.uniform(-4.0, 4.0, (3, 3))
+    stack = rect.PlanarSeries(coef, freq, kinds, rate=rate)
+    members = [rect.PlanarSeries(*parts) for parts in zip(coef, freq, kinds, rate)]
     x, y = np.linspace(0.0, H, 7)[:, None], np.linspace(0.0, L, 5)[None, :]
     for dx in range(3):
         for dy in range(2):
@@ -108,10 +110,6 @@ def test_stacked_series_equals_each_member():
             assert got.shape == (3, 7, 5)
             for k, member in enumerate(members):
                 assert np.array_equal(got[k], member(x, y, dx, dy)), (k, dx, dy)
-    with pytest.raises(ShapeError):
-        rect.stack_series([members[0], rect.PlanarSeries([[1.0]], [1.0], ["sin"])])
-    with pytest.raises(ShapeError):
-        rect.stack_series([stack, stack])
 
 
 def _field_by_field(trials, seed, draw, reports):
@@ -148,6 +146,31 @@ SCANS = {
 }
 
 
+@pytest.mark.parametrize("draw", [
+    lambda rng, shape: rect.random_zero_horizontal(rng, H, L, shape),
+    lambda rng, shape: rect.random_periodic(rng, H, shape),
+    lambda rng, shape: rect.random_harmonic(rng, H, L, shape),
+], ids=["zero_horizontal", "periodic", "harmonic"])
+def test_stacked_draw_equals_successive_single_draws(draw):
+    # the trial scans draw their fields as stacks: member k of a stack of 7
+    # is, bit for bit, the k-th of 7 single draws from the same seed, and
+    # both leave the generator at the same point of its stream
+    stacked_rng, single_rng = np.random.default_rng(11), np.random.default_rng(11)
+    stack = draw(stacked_rng, (7,))
+    for k in range(7):
+        single = draw(single_rng, ())
+        if isinstance(single, rect.PlanarField):
+            assert stack.bc_tag == single.bc_tag
+            pairs = ((stack.u, single.u), (stack.v, single.v))
+        else:
+            pairs = ((stack, single),)
+        for stacked, alone in pairs:
+            for name in ("coef", "freq", "kind", "rate"):
+                a, b = getattr(stacked, name)[k], getattr(alone, name)
+                assert a.shape == b.shape and np.array_equal(a, b), (k, name)
+    assert stacked_rng.random() == single_rng.random()
+
+
 @pytest.mark.parametrize("trials", [1, 23, 200])
 @pytest.mark.parametrize("scan", sorted(SCANS))
 def test_stacked_scan_equals_field_by_field(scan, trials):
@@ -157,33 +180,35 @@ def test_stacked_scan_equals_field_by_field(scan, trials):
 
 
 def test_stacked_checks_equal_field_by_field():
-    rng = np.random.default_rng(21)
+    # a stacked draw and the single draws of the same seed are the same fields
     alphas = np.take(rect.TRIAL_ALPHAS, np.arange(23), mode="wrap")
+    rng, stack_rng = np.random.default_rng(21), np.random.default_rng(21)
     fields = [rect.random_zero_horizontal(rng, H, L) for _ in alphas]
-    stacked = rect.check_basic_inequality(rect.stack_fields(fields), alphas, H, L)
+    stack = rect.random_zero_horizontal(stack_rng, H, L, alphas.shape)
+    stacked = rect.check_basic_inequality(stack, alphas, H, L)
     single = [rect.check_basic_inequality(f, a, H, L) for f, a in zip(fields, alphas)]
     assert list(zip(*stacked)) == single
     fields = [rect.random_periodic(rng, H) for _ in alphas]
-    stacked = rect.check_periodic_inequalities(rect.stack_fields(fields), H, alpha=alphas)
+    stack = rect.random_periodic(stack_rng, H, alphas.shape)
+    stacked = rect.check_periodic_inequalities(stack, H, alpha=alphas)
     single = [rect.check_periodic_inequalities(f, H, alpha=a) for f, a in zip(fields, alphas)]
     assert list(zip(*stacked)) == single
 
 
 def test_stack_with_one_bad_member_raises():
     rng = np.random.default_rng(4)
-    fields = [rect.random_zero_horizontal(rng, H, L) for _ in range(5)]
-    good = fields[2]
+    stack = rect.random_zero_horizontal(rng, H, L, (5,))
     # cos rows do not vanish on the horizontal edges
-    fields[2] = replace(good, u=replace(good.u, kind=np.full(6, "cos")))
+    kind = stack.u.kind.copy()
+    kind[2] = "cos"
     with pytest.raises(ShapeError, match="member 2"):
-        rect.check_basic_inequality(rect.stack_fields(fields), 0.5, H, L)
-    fields = [rect.random_periodic(rng, H) for _ in range(5)]
+        rect.check_basic_inequality(replace(stack, u=replace(stack.u, kind=kind)), 0.5, H, L)
+    stack = rect.random_periodic(rng, H, (5,))
     # a non-integer frequency breaks the 2 pi period
-    fields[2] = replace(fields[2], v=replace(fields[2].v, freq=fields[2].v.freq + 0.5))
+    freq = stack.v.freq.copy()
+    freq[2] += 0.5
     with pytest.raises(ShapeError, match="member 2"):
-        rect.check_periodic_inequalities(rect.stack_fields(fields), H)
-    with pytest.raises(ShapeError):
-        rect.stack_fields([good, fields[0]])
+        rect.check_periodic_inequalities(replace(stack, v=replace(stack.v, freq=freq)), H)
 
 
 @pytest.mark.parametrize("scan, args", [
@@ -231,10 +256,10 @@ def test_verify_planar_bc_samples_each_component_once():
     # the edges are the end columns of the scale's 33 x 33 sample, so each
     # component is called once per check, stacked or not
     rng = np.random.default_rng(5)
-    fields = {"zero_horizontal": (rect.random_zero_horizontal(rng, H, L), L),
-              "periodic_y": (rect.random_periodic(rng, H), 2.0 * math.pi)}
-    for field, length in fields.values():
-        for member in (field, rect.stack_fields([field, field])):
+    draws = {"zero_horizontal": (lambda shape: rect.random_zero_horizontal(rng, H, L, shape), L),
+             "periodic_y": (lambda shape: rect.random_periodic(rng, H, shape), 2.0 * math.pi)}
+    for draw, length in draws.values():
+        for member in (draw(()), draw((2,))):
             calls = []
 
             def counted(c, name):
