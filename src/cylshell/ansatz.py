@@ -6,7 +6,8 @@ n_h = floor(h^(-1/4)) and turned into the mid-surface profile family
     f_r = -phi^h_,theta theta,   f_theta = phi^h_,theta,   f_z = -phi^h_,z,
 
 each a ``CompressedBump`` (a derivative offset and a factor of phi^h), whose
-U(f) field U^h realizes the h^(3/2) Korn-constant scaling:
+U(f) field U^h on the shell ShellGeometry(h, L) of the bump's own axial
+length L realizes the h^(3/2) Korn-constant scaling:
 
     lim h^(1/4) ||grad U^h||^2 = 2 ||phi_,eta eta eta||^2,
     lim h^(-5/4) ||e(U^h)||^2  = ||phi_,zz||^2 + (1/12) ||phi_,eta eta eta eta||^2.
@@ -31,7 +32,7 @@ from numpy.polynomial.polynomial import polyder, polyint, polymul, polyval
 
 from cylshell import korn
 from cylshell.errors import ParameterError
-from cylshell.material import shell_sweep
+from cylshell.material import ShellGeometry, shell_sweep
 from cylshell.fields import (DisplacementField, cylindrical_gradient, functionals,
                              gradient, symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
                              STRAIN_WEIGHT)
@@ -161,11 +162,9 @@ class AnsatzField:
         return (-half, half)
 
 
-def build_ansatz(h, bump, geometry):
-    """Bending ansatz U^h from the compressed bump at thickness h."""
-    if abs(geometry.L - bump.L) > 1e-12 * bump.L:
-        raise ParameterError(
-            f"bump axial length {bump.L} does not match shell length {geometry.L}")
+def build_ansatz(h, bump):
+    """Bending ansatz U^h from the compressed bump at thickness h, on the shell
+    ShellGeometry(h, bump.L)."""
     n_h = wavenumber(h)
     field = DisplacementField(CompressedBump(bump, n_h, 2, 0, -1.0),
                               CompressedBump(bump, n_h, 1, 0, 1.0),
@@ -173,22 +172,22 @@ def build_ansatz(h, bump, geometry):
     return AnsatzField(h=h, n_h=n_h, bump=bump, field=field)
 
 
-def ansatz_grid(ansatz, geometry):
-    """Volume quadrature restricted to the bump's theta support.
+def ansatz_grid(ansatz):
+    """Volume quadrature of the ansatz's shell restricted to the bump's theta support.
 
     8 radial, 64 theta and 64 axial Gauss nodes.  Gauss nodes on the
     support interval integrate the (piecewise-polynomial) ansatz integrands
     exactly; 64 nodes on the compressed support exceed the resolution of
     64 n_h uniform nodes on the full circle.
     """
-    return volume_grid(geometry, n_r=8, n_th=64, n_z=64, theta_interval=ansatz.support)
+    return volume_grid(ShellGeometry(ansatz.h, ansatz.bump.L), n_r=8, n_th=64, n_z=64,
+                       theta_interval=ansatz.support)
 
 
 @dataclass(frozen=True)
 class QuantityTable:
     """One scaling quantity: (h, value) rows, normalized values, fit, target."""
 
-    name: str
     points: tuple
     normalized: tuple = ()
     fit: ScalingFit = None
@@ -196,14 +195,10 @@ class QuantityTable:
 
 
 def _sweep(bump, h_list, quantity):
-    """(h, quantity(ansatz, grid)) for each h, largest h first, on ansatz_grid.
-
-    The shell at each h has the bump's axial length.  Every ansatz is built,
-    and so every h checked, before the first quantity.
-    """
-    geos = shell_sweep(h_list, bump.L)
-    built = [build_ansatz(geo.h, bump, geo) for geo in geos]
-    return [(geo.h, quantity(ans, ansatz_grid(ans, geo))) for geo, ans in zip(geos, built)]
+    """(h, quantity(ansatz, ansatz_grid(ansatz))) for each h, largest h first; every
+    ansatz is built, and so every h checked, before the first quantity."""
+    built = [build_ansatz(geo.h, bump) for geo in shell_sweep(h_list, bump.L)]
+    return [(ans.h, quantity(ans, ansatz_grid(ans))) for ans in built]
 
 
 def verify_limits(bump, h_list):
@@ -219,13 +214,11 @@ def verify_limits(bump, h_list):
                 "strain": sum(STRAIN_WEIGHT[k] * grid.norm_sq(e[k]) for k in STRAIN_KEYS)}
 
     rows = _sweep(bump, h_list, norms)
-    tables = {}
-    for name, target, power in (("gradient", bump.gradient_limit(), 0.25),
-                                ("strain", bump.strain_limit(), -1.25)):
-        pts = tuple((h, vals[name]) for h, vals in rows)
-        tables[name] = QuantityTable(name, pts, tuple(h**power * v / target for h, v in pts),
-                                     target=target)
-    return tables
+    return {name: QuantityTable(tuple((h, vals[name]) for h, vals in rows),
+                                tuple(h**power * vals[name] / target for h, vals in rows),
+                                target=target)
+            for name, target, power in (("gradient", bump.gradient_limit(), 0.25),
+                                        ("strain", bump.strain_limit(), -1.25))}
 
 
 # h-exponents of korn's component groups on U^h: korn's exponent + 5/4, since
@@ -242,12 +235,9 @@ def component_scalings(bump, h_list):
                 for name, keys in korn.COMPONENT_GROUPS.items()}
 
     rows = _sweep(bump, h_list, groups)
-    tables = {}
-    for name, target in COMPONENT_EXPONENTS.items():
-        pts = tuple((h, vals[name]) for h, vals in rows)
-        fit = fit_exponent(pts, min_points=min(3, len(pts)))
-        tables[name] = QuantityTable(name, pts, fit=fit, target=target)
-    return tables
+    pts = {name: tuple((h, vals[name]) for h, vals in rows) for name in COMPONENT_EXPONENTS}
+    return {name: QuantityTable(pts[name], fit=fit_exponent(pts[name], min_points=2),
+                                target=target) for name, target in COMPONENT_EXPONENTS.items()}
 
 
 def compressiveness_scaling(bump, h_list, material, stress):
@@ -261,5 +251,4 @@ def compressiveness_scaling(bump, h_list, material, stress):
     pts = tuple((h, val.S / val.C) for h, val in rows if val.C > 0.0)
     excluded = tuple((h, val.C) for h, val in rows if val.C <= 0.0)
     fit = fit_exponent(pts, min_points=3) if len(pts) >= 3 else None
-    return {"ratio": QuantityTable("ratio", pts, fit=fit),
-            "excluded": QuantityTable("excluded", excluded)}
+    return {"ratio": QuantityTable(pts, fit=fit), "excluded": QuantityTable(excluded)}

@@ -146,7 +146,7 @@ class LimitReport:
     def excess_fit(self):
         """Fitted h-exponent of ratio - 1 (decays like m(h)^{-2} ~ h^{2 alpha})."""
         pts = [(row.h, row.ratio - 1.0) for row in self.rows if row.ratio > 1.0]
-        return fit_exponent(pts, min_points=min(4, len(pts)))
+        return fit_exponent(pts, min_points=2)
 
 
 def wavenumber(h, alpha):

@@ -163,6 +163,14 @@ def _operator_table(grid):
     return table
 
 
+def _group_keys(group):
+    """The gradient keys of a component group; another group is a ParameterError."""
+    if group not in COMPONENT_GROUPS:
+        raise ParameterError(f"unknown component group {group!r}; "
+                             f"choose from {sorted(COMPONENT_GROUPS)}")
+    return COMPONENT_GROUPS[group]
+
+
 def _form_rows(kind, ops):
     """Row stack C of one norm, ||C v||^2 = the norm squared of mode v.
 
@@ -176,11 +184,7 @@ def _form_rows(kind, ops):
     if kind == "grad":
         keys = GRAD_KEYS
     elif kind.startswith("component:"):
-        group = kind.split(":", 1)[1]
-        if group not in COMPONENT_GROUPS:
-            raise ParameterError(f"unknown component group {group!r}; "
-                                 f"choose from {sorted(COMPONENT_GROUPS)}")
-        keys = COMPONENT_GROUPS[group]
+        keys = _group_keys(kind.split(":", 1)[1])
     else:
         raise ParameterError(f"unknown form kind {kind!r}")
     return np.concatenate([ops[k] for k in keys], axis=-2)
@@ -528,10 +532,12 @@ MAX_SCAN_MODES = 1_000_000
 
 def scan_window(geometry, group=None, m_max=None, n_max=None):
     """(m_max, n_max) of a Korn (group None) or component scan, the caps
-    min(ceil(3/sqrt(h)), 512) unless given, after every check that needs no grid:
-    pi h / L below the group's floor (``_FORM_MHAT_H_MIN``, else ``_MHAT_H_MIN``),
+    min(ceil(3/sqrt(h)), 512) unless given, after every check that needs no grid: an
+    unknown group, pi h / L below its floor (``_FORM_MHAT_H_MIN``, else ``_MHAT_H_MIN``),
     an empty window, more than MAX_SCAN_MODES modes, and pi m_max / L above 1e75
     (past about 1.2e77 the Korn model's m_hat^4 overflows)."""
+    if group is not None:
+        _group_keys(group)
     mhat_h = geometry.axial_wavenumber(1) * geometry.h
     mhat_h_min = _FORM_MHAT_H_MIN.get(group, _MHAT_H_MIN)
     if mhat_h < mhat_h_min:

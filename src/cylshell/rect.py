@@ -31,12 +31,12 @@ matrix product: the x-factors of its rows times their y-factors.
 
 Each form of an inequality gives its own InequalityReport: the basic check
 returns (product form, split form), the periodic one (alpha form, starred
-form).  A PlanarSeries may also carry a leading member axis, a stack of
-series of the same shape.  The checks reduce over the trailing (x, y) grid
-axes, so a single field is a stack of one: a stacked field gives one report
-per form and member, equal bit for bit to what that member gives alone.  The
-randomized scans draw a stack of _TRIAL_CHUNK fields in one call, in seeded
-order, and check it at once.
+form), each on the 16 x 48 Gauss rule of its own rectangle.  A PlanarSeries
+may carry a leading member axis, a stack of series of the same shape.  The
+checks reduce over the trailing (x, y) grid axes, so a single field is a stack
+of one: a stacked field gives one report per form and member, equal bit for
+bit to what that member gives alone.  The randomized scans draw a stack of
+_TRIAL_CHUNK fields in one call, in seeded order, and check it at once.
 """
 
 from dataclasses import dataclass
@@ -62,6 +62,7 @@ TRIAL_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 # and 1.79 MiB at 25), while the per-call Python of the series is paid once
 # per stack
 _TRIAL_CHUNK = 10
+_CHECK_NODES = (16, 48)      # Gauss nodes (n_x, n_y) of the basic and periodic checks
 # the trig kinds of a series row, as in fields._trig
 _KINDS = ("cos", "sin", "one")
 
@@ -219,10 +220,14 @@ class PlanarGrid:
         return self.integrate(np.asarray(values) ** 2)
 
 
-def planar_grid(h, L, n_x=24, n_y=64):
-    """Gauss-Legendre rule on [0, h] x [0, L]; h and L finite and positive."""
+def _check_rectangle(h, L):
     if not (0.0 < h < math.inf and 0.0 < L < math.inf):
         raise ParameterError(f"rectangle [0, {h}] x [0, {L}] needs finite h, L > 0")
+
+
+def planar_grid(h, L, n_x=24, n_y=64):
+    """Gauss-Legendre rule on [0, h] x [0, L]; h and L finite and positive."""
+    _check_rectangle(h, L)
     xn, xw = _gauss(0.0, h, n_x)
     yn, yw = _gauss(0.0, L, n_y)
     return PlanarGrid(xn, xw, yn, yw)
@@ -285,7 +290,7 @@ def _reports(lhs, rhs):
     return reps if np.ndim(lhs) else reps[0]
 
 
-def check_basic_inequality(field, alpha, h, L, grid=None):
+def check_basic_inequality(field, alpha, h, L):
     """Both forms of the clamped-horizontal-edge bound on ||G_alpha||^2.
 
     Returns (product-form report, split-form report): the rhs are
@@ -299,8 +304,8 @@ def check_basic_inequality(field, alpha, h, L, grid=None):
         raise ParameterError(f"h = {h} outside (0, 1)")
     if field.bc_tag != "zero_horizontal":
         raise ParameterError("basic inequality requires u = 0 on the horizontal edges")
+    grid = planar_grid(h, L, *_CHECK_NODES)
     verify_planar_bc(field, h, L)
-    grid = grid or planar_grid(h, L)
     d = planar_partials(field, grid.X, grid.Y)
     g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
     e = np.sqrt(e_sq)
@@ -356,11 +361,11 @@ def _trial_scan(trials, seed, draw, reports):
 
 def basic_inequality_trials(h, L, trials=200, seed=1234):
     """Randomized scan of both basic forms; returns (violated forms, min margin)."""
-    grid = planar_grid(h, L, n_x=16, n_y=48)
+    _check_rectangle(h, L)      # before the first draw divides by L
     return _trial_scan(
         trials, seed,
         lambda rng, count: random_zero_horizontal(rng, h, L, (count,)),
-        lambda field, alphas: check_basic_inequality(field, alphas, h, L, grid=grid))
+        lambda field, alphas: check_basic_inequality(field, alphas, h, L))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +583,7 @@ def random_periodic(rng, h, shape=()):
     return PlanarField(u, v, bc_tag="periodic_y")
 
 
-def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
+def check_periodic_inequalities(field, h, alpha=1.0):
     """Both periodic-in-y bounds with the frozen constants C0 and sigma.
 
     Returns (alpha-form report, starred-form report); the starred form is
@@ -592,8 +597,8 @@ def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
         raise ParameterError(f"h = {h} outside (0, sigma = {PERIODIC_SIGMA})")
     if field.bc_tag != "periodic_y":
         raise ParameterError("periodic inequalities require a periodic-in-y field")
+    grid = planar_grid(h, 2.0 * np.pi, *_CHECK_NODES)
     verify_planar_bc(field, h, 2.0 * np.pi)
-    grid = grid or planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
     d = planar_partials(field, grid.X, grid.Y)
     v = field.v(grid.X, grid.Y)
     u_norm = np.sqrt(grid.norm_sq(d["u"]))
@@ -609,8 +614,7 @@ def check_periodic_inequalities(field, h, alpha=1.0, grid=None):
 
 def periodic_inequality_trials(h, trials=200, seed=1234):
     """Randomized scan of both periodic bounds; returns (violated forms, min margin)."""
-    grid = planar_grid(h, 2.0 * np.pi, n_x=16, n_y=48)
     return _trial_scan(
         trials, seed,
         lambda rng, count: random_periodic(rng, h, (count,)),
-        lambda field, alphas: check_periodic_inequalities(field, h, alpha=alphas, grid=grid))
+        lambda field, alphas: check_periodic_inequalities(field, h, alpha=alphas))

@@ -20,12 +20,12 @@ def fit_exponent(points, min_points=4):
     """Fit a power law to (h, value) pairs by least squares in log-log space.
 
     max_residual is the largest absolute residual of log(value) against the fit.
+    It needs max(min_points, 2) points of distinct h: one point has no slope.
     """
     pts = [(float(h), float(v)) for h, v in points]
-    if len(pts) < min_points:
-        raise ParameterError(f"need at least {min_points} points, got {len(pts)}")
-    hs = np.array([p[0] for p in pts])
-    vs = np.array([p[1] for p in pts])
+    if len(pts) < max(min_points, 2):
+        raise ParameterError(f"need at least {max(min_points, 2)} points, got {len(pts)}")
+    hs, vs = np.array(pts).T
     if np.any(hs <= 0) or len(set(hs)) != len(hs):
         raise ParameterError("h values must be positive and distinct")
     if np.any(vs <= 0):

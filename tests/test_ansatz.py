@@ -71,17 +71,20 @@ def test_bump_limits_positive():
         bump.norm_sq(0, 2) + bump.norm_sq(4, 0) / 12.0)
 
 
-def test_build_ansatz_length_mismatch():
-    bump = ansatz.BumpProfile(eta0=1.0, L=1.0)
-    with pytest.raises(ParameterError):
-        ansatz.build_ansatz(1e-2, bump, ShellGeometry(h=1e-2, L=2.0))
-
-
 def test_ansatz_field_satisfies_fixed_bottom_bc():
     geo = ShellGeometry(h=1e-2, L=L)
     bump = ansatz.BumpProfile(eta0=1.0, L=L)
-    ans = ansatz.build_ansatz(1e-2, bump, geo)
+    ans = ansatz.build_ansatz(1e-2, bump)
     assert verify_bc(ans.field, geo)
+
+
+def test_ansatz_grid_spans_the_ansatz_shell():
+    # the shell is ShellGeometry(h, bump.L): I_h in r, [0, bump.L] in z
+    ans = ansatz.build_ansatz(1e-2, ansatz.BumpProfile(eta0=1.0, L=2.0))
+    grid = ansatz.ansatz_grid(ans)
+    assert grid.r_weights.sum() == pytest.approx(1e-2, rel=1e-12)
+    assert grid.z_weights.sum() == pytest.approx(2.0, rel=1e-12)
+    assert grid.th_weights.sum() == pytest.approx(np.diff(ans.support)[0], rel=1e-12)
 
 
 def test_verify_limits_converges_monotonically():

@@ -37,7 +37,7 @@ def _trig_field(mat, geo):
 
 def _ansatz_field(mat, geo):
     # theta = 0.11 lies inside the compressed support (-1/3, 1/3) at h = 1e-2
-    return build_ansatz(geo.h, BumpProfile(eta0=1.0, L=geo.L), geo).field
+    return build_ansatz(geo.h, BumpProfile(eta0=1.0, L=geo.L)).field
 
 
 def _fixedbc_field(mat, geo):
@@ -185,8 +185,8 @@ def test_kstar_uses_the_grid_rule(mat):
     # the bending ansatz lives on a compressed theta support; K* on its
     # Gauss rule there must match K* on a fine uniform full-circle rule
     geo = ShellGeometry(h=1e-4, L=math.pi)
-    ans = build_ansatz(1e-4, BumpProfile(1.0, math.pi), geo)
-    kstar = functional_family(ans.field, mat, geo, ansatz_grid(ans, geo))["Kstar"]
+    ans = build_ansatz(1e-4, BumpProfile(1.0, math.pi))
+    kstar = functional_family(ans.field, mat, geo, ansatz_grid(ans))["Kstar"]
     uniform = volume_grid(geo, n_r=8, n_th=2560, n_z=64)
     ref = functional_family(ans.field, mat, geo, uniform)["Kstar"]
     assert kstar == pytest.approx(ref, rel=1e-3)

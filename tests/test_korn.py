@@ -405,13 +405,13 @@ def test_component_bound_reference_values(geo_thick):
 
 
 def test_component_bound_unknown_group(geo_thick, monkeypatch):
-    # the group is checked where the form rows are built, before any solve
-    def solve(*args):
-        raise AssertionError("solved before the group was checked")
-
-    monkeypatch.setattr(korn, "_solve_stack", solve)
+    # the group is checked with the scan window, before any grid or bound
+    monkeypatch.setattr(korn, "radial_grid", None)
+    monkeypatch.setattr(korn, "_component_bound", None)
     with pytest.raises(ParameterError, match="choose from .*'rthr'"):
         korn.component_bound(geo_thick, "offdiag")
+    with pytest.raises(ParameterError, match="choose from .*'rthr'"):
+        korn.scan_window(geo_thick, "offdiag")
 
 
 @pytest.mark.parametrize("group, floor", [(None, 1e-10), ("rthr", 1e-10),
