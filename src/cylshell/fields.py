@@ -336,7 +336,14 @@ def functional_family(field, material, geometry, grid):
     as the volume measure of the density divided by r, and K*'s reduced
     forms on its theta and z rules at r = 1.  The gradient and the reduced
     forms read one surface jet, so each profile derivative is evaluated once.
+    K* reads h from geometry, the integrals read I_h from the grid, so the
+    grid's radial weights must sum to geometry.h to rounding (4 eps); a grid
+    on another shell is a ParameterError.
     """
+    width = float(grid.r_weights.sum())
+    if not abs(width - geometry.h) <= 4.0 * np.finfo(float).eps:
+        raise ParameterError(f"grid's radial weights sum to {width!r}, not the "
+                             f"thickness h = {geometry.h!r}")
     j = surface_jet(field, grid.TH, grid.Z)
     g = cylindrical_gradient(jet_partials(j, grid.R, grid.TH, grid.Z), grid.R)
     sc = _stability_compressiveness(g, perfect_stress(), material, grid)

@@ -212,7 +212,16 @@ def _mode_forms(grid, modes, geometry, numerator, denominator):
 
 
 def assemble_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad"):
-    """Quadratic-form pair for the Rayleigh quotient numerator/denominator."""
+    """Quadratic-form pair for the Rayleigh quotient numerator/denominator.
+
+    The forms take the radii from the grid, so its end nodes must be
+    geometry's I_h to rounding (4 eps on radii near 1); a grid on another
+    shell is a ParameterError.
+    """
+    ends = (float(grid.nodes[0]), float(grid.nodes[-1]))
+    if not max(abs(e - r) for e, r in zip(ends, geometry.I_h)) <= 4.0 * np.finfo(float).eps:
+        raise ParameterError(f"radial grid spans [{ends[0]!r}, {ends[1]!r}], not the "
+                             f"I_h = {geometry.I_h!r} of h = {geometry.h!r}")
     C_num, C_den = _mode_forms(grid, [(m, n)], geometry, numerator, denominator)
     return QuadraticFormPair(C_num=C_num[0], C_den=C_den[0])
 

@@ -31,11 +31,13 @@ matrix product: the x-factors of its rows times their y-factors.
 
 Each form of an inequality gives its own InequalityReport: the basic check
 returns (product form, split form), the periodic one (alpha form, starred
-form), each on the 16 x 48 Gauss rule of its own rectangle.  A PlanarSeries
-may carry a leading member axis, a stack of series of the same shape.  The
-checks reduce over the trailing (x, y) grid axes, so a single field is a stack
-of one: a stacked field gives one report per form and member, equal bit for
-bit to what that member gives alone.  The randomized scans draw a stack of
+form), each on the Gauss rule _check_grid sizes for the field on its own
+rectangle: 4 x 48 nodes for the cubic trial fields, 16 x 48 for a field
+that is not polynomial in x.  A PlanarSeries may carry a leading member
+axis, a stack of series of the same shape.  The checks reduce over the
+trailing (x, y) grid axes, so a single field is a stack of one: a stacked
+field gives one report per form and member, equal bit for bit to what that
+member gives alone.  The randomized scans draw a stack of
 _TRIAL_CHUNK fields in one call, in seeded order, and check it at once.
 """
 
@@ -58,11 +60,13 @@ PERIODIC_SIGMA = 0.2
 # the alpha values the randomized scans cycle through
 TRIAL_ALPHAS = (-1.0, -0.5, 0.0, 0.5, 1.0)
 # random fields checked as one stack: at 10 the tracemalloc peaks of the
-# basic, harmonic and periodic scans are 0.61, 0.43 and 0.73 MiB (1.49, 0.79
-# and 1.79 MiB at 25), while the per-call Python of the series is paid once
+# basic, harmonic and periodic scans are 0.27, 0.43 and 0.27 MiB (0.65, 0.79
+# and 0.65 MiB at 25), while the per-call Python of the series is paid once
 # per stack
 _TRIAL_CHUNK = 10
-_CHECK_NODES = (16, 48)      # Gauss nodes (n_x, n_y) of the basic and periodic checks
+# Gauss nodes (n_x, n_y) of the basic and periodic checks on a field that is
+# not all polynomial in x; _check_grid gives polynomial fields fewer x nodes
+_CHECK_NODES = (16, 48)
 # the trig kinds of a series row, as in fields._trig
 _KINDS = ("cos", "sin", "one")
 
@@ -233,6 +237,22 @@ def planar_grid(h, L, n_x=24, n_y=64):
     return PlanarGrid(xn, xw, yn, yw)
 
 
+def _check_grid(field, h, L):
+    """The Gauss rule of the basic and periodic checks of field on [0, h] x [0, L].
+
+    When u and v are PlanarSeries whose rows all have rate 0, with at most
+    n coefficients in x, every check integrand is a product of two partials,
+    a polynomial of degree <= 2 n - 2 in x, which n Gauss nodes integrate
+    exactly: the cubic trial fields get 4.  Any other field gets the n_x of
+    _CHECK_NODES.  The y rule is _CHECK_NODES's either way.
+    """
+    n_x, n_y = _CHECK_NODES
+    parts = (field.u, field.v)
+    if all(isinstance(c, PlanarSeries) and not np.any(c.rate) for c in parts):
+        n_x = max(c.coef.shape[-1] for c in parts)
+    return planar_grid(h, L, n_x, n_y)
+
+
 # ---------------------------------------------------------------------------
 # modified gradients
 
@@ -304,7 +324,7 @@ def check_basic_inequality(field, alpha, h, L):
         raise ParameterError(f"h = {h} outside (0, 1)")
     if field.bc_tag != "zero_horizontal":
         raise ParameterError("basic inequality requires u = 0 on the horizontal edges")
-    grid = planar_grid(h, L, *_CHECK_NODES)
+    grid = _check_grid(field, h, L)
     verify_planar_bc(field, h, L)
     d = planar_partials(field, grid.X, grid.Y)
     g_sq, e_sq = gradient_norms(modified_gradient(d, alpha), grid)
@@ -597,7 +617,7 @@ def check_periodic_inequalities(field, h, alpha=1.0):
         raise ParameterError(f"h = {h} outside (0, sigma = {PERIODIC_SIGMA})")
     if field.bc_tag != "periodic_y":
         raise ParameterError("periodic inequalities require a periodic-in-y field")
-    grid = planar_grid(h, 2.0 * np.pi, *_CHECK_NODES)
+    grid = _check_grid(field, h, 2.0 * np.pi)
     verify_planar_bc(field, h, 2.0 * np.pi)
     d = planar_partials(field, grid.X, grid.Y)
     v = field.v(grid.X, grid.Y)

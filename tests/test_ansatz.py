@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cylshell import ansatz
+from cylshell import ansatz, fields, korn
 from cylshell.errors import ParameterError
 from cylshell.fields import _gauss
 from cylshell.material import (ShellGeometry, derive_material, hoop_imperfection,
@@ -85,6 +85,48 @@ def test_ansatz_grid_spans_the_ansatz_shell():
     assert grid.r_weights.sum() == pytest.approx(1e-2, rel=1e-12)
     assert grid.z_weights.sum() == pytest.approx(2.0, rel=1e-12)
     assert grid.th_weights.sum() == pytest.approx(np.diff(ans.support)[0], rel=1e-12)
+
+
+def _ansatz_quantities(ans, grid, mat):
+    """Every quantity the ansatz sweeps integrate, on one grid: the gradient and
+    strain norms, korn's component groups, S, and C under each stress weight."""
+    p = ans.field.partials(grid.R, grid.TH, grid.Z)
+    g = {**fields.cylindrical_gradient(p, grid.R), "ur": p["ur"]}
+    e = fields.symmetrize(g)
+    out = {"gradient": sum(grid.norm_sq(g[k]) for k in fields.GRAD_KEYS),
+           "strain": sum(fields.STRAIN_WEIGHT[k] * grid.norm_sq(e[k]) for k in fields.STRAIN_KEYS)}
+    out.update({name: sum(grid.norm_sq(g[k]) for k in keys)
+                for name, keys in korn.COMPONENT_GROUPS.items()})
+    for name, stress in (("perfect", perfect_stress()), ("hoop", hoop_imperfection()),
+                         ("shear", shear_imperfection(np.cos))):
+        val = fields.functionals(ans.field, stress, mat, grid)
+        out["S"], out[f"C {name}"] = val.S, val.C
+    return out
+
+
+@pytest.mark.parametrize("skew", [0.0, -1.0, 0.7])
+def test_ansatz_grid_matches_a_64_node_rule(skew):
+    # 16 theta and z nodes integrate the ansatz's polynomial integrands
+    # exactly: every quantity matches the 8 x 64 x 64 rule to rounding.  The
+    # shear C is compared on its scale, the integral of its integrand's
+    # absolute value: it cancels to 0 at skew 0, and its cos theta weight is
+    # not a polynomial
+    mat = derive_material(1.0, 0.3)
+    bump = ansatz.BumpProfile(eta0=1.0, L=L, skew=skew)
+    shear = shear_imperfection(np.cos)
+    for h in (0.5, 3.0**-4, 1e-3, 1e-4, 1e-8):
+        ans = ansatz.build_ansatz(h, bump)
+        grid = ansatz.ansatz_grid(ans)
+        assert (grid.r_nodes.size, grid.th_nodes.size, grid.z_nodes.size) == (8, 16, 16)
+        ref_grid = fields.volume_grid(ShellGeometry(h, L), n_r=8, n_th=64, n_z=64,
+                                      theta_interval=ans.support)
+        got, ref = _ansatz_quantities(ans, grid, mat), _ansatz_quantities(ans, ref_grid, mat)
+        g = fields.gradient(ans.field, ref_grid.R, ref_grid.TH, ref_grid.Z)
+        c_scale = ref_grid.integrate(
+            np.abs(fields.compressiveness_integrand(shear, g, ref_grid.TH, ref_grid.Z)))
+        assert abs(got.pop("C shear") - ref.pop("C shear")) <= 1e-10 * c_scale, h
+        for name, value in ref.items():
+            assert got[name] == pytest.approx(value, rel=1e-12), (h, name)
 
 
 def test_verify_limits_converges_monotonically():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cylshell.ansatz import BumpProfile, ansatz_grid, build_ansatz
-from cylshell.errors import NotDestabilizingError, ShapeError
+from cylshell.errors import NotDestabilizingError, ParameterError, ShapeError
 from cylshell.fixedbc import fixedbc_mode
 from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, DisplacementField,
                              TrigSurface, functional_family, functionals, gradient,
@@ -179,6 +179,18 @@ def test_functional_family_axisymmetric_degenerate(mat):
     grid = volume_grid(geo, n_r=4, n_th=8, n_z=24)
     fam = functional_family(field, mat, geo, grid)
     assert fam["Kstar"] == pytest.approx(fam["K0"], rel=1e-10)
+
+
+def test_functional_family_rejects_a_grid_of_another_shell(mat):
+    # K* reads h from the geometry, the integrals I_h from the grid: the
+    # h = 1e-2 ansatz grid with the h = 1e-3 shell gave K* = 0.00464
+    # against its 0.349
+    ans = build_ansatz(1e-2, BumpProfile(1.0, math.pi))
+    grid = ansatz_grid(ans)
+    fam = functional_family(ans.field, mat, ShellGeometry(1e-2, math.pi), grid)
+    assert fam["Kstar"] == pytest.approx(0.34940580369292323, rel=1e-9)
+    with pytest.raises(ParameterError, match="thickness h = 0.001"):
+        functional_family(ans.field, mat, ShellGeometry(1e-3, math.pi), grid)
 
 
 def test_kstar_uses_the_grid_rule(mat):

@@ -355,6 +355,19 @@ def test_korn_quotient_bounded_by_one(geo_thick):
         assert 0.0 < val <= 1.0 + 1e-12
 
 
+def test_assemble_mode_forms_rejects_a_grid_of_another_shell():
+    # the forms take their radii from the grid: the mode (1, 5) of h = 0.1
+    # gives 1.05e-2 on its own grid, and gave 1.39e-4 on the grid of h = 0.01
+    geo = ShellGeometry(h=0.1, L=math.pi)
+    own = korn.assemble_mode_forms(1, 5, geo, korn.radial_grid(geo, N=16))
+    assert korn.min_rayleigh(own)[0] == pytest.approx(1.0494825529780882e-2, rel=1e-9)
+    other = korn.radial_grid(ShellGeometry(h=0.01, L=math.pi), N=16)
+    with pytest.raises(ParameterError, match="not the I_h"):
+        korn.assemble_mode_forms(1, 5, geo, other)
+    # the oracle's uniform grid lies on I_h too
+    korn.assemble_mode_forms(1, 5, geo, fd_radial_grid(geo, N=21))
+
+
 @pytest.mark.parametrize("modes", [[(1, 3), (0, 3)], [(0, 3), (1, 3)], [(2, 1), (-1, 4)]])
 def test_mode_forms_reject_non_axial_modes(geo_thick, modes):
     # every mode of a stack is checked, not only the first: a stack has one

@@ -192,6 +192,62 @@ def test_stacked_checks_equal_field_by_field():
     assert list(zip(*stacked)) == single
 
 
+def _checked_on(n_x, check, *args):
+    """check(*args) with its Gauss rule set to n_x x 48 nodes."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rect, "_check_grid", lambda field, h, length: rect.planar_grid(
+            h, length, n_x, rect._CHECK_NODES[1]))
+        return check(*args)
+
+
+@pytest.mark.parametrize("seed, h, length", [(3, H, L), (17, 0.05, 2.0), (29, 0.15, 0.5)])
+def test_check_rule_of_polynomial_fields_is_exact(seed, h, length):
+    # the trial fields are cubic in x, so their check integrands have degree
+    # 6 in x, which the 4-node x rule integrates exactly: the 16-node rule
+    # gives the same reports to rounding
+    rng = np.random.default_rng(seed)
+    alphas = np.take(rect.TRIAL_ALPHAS, np.arange(20), mode="wrap")
+    basic = rect.random_zero_horizontal(rng, h, length, alphas.shape)
+    periodic = rect.random_periodic(rng, h, alphas.shape)
+    # degrees 5 and 1 in x: 6 nodes
+    quintic = rect.PlanarField(rect.PlanarSeries(rng.uniform(-1.0, 1.0, (2, 6)), [1.0, 3.0],
+                                                 ["cos", "sin"]),
+                               rect.PlanarSeries([[0.5, -2.0]], [2.0], ["sin"]), "periodic_y")
+    cases = ((rect.check_basic_inequality, (basic, alphas, h, length), length, 4),
+             (rect.check_periodic_inequalities, (periodic, h, alphas), 2.0 * math.pi, 4),
+             (rect.check_periodic_inequalities, (quintic, h, 0.5), 2.0 * math.pi, 6))
+    for check, args, span, n_x in cases:
+        grid = rect._check_grid(args[0], h, span)
+        assert (grid.x_nodes.size, grid.y_nodes.size) == (n_x, 48)
+        got, ref = check(*args), _checked_on(16, check, *args)
+        for got_form, ref_form in zip(got, ref):
+            for rep, ref_rep in zip(np.atleast_1d(got_form), np.atleast_1d(ref_form)):
+                assert rep.lhs == pytest.approx(ref_rep.lhs, rel=1e-14)
+                assert rep.rhs == pytest.approx(ref_rep.rhs, rel=1e-14)
+
+
+def test_check_rule_of_other_fields_is_16_by_48():
+    # a row with a nonzero rate, or a component that is not a PlanarSeries,
+    # keeps the 16 x 48 rule, and with it the reports bit for bit
+    rng = np.random.default_rng(8)
+    drawn = rect.random_zero_horizontal(rng, H, L)
+    rated = rect.PlanarSeries([[1.0], [0.5]], [1.0, 3.0], ["sin", "cos"], rate=[2.0, 0.0])
+    cases = (
+        (rect.check_basic_inequality,
+         (rect.PlanarField(rect.extremal_harmonic(H, L), drawn.v, "zero_horizontal"), 0.5, H, L),
+         L),
+        (rect.check_basic_inequality,
+         (rect.PlanarField(drawn.u, _Bilinear(), "zero_horizontal"), -1.0, H, L), L),
+        (rect.check_periodic_inequalities,
+         (rect.PlanarField(rated, rect.random_periodic(rng, H).v, "periodic_y"), H, 0.5),
+         2.0 * math.pi),
+    )
+    for check, args, span in cases:
+        grid = rect._check_grid(args[0], H, span)
+        assert (grid.x_nodes.size, grid.y_nodes.size) == rect._CHECK_NODES == (16, 48)
+        assert check(*args) == _checked_on(16, check, *args)
+
+
 def test_stack_with_one_bad_member_raises():
     rng = np.random.default_rng(4)
     stack = rect.random_zero_horizontal(rng, H, L, (5,))
@@ -214,10 +270,10 @@ def test_stack_with_one_bad_member_raises():
     (rect.periodic_inequality_trials, (H,)),
 ], ids=["basic", "harmonic", "periodic"])
 def test_trial_scan_memory(scan, args):
-    # one stack of random fields at a time: peaks of 0.61, 0.43 and 0.73 MiB
-    # (basic, harmonic, periodic) at 10 fields a stack, 1.49 and 1.79 MiB for
-    # the basic and periodic scans at 25; a one-trial run first keeps one-time
-    # allocations out of the peak
+    # one stack of random fields at a time: peaks of 0.27, 0.43 and 0.27 MiB
+    # (basic, harmonic, periodic) at 10 fields a stack, 0.65, 0.79 and 0.65
+    # MiB at 25; a one-trial run first keeps one-time allocations out of the
+    # peak
     scan(*args, trials=1)
     tracemalloc.start()
     try:
