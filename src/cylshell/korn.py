@@ -17,7 +17,8 @@ Every scan gives the extremum over the whole mode window: each mode it does
 not solve is excluded by a closed-form bound, for the Korn scan the lower
 bound of ``_korn_bound``, the model ``_korn_model`` times a factor set by the
 mode's thinness, and for the component scans the upper bounds of
-``_component_bound`` that follow from it.  One function, ``_guarded_scan``,
+``_component_bound`` that follow from it, thzzth's also capped by the proven
+``_thzzth_cap``.  One function, ``_guarded_scan``,
 runs the screen and its resolution guard: on 8 radial nodes, with its mode
 solved once at the requested N, and again at N when the two grids disagree
 there or a competitor comes too close.
@@ -500,6 +501,26 @@ def _korn_bound(geometry, m, n):
     return np.where(thin, factor, _BOUND_FACTOR) * model, model
 
 
+def _thzzth_cap(geometry, m, n):
+    """Proven upper bound of the thzzth quotient of the modes (m, n), broadcast:
+    1 + nu + sqrt(1 + nu^2) with nu = (n / (m_hat r_in))^2, r_in = 1 - h/2; 2 at n = 0.
+
+    At each radial node let a = m_hat f_t and b = n f_z / r.  Then G_tz = a,
+    G_zt = -b, e_tz = (a - b) / 2 and e_zz = -(m_hat r / n) b, so with the
+    positive weights W of ``_mode_forms``, ||e||^2 >= sum W (2 e_tz^2 + e_zz^2)
+    >= sum W lambda_min (a^2 + b^2), lambda_min the least eigenvalue of
+    [[1/2, -1/2], [-1/2, 1/2 + mu^2]] and mu = m_hat r / n.  1 / lambda_min is
+    1 + nu + sqrt(1 + nu^2) with nu = 1 / mu^2, largest at r_in.  At n = 0,
+    b = 0 and the cap is 2.  The cap is sharp: the n = 0 column reaches 2,
+    and at h = 1e-4, L = pi the modes (1, 1) and (1, 2) reach 0.99995 and
+    0.99991 of it.  It carries the factor 1 + _BOUND_SLACK, as the n = 0
+    column reaches 2 to 1 ulp (quotient/cap 1 + 2.2e-16 at h = 0.1, L = 100,
+    mode (5, 0)).
+    """
+    nu = (n / (geometry.axial_wavenumber(m) * geometry.r_inner)) ** 2
+    return (1.0 + nu + np.sqrt(1.0 + nu**2)) * (1.0 + _BOUND_SLACK)
+
+
 def _component_bound(geometry, group, m, n):
     """(bound, model) of the component quotient of ``group`` at the modes (m, n), broadcast.
 
@@ -510,9 +531,11 @@ def _component_bound(geometry, group, m, n):
     ||u_r,z||^2 / m_hat^2.  At n >= 2 it is at most (1 + m_hat^2) / s + tau
     for urrzzr and m_hat^2 (n^2 / (n^2 - 1))^2 / s^2 + tau for thzzth, with
     s = n^2 + m_hat^2 and tau = h^2 s / 12, empirical shares like the Korn
-    factors (the README gives the worst measured quotient/bound).  ththzz is
-    at most 1, its bound and model: G_tt = e_tt and G_zz = e_zz enter
-    ||e||^2 with weight 1.
+    factors (the README gives the worst measured quotient/bound).  thzzth's
+    bound and model are also at most the proven ``_thzzth_cap``, which is
+    what excludes its n <= 1 columns, where the share is 1 and 1 / K_low
+    large.  ththzz is at most 1, its bound and model: G_tt = e_tt and
+    G_zz = e_zz enter ||e||^2 with weight 1.
     """
     if group == "ththzz":
         one = np.ones(np.broadcast(m, n).shape)
@@ -528,6 +551,8 @@ def _component_bound(geometry, group, m, n):
     elif group == "thzzth":
         ring = n**2 / np.maximum(n**2 - 1, 1)
         share = np.where(n <= 1, 1.0, np.minimum(1.0, m_hat2 * ring**2 / s**2 + tau))
+        cap = _thzzth_cap(geometry, m, n)
+        return np.minimum(share / low, cap), np.minimum(share / model, cap)
     return share / low, share / model
 
 
@@ -601,7 +626,9 @@ def component_bound(geometry, group, m_max=None, n_max=None, N=32):
 
     Returns a ScanResult: the maximum over the window of ``korn_constant``,
     by the same screen, with the upper bounds of ``_component_bound``; a
-    solved mode above its bound is a ``SolverError``.  ``ththzz`` is at most
+    solved mode above its bound is a ``SolverError``.  The rthr, urrzzr and
+    thzzth shares are empirical; thzzth's cap ``_thzzth_cap`` and the bound
+    1 of ``ththzz`` are proven.  ``ththzz`` is at most
     1 on every mode, and many modes reach 1 to rounding, so its screen stops
     at the first mode within 1e-12 of 1; its reported argmin is not unique.
     urrzzr and thzzth admit pi h / L >= 1e-5, the other groups

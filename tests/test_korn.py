@@ -673,6 +673,28 @@ def test_component_models_bound_every_mode():
     assert worst[0] <= 1.0, worst
 
 
+# (h, L, N, keep) of the thzzth cap check: the exhaustive 8-node windows of
+# BOUND_GRID, a 16- and a 32-node window, and the modes n <= 3 of a thin shell
+THZZTH_CAP_CASES = [(h, L, 8, None) for h, L in BOUND_GRID] + [
+    (1e-2, math.pi, 16, None), (0.1, math.pi, 32, None),
+    (1e-4, math.pi, 8, lambda n, t: n <= 3)]
+
+
+def test_thzzth_cap_bounds_every_mode():
+    # every mode checked has a thzzth quotient of at most ``_thzzth_cap``,
+    # and the cap is sharp: every window's n = 0 column reaches 2 to
+    # _BOUND_SLACK, and the thin shell's mode (1, 1) 0.9999 of its cap
+    for h, L, N, keep in THZZTH_CAP_CASES:
+        geo = ShellGeometry(h, L)
+        m, n, values = window_quotients(geo, "thzzth", N, keep)
+        ratios = values / korn._thzzth_cap(geo, m, n)
+        k = int(np.argmax(ratios))
+        assert ratios[k] <= 1.0, (h, L, N, (int(m[k]), int(n[k])))
+        assert values[n == 0].max() == pytest.approx(2.0, rel=korn._BOUND_SLACK), (h, L, N)
+    # the last case is the thin shell's
+    assert float(ratios[(m == 1) & (n == 1)][0]) >= 0.9999
+
+
 def test_screen_rejects_a_mode_below_its_bound():
     # quotients equal to the model but a tenth of it at (1, 6), a mode the
     # screen solves: a failed bound, not an answer; so is 0.6 of it, above
@@ -748,16 +770,18 @@ def test_korn_scan_solve_count():
 
 def test_component_scan_solve_count():
     # solves on 8 nodes and at N = 32 together, at h = 1e-2 and 1e-3 (L = pi):
-    # rthr 4 and 5, urrzzr 18 and 57, thzzth 65 and 193, ththzz 2 and 2; the
-    # greatest quotient/model of the solved modes is at least that of the
-    # argmin and at most the argmin's bound/model
-    most = {"rthr": (6, 7), "urrzzr": (23, 72), "thzzth": (82, 242), "ththzz": (2, 2)}
-    for k, h in enumerate((1e-2, 1e-3)):
-        geo = ShellGeometry(h=h, L=math.pi)
-        m_max, n_max = korn.scan_window(geo)
-        for group, limits in most.items():
+    # rthr 4 and 5, urrzzr 18 and 57, thzzth 2 and 4, ththzz 2 and 2; thzzth
+    # also at h = 1e-4 and 1e-5, 5 and 8 (without its cap thzzth solved 65,
+    # 193, 593 and 1,009, nearly all in its n <= 1 columns); the greatest
+    # quotient/model of the solved modes is at least that of the argmin and
+    # at most the argmin's bound/model
+    most = {"rthr": (6, 7), "urrzzr": (23, 72), "thzzth": (3, 5, 7, 10), "ththzz": (2, 2)}
+    for group, limits in most.items():
+        for h, limit in zip((1e-2, 1e-3, 1e-4, 1e-5), limits):
+            geo = ShellGeometry(h=h, L=math.pi)
+            m_max, n_max = korn.scan_window(geo)
             res = korn.component_bound(geo, group)
-            assert res.evaluations <= limits[k], (h, group)
+            assert res.evaluations <= limit, (h, group)
             assert res.screened_out == m_max * (n_max + 1) - (res.evaluations - 1)
             upper, model = korn._component_bound(geo, group, res.m, res.n)
             assert res.value / float(model) <= res.bound_ratio <= float(upper / model)
