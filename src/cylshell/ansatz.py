@@ -33,9 +33,8 @@ from numpy.polynomial.polynomial import polyder, polyint, polymul, polyval
 from cylshell import korn
 from cylshell.errors import ParameterError
 from cylshell.material import ShellGeometry, shell_sweep
-from cylshell.fields import (DisplacementField, cylindrical_gradient, functionals,
-                             gradient, symmetrize, volume_grid, GRAD_KEYS, STRAIN_KEYS,
-                             STRAIN_WEIGHT)
+from cylshell.fields import (COMPONENT_GROUPS, DisplacementField, cylindrical_gradient,
+                             functionals, gradient, norm_terms, volume_grid)
 from cylshell.scaling import ScalingFit, fit_exponent
 
 
@@ -212,9 +211,8 @@ def verify_limits(bump, h_list):
     """
     def norms(ans, grid):
         g = gradient(ans.field, grid.R, grid.TH, grid.Z)
-        e = symmetrize(g)
-        return {"gradient": sum(grid.norm_sq(g[k]) for k in GRAD_KEYS),
-                "strain": sum(STRAIN_WEIGHT[k] * grid.norm_sq(e[k]) for k in STRAIN_KEYS)}
+        return {name: sum(w * grid.norm_sq(t) for w, t in norm_terms(kind, g))
+                for name, kind in (("gradient", "grad"), ("strain", "strain"))}
 
     rows = _sweep(bump, h_list, norms)
     return {name: QuantityTable(tuple((h, vals[name]) for h, vals in rows),
@@ -234,8 +232,8 @@ def component_scalings(bump, h_list):
     def groups(ans, grid):
         p = ans.field.partials(grid.R, grid.TH, grid.Z)
         g = {**cylindrical_gradient(p, grid.R), "ur": p["ur"]}
-        return {name: sum(grid.norm_sq(g[k]) for k in keys)
-                for name, keys in korn.COMPONENT_GROUPS.items()}
+        return {name: sum(w * grid.norm_sq(t) for w, t in norm_terms(f"component:{name}", g))
+                for name in COMPONENT_GROUPS}
 
     rows = _sweep(bump, h_list, groups)
     pts = {name: tuple((h, vals[name]) for h, vals in rows) for name in COMPONENT_EXPONENTS}

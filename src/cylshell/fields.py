@@ -15,11 +15,12 @@ every field.
 A field's ``partials(r, theta, z)`` returns its three components and their
 first derivatives in r, theta and z; ``cylindrical_gradient`` turns those 12
 partials into the nine entries of grad u, and the korn mode operators go
-through the same formula.  Gradients, strains, the simplified tensors G/E and
-all L2 norms are computed by tensor-product quadrature; the compressiveness
-integrand sums over the stress weight's own components only.  Fields with
-general radial profiles live only in the korn oracle test, which implements
-``partials`` for them.
+through the same formula.  ``norm_terms`` writes each norm once, for korn's
+pencil rows and the ansatz's quadrature.  Gradients, strains, the simplified
+tensors G/E and all L2 norms are computed by tensor-product quadrature; the
+compressiveness integrand sums over the stress weight's own components
+only.  Fields with general radial profiles live only in the korn oracle
+test, which implements ``partials`` for them.
 """
 
 from dataclasses import dataclass, replace
@@ -179,6 +180,40 @@ def symmetrize(g):
 
 def strain(field, r, theta, z):
     return symmetrize(gradient(field, r, theta, z))
+
+
+COMPONENT_GROUPS = {
+    "ththzz": ("tt", "zz"),
+    "rthr": ("rt", "tr"),
+    "urrzzr": ("ur", "rz", "zr"),
+    "thzzth": ("tz", "zt"),
+}
+
+
+def group_keys(group):
+    """The gradient keys of a component group; another group is a ParameterError."""
+    if group not in COMPONENT_GROUPS:
+        raise ParameterError(f"unknown component group {group!r}; "
+                             f"choose from {sorted(COMPONENT_GROUPS)}")
+    return COMPONENT_GROUPS[group]
+
+
+def norm_terms(kind, g):
+    """(weight, term) pairs of the norm ``kind``, whose density is sum weight * term**2.
+
+    kind: 'strain' (|e(u)|^2), 'grad' (|grad u|^2) or 'component:<group>', else a
+    ParameterError.  g: gradient-type values or korn mode operators, with "ur" (u_r).
+    """
+    if kind == "strain":
+        e = symmetrize(g)
+        return [(STRAIN_WEIGHT[k], e[k]) for k in STRAIN_KEYS]
+    if kind == "grad":
+        keys = GRAD_KEYS
+    elif kind.startswith("component:"):
+        keys = group_keys(kind.split(":", 1)[1])
+    else:
+        raise ParameterError(f"unknown norm kind {kind!r}")
+    return [(1.0, g[k]) for k in keys]
 
 
 # ---------------------------------------------------------------------------

@@ -12,16 +12,16 @@ eigenproblems.  The radial profiles are discretized by Chebyshev-Gauss-Lobatto
 collocation (spectral differentiation + Clenshaw-Curtis weights).  The tests
 keep a uniform first-order nodal grid as an oracle for it.  A grid's mode
 operators are one affine table in (n, m_hat) that the grid builds once; a scan
-solves its modes as stacks of pencils, each solve with BLAS on one thread.
-Every scan gives the extremum over the whole mode window: each mode it does
-not solve is excluded by a closed-form bound, for the Korn scan the lower
-bound of ``_korn_bound``, the model ``_korn_model`` times a factor set by the
-mode's thinness, and for the component scans the upper bounds of
-``_component_bound`` that follow from it, thzzth's also capped by the proven
-``_thzzth_cap``.  One function, ``_guarded_scan``,
-runs the screen and its resolution guard: on 8 radial nodes, with its mode
-solved once at the requested N, and again at N when the two grids disagree
-there or a competitor comes too close.
+solves its modes as stacks of pencils rows(ops) -> (C_num, C_den) of
+``_mode_operators``, each solve with BLAS on one thread.  Every scan gives the
+extremum over the whole mode window: each mode it does not solve is excluded by
+a closed-form bound, for the Korn scan the lower bound of ``_korn_bound``, the
+model ``_korn_model`` times a factor set by the mode's thinness, and for the
+component scans the upper bounds of ``_component_bound`` that follow from it,
+thzzth's also capped by the proven ``_thzzth_cap``.  One function,
+``_guarded_scan``, runs the screen and its resolution guard: on 8 radial nodes,
+with its mode solved once at the requested N, and again at N when the two grids
+disagree there or a competitor comes too close.
 
 The modes are m >= 1 (``ShellGeometry.axial_wavenumber``) and n >= 0.  At m = 0
 only u_z = f_z(r) cos(n theta) is left, whose gradient is zr and zt alone: its
@@ -38,15 +38,8 @@ import numpy as np
 
 from cylshell.blas import single_thread_blas
 from cylshell.errors import ParameterError, SolverError
-from cylshell.fields import (GRAD_KEYS, STRAIN_KEYS, STRAIN_WEIGHT, cylindrical_gradient,
-                             symmetrize)
-
-COMPONENT_GROUPS = {
-    "ththzz": ("tt", "zz"),
-    "rthr": ("rt", "tr"),
-    "urrzzr": ("ur", "rz", "zr"),
-    "thzzth": ("tz", "zt"),
-}
+from cylshell.fields import (COMPONENT_GROUPS, GRAD_KEYS, cylindrical_gradient, group_keys,
+                             norm_terms)
 
 # predicted absolute growth exponents of sup component^2 / ||e||^2
 COMPONENT_EXPONENTS = {"ththzz": 0.0, "rthr": -1.5, "urrzzr": -1.0, "thzzth": -0.5}
@@ -164,35 +157,8 @@ def _operator_table(grid):
     return table
 
 
-def _group_keys(group):
-    """The gradient keys of a component group; another group is a ParameterError."""
-    if group not in COMPONENT_GROUPS:
-        raise ParameterError(f"unknown component group {group!r}; "
-                             f"choose from {sorted(COMPONENT_GROUPS)}")
-    return COMPONENT_GROUPS[group]
-
-
-def _form_rows(kind, ops):
-    """Row stack C of one norm, ||C v||^2 = the norm squared of mode v.
-
-    kind: 'strain', 'grad', or 'component:<group>' with group in
-    COMPONENT_GROUPS.  The operators may be stacks of modes.
-    """
-    if kind == "strain":
-        e = symmetrize(ops)
-        return np.concatenate([math.sqrt(STRAIN_WEIGHT[k]) * e[k] for k in STRAIN_KEYS],
-                              axis=-2)
-    if kind == "grad":
-        keys = GRAD_KEYS
-    elif kind.startswith("component:"):
-        keys = _group_keys(kind.split(":", 1)[1])
-    else:
-        raise ParameterError(f"unknown form kind {kind!r}")
-    return np.concatenate([ops[k] for k in keys], axis=-2)
-
-
-def _mode_forms(grid, modes, geometry, numerator, denominator):
-    """Stacked row stacks (C_num, C_den) of the modes [(m, n), ...], m >= 1.
+def _mode_operators(grid, modes, geometry):
+    """The weighted operators of the modes [(m, n), ...], m >= 1, stacked, by key.
 
     Each operator is sqrt(W) (T0 + n Tn + m_hat Tm), weighted before it is
     symmetrized or combined.  W is the radial quadrature weight times r times
@@ -208,8 +174,12 @@ def _mode_forms(grid, modes, geometry, numerator, denominator):
     ops[:, _N_KEYS] += ns[:, None, None, None] * Tn
     ops[:, _M_KEYS] += m_hat[:, None, None, None] * Tm
     ops *= sqw[:, None, :, None]
-    ops = dict(zip(_TABLE_KEYS, np.moveaxis(ops, 1, 0)))
-    return _form_rows(numerator, ops), _form_rows(denominator, ops)
+    return dict(zip(_TABLE_KEYS, np.moveaxis(ops, 1, 0)))
+
+
+def _form_rows(kind, ops):
+    """Row stack C of the stacked ops, ||C v||^2 the norm ``kind`` (``fields.norm_terms``)^2."""
+    return np.concatenate([math.sqrt(w) * t for w, t in norm_terms(kind, ops)], axis=-2)
 
 
 def assemble_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad"):
@@ -223,21 +193,22 @@ def assemble_mode_forms(m, n, geometry, grid, numerator="strain", denominator="g
     if not max(abs(e - r) for e, r in zip(ends, geometry.I_h)) <= 4.0 * np.finfo(float).eps:
         raise ParameterError(f"radial grid spans [{ends[0]!r}, {ends[1]!r}], not the "
                              f"I_h = {geometry.I_h!r} of h = {geometry.h!r}")
-    C_num, C_den = _mode_forms(grid, [(m, n)], geometry, numerator, denominator)
-    return QuadraticFormPair(C_num=C_num[0], C_den=C_den[0])
+    ops = _mode_operators(grid, [(m, n)], geometry)
+    return QuadraticFormPair(*(_form_rows(kind, ops)[0] for kind in (numerator, denominator)))
 
 
 def _svd(B):
     """Singular values and right vectors of a stack; when the stacked gesdd
-    fails, each matrix alone, and one that still fails once more with gesvd."""
+    fails, each matrix alone, and one that still fails once more with gesvd,
+    unchecked: a NaN or inf fails it too, or gives NaNs the residual gate rejects."""
     try:
         return np.linalg.svd(B, full_matrices=False)[1:]
     except np.linalg.LinAlgError:
         if len(B) > 1:
             s, Vt = zip(*(_svd(b[None]) for b in B))
             return np.concatenate(s), np.concatenate(Vt)
-        import scipy.linalg      # only here: numpy has no gesvd driver
-        _, s, Vt = scipy.linalg.svd(B[0], full_matrices=False, lapack_driver="gesvd")
+        from scipy.linalg import svd      # only here: numpy cannot call gesvd
+        _, s, Vt = svd(B[0], full_matrices=False, lapack_driver="gesvd", check_finite=False)
         return s[None], Vt[None]
 
 
@@ -274,7 +245,7 @@ def _solve_stack(C_num, C_den, sign):
     y, lam = Vt[:, pick], s[:, pick] ** 2
     res = np.linalg.norm((np.swapaxes(B, -1, -2) @ (B @ y[..., None]))[..., 0]
                          - lam[:, None] * y, axis=-1)
-    bad = np.flatnonzero(res > 1e-12 * s[:, 0] ** 2)
+    bad = np.flatnonzero(~(res <= 1e-12 * s[:, 0] ** 2))     # NaN fails
     if bad.size:
         raise SolverError(f"eigen residual {res[bad[0]]:.3e} exceeds "
                           f"1e-12 s_max^2 = {1e-12 * s[bad[0], 0] ** 2:.3e}")
@@ -507,7 +478,7 @@ def _thzzth_cap(geometry, m, n):
 
     At each radial node let a = m_hat f_t and b = n f_z / r.  Then G_tz = a,
     G_zt = -b, e_tz = (a - b) / 2 and e_zz = -(m_hat r / n) b, so with the
-    positive weights W of ``_mode_forms``, ||e||^2 >= sum W (2 e_tz^2 + e_zz^2)
+    positive weights W of ``_mode_operators``, ||e||^2 >= sum W (2 e_tz^2 + e_zz^2)
     >= sum W lambda_min (a^2 + b^2), lambda_min the least eigenvalue of
     [[1/2, -1/2], [-1/2, 1/2 + mu^2]] and mu = m_hat r / n.  1 / lambda_min is
     1 + nu + sqrt(1 + nu^2) with nu = 1 / mu^2, largest at r_in.  At n = 0,
@@ -571,7 +542,7 @@ def scan_window(geometry, group=None, m_max=None, n_max=None):
     an empty window, more than MAX_SCAN_MODES modes, and pi m_max / L above 1e75
     (past about 1.2e77 the Korn model's m_hat^4 overflows)."""
     if group is not None:
-        _group_keys(group)
+        group_keys(group)
     mhat_h = geometry.axial_wavenumber(1) * geometry.h
     mhat_h_min = _FORM_MHAT_H_MIN.get(group, _MHAT_H_MIN)
     if mhat_h < mhat_h_min:
@@ -592,14 +563,14 @@ def scan_window(geometry, group=None, m_max=None, n_max=None):
     return m_max, n_max
 
 
-def _scan(geometry, forms, bound, sign, m_max, n_max, N):
-    """``_guarded_scan`` of the quotient of ``forms`` (numerator, denominator),
-    the least for sign +1 and the greatest for -1, on N and min(N, _COARSE_N) nodes."""
+def _scan(geometry, rows, bound, sign, m_max, n_max, N):
+    """``_guarded_scan`` of the quotient of the pencils (C_num, C_den) = rows(ops) of
+    ``_mode_operators``, least for sign +1, greatest for -1, on N and min(N, _COARSE_N) nodes."""
     grids = {n_r: radial_grid(geometry, N=n_r)
              for n_r in sorted({N, min(N, _COARSE_N)}, reverse=True)}
 
     def quotients(n_r, modes):
-        pencils = _mode_forms(grids[n_r], modes, geometry, *forms)
+        pencils = rows(_mode_operators(grids[n_r], modes, geometry))
         return [value for value, _ in _solve_stack(*pencils, sign)]
 
     return _guarded_scan(quotients, bound, sign, N, m_max, n_max)
@@ -617,8 +588,8 @@ def korn_constant(geometry, m_max=None, n_max=None, N=32):
     small.
     """
     m_max, n_max = scan_window(geometry, None, m_max, n_max)
-    return _scan(geometry, ("strain", "grad"), functools.partial(_korn_bound, geometry), 1.0,
-                 m_max, n_max, N)
+    return _scan(geometry, lambda ops: (_form_rows("strain", ops), _form_rows("grad", ops)),
+                 functools.partial(_korn_bound, geometry), 1.0, m_max, n_max, N)
 
 
 def component_bound(geometry, group, m_max=None, n_max=None, N=32):
@@ -635,5 +606,6 @@ def component_bound(geometry, group, m_max=None, n_max=None, N=32):
     pi h / L >= 1e-10 (``_FORM_MHAT_H_MIN``, ``_MHAT_H_MIN``).
     """
     m_max, n_max = scan_window(geometry, group, m_max, n_max)
-    return _scan(geometry, (f"component:{group}", "strain"),
+    return _scan(geometry,
+                 lambda ops: (_form_rows(f"component:{group}", ops), _form_rows("strain", ops)),
                  functools.partial(_component_bound, geometry, group), -1.0, m_max, n_max, N)

@@ -508,8 +508,9 @@ def harmonic_projection(field, h, L, n_x=48, n_y=96):
     diagonalizes the Dirichlet difference Laplacian (Buzbee, Golub & Nielson
     1970), applied as dense sine-matrix products, which at the default
     48 x 96 cells cost no more than an FFT-based DST-I.  The interior
-    Laplacian residual must come out below 1e-10 ||w||_inf.
+    Laplacian residual must come out below 1e-10 ||w||_inf; a NaN one fails.
     """
+    _check_rectangle(h, L)
     if n_x < 2 or n_y < 2:
         raise ParameterError(f"need n_x, n_y >= 2 cells, got n_x={n_x}, n_y={n_y}")
     x = np.linspace(0.0, h, n_x + 1)
@@ -533,7 +534,7 @@ def harmonic_projection(field, h, L, n_x=48, n_y=96):
            + (w[1:-1, 2:] - 2.0 * w[1:-1, 1:-1] + w[1:-1, :-2]) / hy**2)
     residual = float(np.max(np.abs(lap)))
     scale = float(np.max(np.abs(w)))
-    if residual > 1e-10 * max(scale, 1e-300) * max(1.0 / hx**2, 1.0 / hy**2) * 4.0:
+    if not residual <= 1e-10 * max(scale, 1e-300) * max(1.0 / hx**2, 1.0 / hy**2) * 4.0:
         raise SolverError(f"discrete Laplacian residual {residual:.3e} too large")
     return HarmonicSolution(w=w, x=x, y=y, residual=residual, u=u)
 

@@ -89,6 +89,12 @@ def per_mode_forms(m, n, geometry, grid, numerator="strain", denominator="grad")
     return korn._form_rows(numerator, ops), korn._form_rows(denominator, ops)
 
 
+def stacked_forms(grid, modes, geometry, numerator="strain", denominator="grad"):
+    """(C_num, C_den) of a stack of modes: ``_form_rows`` of ``_mode_operators``."""
+    ops = korn._mode_operators(grid, modes, geometry)
+    return korn._form_rows(numerator, ops), korn._form_rows(denominator, ops)
+
+
 FORM_PAIRS = [("strain", "grad")] + [(f"component:{group}", "strain")
                                      for group in korn.COMPONENT_GROUPS]
 
@@ -176,7 +182,7 @@ def test_mode_forms_match_per_mode_oracle(grid_kind):
             pair = korn.assemble_mode_forms(m, n, geo, grid, *forms)
             C_num, C_den = per_mode_forms(m, n, geo, grid, *forms)
             assert np.array_equal(pair.C_num, C_num) and np.array_equal(pair.C_den, C_den)
-        stacked = korn._mode_forms(grid, stack, geo, *forms)
+        stacked = stacked_forms(grid, stack, geo, *forms)
         for k, (m, n) in enumerate(stack):
             C_num, C_den = per_mode_forms(m, n, geo, grid, *forms)
             assert np.array_equal(stacked[0][k], C_num) and np.array_equal(stacked[1][k], C_den)
@@ -196,7 +202,7 @@ def test_grid_builds_its_operator_table_once(geo_thick, monkeypatch):
     grid = korn.radial_grid(geo_thick, N=8)
     first = korn.assemble_mode_forms(1, 5, geo_thick, grid)
     second = korn.assemble_mode_forms(1, 5, geo_thick, grid)
-    korn._mode_forms(grid, [(2, 3), (4, 0)], geo_thick, "strain", "grad")
+    korn._mode_operators(grid, [(2, 3), (4, 0)], geo_thick)
     assert len(calls) == 1 and calls[0] is grid
     assert np.array_equal(first.C_num, second.C_num)
     assert np.array_equal(first.C_den, second.C_den)
@@ -298,16 +304,43 @@ def test_residual_gate_rejects_a_perturbed_vector(monkeypatch):
         korn.min_rayleigh(pair)
 
 
+def test_residual_gate_rejects_a_nan_residual(monkeypatch):
+    # an SVD that returns NaNs instead of failing: a NaN residual fails the
+    # gate rather than passing it
+    pair = random_form_pair(np.random.default_rng(9), 6)
+    svd = korn._svd
+
+    def nan_values(B):
+        s, Vt = svd(B)
+        return np.full_like(s, math.nan), Vt
+
+    monkeypatch.setattr(korn, "_svd", nan_values)
+    with pytest.raises(SolverError, match="residual"):
+        korn.min_rayleigh(pair)
+
+
 def test_stack_falls_back_pencil_by_pencil():
     # gesdd does not converge on the Korn pencil (45, 13) at h = 1e-4, N = 32,
     # alone or in a stack; the stack is then solved one pencil at a time
     geo = ShellGeometry(h=1e-4, L=math.pi)
     grid = korn.radial_grid(geo, N=32)
     modes = [(44, 13), (45, 13), (46, 13)]
-    C_num, C_den = korn._mode_forms(grid, modes, geo, "strain", "grad")
+    C_num, C_den = stacked_forms(grid, modes, geo)
     single = [korn.min_rayleigh(korn.assemble_mode_forms(m, n, geo, grid))[0]
               for m, n in modes]
     assert [value for value, _ in korn._solve_stack(C_num, C_den, 1)] == single
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_non_finite_pencil_is_solver_error(bad):
+    # a NaN or inf in C_num reaches the SVD through B; it fails there, on
+    # every retry, and comes out as a SolverError, not a bare ValueError
+    pair = random_form_pair(np.random.default_rng(6), 5)
+    C_num = pair.C_num.copy()
+    C_num[2, 1] = bad
+    for solve in (korn.min_rayleigh, korn.max_rayleigh):
+        with pytest.raises(SolverError):
+            solve(korn.QuadraticFormPair(C_num=C_num, C_den=pair.C_den))
 
 
 def test_rank_deficient_member_of_a_stack_is_solver_error():
@@ -375,7 +408,7 @@ def test_mode_forms_reject_non_axial_modes(geo_thick, modes):
     grid = korn.radial_grid(geo_thick, N=8)
     bad = next(m for m, _ in modes if m < 1)
     with pytest.raises(ParameterError, match=f"m={bad} must be >= 1"):
-        korn._mode_forms(grid, modes, geo_thick, "strain", "grad")
+        korn._mode_operators(grid, modes, geo_thick)
     with pytest.raises(ParameterError, match=f"m={bad} must be >= 1"):
         korn.assemble_mode_forms(bad, 3, geo_thick, grid)
 
@@ -542,6 +575,22 @@ def test_stacked_scan_matches_per_mode_scan(geo_thick, kind):
     assert res == korn._guarded_scan(quotients, bound, sign, N, m_max, n_max)
 
 
+@pytest.mark.parametrize("h, L, N", [(1e-2, math.pi, 16), (1e-3, math.pi, 16), (0.1, 1.0, 8)])
+def test_scan_takes_any_rows_of_the_mode_operators(h, L, N):
+    # the scan solves whatever pencil its rows make of the operators: the
+    # greatest grad/strain quotient, under the upper bound 1 / _korn_bound,
+    # is 1/K at the Korn scan's mode, after as many solves
+    geo = ShellGeometry(h, L)
+    m_max, n_max = korn.scan_window(geo)
+    res = korn._scan(geo, lambda ops: (korn._form_rows("grad", ops),
+                                       korn._form_rows("strain", ops)),
+                     lambda m, n: tuple(1.0 / x for x in korn._korn_bound(geo, m, n)),
+                     -1.0, m_max, n_max, N)
+    ref = korn.korn_constant(geo, N=N)
+    assert (res.m, res.n, res.evaluations) == (ref.m, ref.n, ref.evaluations)
+    assert res.value * ref.value == pytest.approx(1.0, abs=1e-13)
+
+
 def test_scan_walks_at_N_when_the_grids_disagree():
     # a maximum: the 8-node quotients peak at (10, 10) and the 16-node ones
     # at (14, 12), under an upper bound valid on both grids; the gap at the
@@ -633,7 +682,7 @@ def window_quotients(geo, group, N, keep=None):
     modes = list(zip(m.tolist(), n.tolist()))
     return m, n, np.array([v for i in range(0, len(modes), 64)
                            for v, _ in korn._solve_stack(
-                               *korn._mode_forms(grid, modes[i:i + 64], geo, *forms), sign)])
+                               *stacked_forms(grid, modes[i:i + 64], geo, *forms), sign)])
 
 
 def test_korn_model_bounds_every_mode():

@@ -9,7 +9,7 @@ import pytest
 import scipy.fft
 
 from cylshell import rect
-from cylshell.errors import ParameterError, ShapeError
+from cylshell.errors import ParameterError, ShapeError, SolverError
 
 H, L = 0.1, 1.0
 
@@ -401,6 +401,25 @@ def test_harmonic_projection_reproduces_harmonic_data():
     for n_x, n_y in ((1, 48), (24, 0)):
         with pytest.raises(ParameterError):
             rect.harmonic_projection(field, H, L, n_x=n_x, n_y=n_y)
+
+
+@pytest.mark.parametrize("h, length", [(0.0, L), (H, 0.0), (H, math.inf), (math.nan, L),
+                                       (-H, L)])
+def test_harmonic_projection_rejects_a_bad_rectangle(h, length):
+    # a rectangle with h or L zero, infinite, NaN or negative is rejected
+    # before the solve, which would give a NaN residual or (h < 0) solve on [h, 0]
+    field = rect.PlanarField(_Bilinear(), rect.ZERO, bc_tag=None)
+    with pytest.raises(ParameterError, match="rectangle"):
+        rect.harmonic_projection(field, h, length)
+
+
+def test_harmonic_projection_rejects_a_nan_field():
+    # a NaN residual fails the gate instead of passing it
+    def nan_u(x, y, dx=0, dy=0):
+        return np.full(np.broadcast(x, y).shape, math.nan)
+
+    with pytest.raises(SolverError, match="residual"):
+        rect.harmonic_projection(rect.PlanarField(nan_u, rect.ZERO, bc_tag=None), H, L)
 
 
 def test_harmonic_projection_second_order_convergence():
