@@ -306,8 +306,9 @@ _THIN_T = 0.5
 _THIN_BOUND_FACTOR = 0.75
 _THIN_N0_BOUND_FACTOR = 0.5
 _BOUND_FACTOR = 0.15
-# window modes per block of the screen's bound, so no array spans the window
-# (90,300 modes at h = 1e-4)
+# window modes per block of the screen's bound, so the bound's temporaries
+# never span the window (90,300 modes at h = 1e-4); the screen keeps only the
+# bound's key of each window mode, 8 bytes a mode
 _BOUND_BLOCK = 10_000
 
 
@@ -343,16 +344,18 @@ def _guarded_scan(quotients, bound, sign, N, m_max, n_max):
     The screen minimizes the key sign * quotient: ``sign`` is +1 for the
     minimum, -1 for the maximum.  ``bound(m, n)`` gives each mode's bound of
     the quotient, lower for a minimum and upper for a maximum, and the model
-    it scales, broadcast, built _BOUND_BLOCK modes at a time.  The screen
-    solves the model's extreme mode, then, a stack at a time and in the
-    order of the bound's key, the modes whose bound's key is within
-    _MARGIN_TOL relative of the best key so far, and stops at the first
-    mode whose is not: every unsolved mode falls short of the extremum by
-    more than _MARGIN_TOL relative, and the runner-up is the nearest
-    competitor.  Once the best value reaches the window's extreme bound to
-    _BOUND_SLACK relative no mode can beat it, and the screen stops with no
-    competitor.  Keys within _BOUND_SLACK relative of the best are ties, and
-    ties go to the smallest (m, n).
+    it scales, broadcast.  Each screen evaluates it once over the window,
+    _BOUND_BLOCK modes at a time, into one key sign * bound per mode, freed
+    when the screen returns.  The screen solves the model's extreme mode
+    (the smallest (m, n) of equal models), then, a stack at a time and in the
+    order of the bound's key (equal keys in (m, n) order), the modes whose
+    bound's key is within _MARGIN_TOL relative of the best key so far, and
+    stops at the first mode whose is not: every unsolved mode falls short of
+    the extremum by more than _MARGIN_TOL relative, and the runner-up is the
+    nearest competitor.  Once the best value reaches the window's extreme
+    bound to _BOUND_SLACK relative no mode can beat it, and the screen stops
+    with no competitor.  Keys within _BOUND_SLACK relative of the best are
+    ties, and ties go to the smallest (m, n).
 
     ``quotients(n_r, modes)`` are served from one cache keyed by
     (n_r, m, n), new ones solved _STACK at a time on the coarse grid and one
@@ -387,20 +390,22 @@ def _guarded_scan(quotients, bound, sign, N, m_max, n_max):
             cache.update(zip([(n_r, *mn) for mn in chunk], values))
         return [cache[(n_r, *mn)] for mn in modes]
 
-    def bound_blocks():
+    def sweep():
+        """(key, seed, floor): sign * bound of every window mode by flat index
+        (m - 1) (n_max + 1) + n, the model's extreme mode, and the least key."""
+        key, seed, seed_key = np.empty(size), None, math.inf
         for start in range(0, size, _BOUND_BLOCK):
             m, n = np.divmod(np.arange(start, min(start + _BOUND_BLOCK, size)), n_max + 1)
-            m += 1
-            yield (m, n, *bound(m, n))
+            limit, model = bound(m + 1, n)
+            key[start:start + n.size] = sign * limit
+            i = np.argmin(sign * model)
+            if sign * model[i] < seed_key:
+                seed, seed_key = (int(m[i]) + 1, int(n[i])), sign * model[i]
+        return key, seed, float(key.min())
 
     def screen(n_r):
         """(mode, competitor's shortfall, modes left unsolved) on n_r nodes."""
-        seed, seed_key, floor = None, math.inf, math.inf
-        for m, n, limit, model in bound_blocks():
-            i = np.argmin(sign * model)
-            if sign * model[i] < seed_key:
-                seed, seed_key = (int(m[i]), int(n[i])), sign * model[i]
-            floor = min(floor, float((sign * limit).min()))
+        key, seed, floor = sweep()
         keys = {seed: sign * solve(n_r, [seed])[0]}
 
         def cut():         # -inf once the best key reaches the floor of the bound
@@ -408,19 +413,18 @@ def _guarded_scan(quotients, bound, sign, N, m_max, n_max):
             reached = best - floor <= _BOUND_SLACK * abs(floor)
             return -math.inf if reached else best + _MARGIN_TOL * abs(best)
 
-        order = np.concatenate([np.column_stack([sign * limit, m, n])[sign * limit <= cut()]
-                                for m, n, limit, _ in bound_blocks()])
-        order = order[np.lexsort(order.T[::-1])]        # rows (key, m, n), sorted
+        order = np.flatnonzero(key <= cut())
+        order = order[np.argsort(key[order], kind="stable")]    # by key, then (m, n)
         for pos in range(0, len(order), stacks[n_r]):
             top = cut()
-            chunk = [(int(mm), int(nn)) for key, mm, nn in order[pos:pos + stacks[n_r]]
-                     if key <= top]
+            chunk = [(i // (n_max + 1) + 1, i % (n_max + 1))
+                     for i in order[pos:pos + stacks[n_r]].tolist() if key[i] <= top]
             if not chunk:
                 break
             keys.update(zip(chunk, (sign * value for value in solve(n_r, chunk))))
         ranked = sorted(keys.values())
         tie = _BOUND_SLACK * abs(ranked[0])
-        mode = min(mn for mn, key in keys.items() if key - ranked[0] <= tie)
+        mode = min(mn for mn, k in keys.items() if k - ranked[0] <= tie)
         shortfall = (ranked[1] - ranked[0]
                      if len(ranked) > 1 and cut() > -math.inf else math.inf)
         return mode, shortfall, size - len(keys)
@@ -529,9 +533,10 @@ def _component_bound(geometry, group, m, n):
 
 # most modes m_max (n_max + 1) a scan window admits (the default caps reach
 # 512 x 513).  At h = 1e-2, N = 8 a Korn scan of m_max = 1,000,000, n_max = 0
-# takes 0.07 s (1.4 MiB tracemalloc peak), as does the transposed window.  On
-# a thick short shell (h = 0.5, L = 0.1) the screen solves every mode: 99,856
-# in 42 s for a 41 MiB peak, growing linearly.
+# takes 0.08 s (8.6 MiB tracemalloc peak, mostly the screen's 8-byte key per
+# mode), as does the transposed window.  On a thick short shell (h = 0.5,
+# L = 0.1, N = 8) the screen solves every mode: 99,856 in 35-47 s for a
+# 29 MiB peak, growing linearly.
 MAX_SCAN_MODES = 1_000_000
 
 

@@ -367,6 +367,9 @@ def _trial_scan(trials, seed, draw, reports):
     # a scan of no fields would report zero violations without testing anything
     if trials < 1:
         raise ParameterError(f"need at least 1 trial, got trials={trials}")
+    # numpy's generator rejects a negative seed with a bare ValueError
+    if seed < 0:
+        raise ParameterError(f"seed = {seed} must be >= 0")
     rng = np.random.default_rng(seed)
     violations, min_margin = 0, math.inf
     for start in range(0, trials, _TRIAL_CHUNK):

@@ -284,6 +284,16 @@ def test_rect_korn_rejects_empty_scan(capsys, trials):
     assert code == 2
 
 
+def test_rect_korn_rejects_a_negative_seed(tmp_path, capsys):
+    # numpy's generator would raise a bare ValueError (exit 1)
+    code = main(["--out", str(tmp_path), "rect-korn", "--trials", "1", "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["--L", "-1"], ["--L", "0"], ["--L", "nan"], ["--L", "inf"],
     ["--h", "0"], ["--h", "-0.1"], ["--h", "0.2"], ["--h", "0.5"], ["--h", "nan"],

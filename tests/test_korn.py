@@ -2,6 +2,7 @@
 
 import ast
 import builtins
+import collections
 import functools
 import math
 import pathlib
@@ -638,8 +639,52 @@ def test_thin_shell_scan_solves_once_at_N(monkeypatch):
     assert not res.walked_at_N and res.resolution_gap <= 1e-6
 
 
+def test_screen_sweeps_the_bound_once(monkeypatch):
+    # each screen evaluates the bound once over the window, _BOUND_BLOCK
+    # modes at a time: the thin Korn scan's one screen evaluates each of its
+    # 10 blocks once, and a scan that runs again at N evaluates its one block
+    # twice; the bound's other calls check solved modes, at most _STACK at once
+    blocks = collections.Counter()
+    scan = korn._guarded_scan
+
+    def spy(quotients, bound, *args):
+        def counted(m, n):
+            if np.size(m) > korn._STACK:
+                blocks[int(m[0]), int(n[0])] += 1
+            return bound(m, n)
+        return scan(quotients, counted, *args)
+
+    monkeypatch.setattr(korn, "_guarded_scan", spy)
+    for geo, count, sweeps in ((ShellGeometry(h=1e-4, L=math.pi), 10, 1),
+                               (ShellGeometry(h=0.5, L=0.1), 1, 2)):
+        blocks.clear()
+        res = korn.korn_constant(geo)
+        assert res.walked_at_N == (sweeps == 2)
+        m_max, n_max = korn.scan_window(geo)
+        starts = range(0, m_max * (n_max + 1), korn._BOUND_BLOCK)
+        assert len(starts) == count
+        assert blocks == {(s // (n_max + 1) + 1, s % (n_max + 1)): sweeps for s in starts}
+
+
+@pytest.mark.parametrize("scan", [
+    lambda: korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi)),
+    lambda: korn.component_bound(ShellGeometry(h=0.5, L=0.01), "thzzth", N=32),
+    lambda: korn.korn_constant(ShellGeometry(h=0.5, L=0.1)),
+], ids=["korn-thin", "thzzth-n0-ties", "korn-walked-at-N"])
+def test_scan_is_independent_of_the_bound_block(scan, monkeypatch):
+    # blocks of 7 modes split the window (and the n = 0 ties of the thzzth
+    # maximum, whose key is -bound) across block edges; one block spans it:
+    # the seed's tie-break and the screen's order do not depend on the edges
+    results = []
+    for block in (7, korn.MAX_SCAN_MODES):
+        monkeypatch.setattr(korn, "_BOUND_BLOCK", block)
+        results.append(scan())
+    assert results[0] == results[1]
+
+
 def test_scan_memory():
-    # the operator table at N = 32 and one stack of coarse pencils
+    # the operator table at N = 32, one stack of coarse pencils and the
+    # screen's key of each of the window's 90,300 modes (0.69 MiB)
     tracemalloc.start()
     try:
         korn.korn_constant(ShellGeometry(h=1e-4, L=math.pi))

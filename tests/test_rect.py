@@ -386,6 +386,22 @@ def test_harmonic_lemma_tau_range():
         assert rect.harmonic_lemma_check(h, good_L, trials=2).equality_error <= 1e-8
 
 
+@pytest.mark.parametrize("scan", [
+    lambda: rect.basic_inequality_trials(H, L, trials=1, seed=-1),
+    lambda: rect.periodic_inequality_trials(H, trials=1, seed=-1),
+    lambda: rect.harmonic_lemma_check(H, L, trials=1, seed=-1),
+], ids=["basic", "periodic", "harmonic"])
+def test_trials_reject_a_negative_seed(scan, monkeypatch):
+    # a ParameterError naming the seed, before the first draw, not numpy's
+    # bare ValueError
+    def drawn(*args, **kwargs):
+        raise AssertionError("a trial field was drawn before the seed was checked")
+
+    monkeypatch.setattr(np.random, "default_rng", drawn)
+    with pytest.raises(ParameterError, match="seed = -1"):
+        scan()
+
+
 def test_harmonic_lemma_needs_a_trial():
     # a check of no random fields would report success without testing anything
     for trials in (0, -5):
